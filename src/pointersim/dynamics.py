@@ -6,8 +6,9 @@ own representation, so the evolution reduces to a pointwise d x d matrix
 exponential over grid points; with a single coupling the observable is
 diagonalized once and only phases touch the grid.
 
-First-order mode replaces the exponential by ``1 - i sum_k lambda_k A_k xi_k``
-and renormalizes, which is what the closed-form shift predictions assume.
+The first-order path, which the closed-form shift predictions assume, is
+:func:`first_order_pointer`: it builds the postselected pointer from weak
+values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .errors import (
     RepresentationError,
 )
 from .pointer import (
+    _NORM_TOL,
     Grid,
     PointerWavefunction,
-    _axis_to_momentum,
-    _axis_to_position,
+    _apply_momentum,
+    _axis_transform,
     _normalized,
     displace_momentum,
     to_position,
@@ -34,7 +36,6 @@ from .pointer import (
 from .quantum import Observable, SystemState, eigendecompose, weak_value
 
 _POSTSELECT_FLOOR = 1e-12
-_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,10 @@ class CouplingSpec:
     axis: int
     quadrature: str  # "q" | "p"
     strength: float
-    mode: str = "exact"  # "exact" | "first_order"
 
     def __post_init__(self):
         if self.quadrature not in ("q", "p"):
             raise ValueError(f"quadrature must be 'q' or 'p', got {self.quadrature!r}")
-        if self.mode not in ("exact", "first_order"):
-            raise ValueError(f"mode must be 'exact' or 'first_order', got {self.mode!r}")
         if not np.isfinite(self.strength):
             raise ValueError("coupling strength must be finite")
 
@@ -59,8 +57,7 @@ class CouplingSpec:
 class JointState:
     """System tensor pointer amplitudes, shape (d, *grid.shape)."""
 
-    def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...],
-                 truncated: bool = False):
+    def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...]):
         amps = np.array(amplitudes, dtype=complex)  # copy: frozen below
         if amps.ndim != grid.dims + 1 or amps.shape[1:] != grid.shape:
             raise DimensionError(
@@ -72,7 +69,6 @@ class JointState:
         self.amplitudes = amps
         self.amplitudes.flags.writeable = False
         self.reps = tuple(reps)
-        self.truncated = bool(truncated)
         norm2 = self.norm_squared()
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise NormalizationError(f"joint state norm^2 = {norm2!r}, expected 1")
@@ -94,24 +90,10 @@ def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
 def _to_axis_rep(state: JointState, axis: int, rep: str) -> JointState:
     if state.reps[axis] == rep:
         return state
-    if rep == "momentum":
-        amps = _joint_axis_transform(state.amplitudes, state.grid, axis, forward=True)
-    else:
-        amps = _joint_axis_transform(state.amplitudes, state.grid, axis, forward=False)
+    amps = _axis_transform(state.amplitudes, state.grid, axis, forward=rep == "momentum")
     reps = list(state.reps)
     reps[axis] = rep
-    return JointState(state.grid, amps, tuple(reps), state.truncated)
-
-
-def _joint_axis_transform(amps: np.ndarray, grid: Grid, axis: int, forward: bool) -> np.ndarray:
-    # The grid-shaped phase broadcasts against (d, *shape) by trailing alignment.
-    n = grid.points_per_axis[axis]
-    p = grid.momenta(axis)
-    if forward:
-        phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
-        return (grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(amps, axis=axis + 1)
-    phase = grid.axis_array(axis, np.exp(-1j * p * grid.extent[axis]))
-    return (grid.dp(axis) * n / np.sqrt(2.0 * np.pi)) * np.fft.ifft(phase * amps, axis=axis + 1)
+    return JointState(state.grid, amps, tuple(reps))
 
 
 def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
@@ -120,19 +102,16 @@ def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
 
 
 def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
-    """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)`` (or its truncation).
+    """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)``.
 
-    All specs in one call must use the same quadrature kind and the same mode;
-    the listed terms act simultaneously (they are summed in one exponent).
+    All specs in one call must use the same quadrature kind; the listed terms
+    act simultaneously (they are summed in one exponent).
     """
     if not specs:
         return state
     quads = {s.quadrature for s in specs}
     if len(quads) > 1:
         raise RepresentationError("couplings in one application must share a quadrature")
-    modes = {s.mode for s in specs}
-    if len(modes) > 1:
-        raise ValueError("couplings in one application must share a mode")
     d = state.system_dim
     for s in specs:
         if s.observable.dim != d:
@@ -146,16 +125,7 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
     live = [s for s in specs if s.strength != 0.0]
     if not live:
         return state
-    mode = specs[0].mode
     amps = state.amplitudes
-    if mode == "first_order":
-        delta = np.zeros_like(amps)
-        for s in live:
-            xi = _quadrature_values(state.grid, s.axis, quadrature)
-            delta = delta + s.strength * xi * np.einsum("ab,b...->a...", s.observable.matrix, amps)
-        new = amps - 1j * delta
-        norm = np.sqrt(np.sum(np.abs(new) ** 2) * state.grid.cell_volume(state.reps))
-        return JointState(state.grid, new / norm, state.reps, truncated=True)
     if len(live) == 1:
         # Single observable: diagonalize once, apply pure phases per eigenline.
         s = live[0]
@@ -166,7 +136,7 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
         eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * state.grid.dims)
         rotated = rotated * np.exp(-1j * s.strength * eigcol * xi)
         new = np.einsum("ij,j...->i...", v, rotated)
-        return JointState(state.grid, new, state.reps, state.truncated)
+        return JointState(state.grid, new, state.reps)
     # General case: pointwise Hermitian generator, batched eigendecomposition.
     shape = state.grid.shape
     gen = np.zeros(shape + (d, d), dtype=complex)
@@ -178,13 +148,12 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
     rotated = np.einsum("...ij,...i->...j", v.conj(), vec) * np.exp(-1j * w)
     vec_new = np.einsum("...ij,...j->...i", v, rotated)
     new = np.moveaxis(vec_new, -1, 0)
-    return JointState(state.grid, new, state.reps, state.truncated)
+    return JointState(state.grid, new, state.reps)
 
 
 def strong_readout(state: JointState, observable: Observable, axis: int) -> JointState:
     """Unit-strength exact position coupling used as the projective readout."""
-    spec = CouplingSpec(observable=observable, axis=axis, quadrature="q",
-                        strength=1.0, mode="exact")
+    spec = CouplingSpec(observable=observable, axis=axis, quadrature="q", strength=1.0)
     return apply_couplings(state, [spec])
 
 
@@ -231,8 +200,6 @@ def first_order_pointer(
         if s.quadrature == "q":
             xi_amps = _quadrature_values(phi.grid, s.axis, "q") * amps
         else:
-            p_vals = _quadrature_values(phi.grid, s.axis, "p")
-            xi_amps = _axis_to_position(p_vals * _axis_to_momentum(amps, phi.grid, s.axis),
-                                        phi.grid, s.axis)
+            xi_amps = _apply_momentum(amps, phi.grid, s.axis)
         delta = delta + (s.strength * w) * xi_amps
     return _normalized(phi.grid, amps - 1j * delta)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect
-from .errors import DimensionError, GridCoverage, InvalidParams, UnusableProbe
-from .pointer import Grid, PointerWavefunction, _normalized, moments
+from .errors import DimensionError, InvalidParams, UnusableProbe
+from .pointer import Grid, PointerWavefunction, _check_coverage, _normalized, moments
 from .quantum import Observable, SystemState, weak_value
 from .shifts import FROZEN_CONVENTION, SignConvention
 
@@ -79,12 +79,7 @@ def two_mode_gaussian(grid: Grid, params: TwoModeGaussianParams) -> PointerWavef
     """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on the grid."""
     if grid.dims != 2:
         raise DimensionError("two-mode Gaussian needs a 2-axis grid")
-    cov = params.position_covariance()
-    for j in range(2):
-        if grid.extent[j] < 6.0 * np.sqrt(cov[j, j]):
-            raise GridCoverage(
-                f"axis {j}: extent {grid.extent[j]} covers fewer than 6 standard deviations"
-            )
+    _check_coverage(grid, np.sqrt(np.diag(params.position_covariance())), (0.0, 0.0))
     q1 = grid.axis_array(0, grid.positions(0))
     q2 = grid.axis_array(1, grid.positions(1))
     exponent = -(params.alpha * q1**2 + params.beta * q2**2 + 2.0 * params.gamma * q1 * q2)
@@ -111,7 +106,7 @@ def _measured_row(
     base = moments(phi)
     joint = make_joint(probe.pre, phi)
     spec = CouplingSpec(probe.observable, axis=0, quadrature=quadrature,
-                        strength=probe.strength, mode="exact")
+                        strength=probe.strength)
     joint = apply_couplings(joint, [spec])
     pointer, _prob = postselect(joint, probe.post)
     final = moments(pointer)

@@ -73,6 +73,11 @@ def partial_fourier(f: DensityGrid, axis: int) -> np.ndarray:
 
     The output momentum samples along ``axis`` are ``f.grid.momenta(axis)``
     (FFT bin order); the other axis keeps its position samples.
+
+    This is not the pointer module's unitary axis transform: the kernel has
+    no ``1/sqrt(2 pi)``.  The prefactor cancels in the moment functional, but
+    scaling by it moves the rounding, which changes the serialized residual of
+    the Appendix-A check in its last digits.
     """
     if axis not in (0, 1):
         raise DimensionError(f"axis must be 0 or 1, got {axis}")

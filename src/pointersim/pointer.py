@@ -88,19 +88,38 @@ class Grid:
         return vol
 
 
-def _axis_to_momentum(arr: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Unitary q -> p transform along one axis (kernel exp(-i p q)/sqrt(2 pi))."""
+def _axis_transform(arr: np.ndarray, grid: Grid, axis: int, forward: bool = True) -> np.ndarray:
+    """Unitary q -> p transform along pointer axis ``axis`` (kernel exp(-i p q)/sqrt(2 pi)),
+    or its inverse when ``forward`` is false.
+
+    The FFT runs on array axis ``axis - grid.dims``, so ``arr`` may carry
+    leading axes (the system index of a joint state); the grid-shaped phase
+    broadcasts against them by trailing alignment.
+    """
     p = grid.momenta(axis)
-    phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
-    return (grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(arr, axis=axis)
-
-
-def _axis_to_position(arr: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Inverse of :func:`_axis_to_momentum` along one axis."""
+    fft_axis = axis - grid.dims
+    if forward:
+        phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
+        return (grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(arr, axis=fft_axis)
     n = grid.points_per_axis[axis]
-    p = grid.momenta(axis)
     phase = grid.axis_array(axis, np.exp(-1j * p * grid.extent[axis]))
-    return (grid.dp(axis) * n / np.sqrt(2.0 * np.pi)) * np.fft.ifft(phase * arr, axis=axis)
+    return (grid.dp(axis) * n / np.sqrt(2.0 * np.pi)) * np.fft.ifft(phase * arr, axis=fft_axis)
+
+
+def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """``p_axis`` applied to position-space amplitudes: transform, multiply, transform back."""
+    p = grid.axis_array(axis, grid.momenta(axis))
+    return _axis_transform(p * _axis_transform(arr, grid, axis), grid, axis, forward=False)
+
+
+def _check_coverage(grid: Grid, stds, means) -> None:
+    """Raise GridCoverage unless every axis holds 6 standard deviations around its mean."""
+    for j in range(grid.dims):
+        if grid.extent[j] - abs(means[j]) < 6.0 * stds[j]:
+            raise GridCoverage(
+                f"axis {j}: extent {grid.extent[j]} covers fewer than 6 marginal "
+                f"standard deviations around the mean"
+            )
 
 
 class PointerWavefunction:
@@ -158,7 +177,7 @@ def to_momentum(phi: PointerWavefunction) -> PointerWavefunction:
         return phi
     amps = phi.amplitudes
     for axis in range(phi.grid.dims):
-        amps = _axis_to_momentum(amps, phi.grid, axis)
+        amps = _axis_transform(amps, phi.grid, axis)
     return PointerWavefunction(phi.grid, amps, "momentum")
 
 
@@ -168,7 +187,7 @@ def to_position(phi: PointerWavefunction) -> PointerWavefunction:
         return phi
     amps = phi.amplitudes
     for axis in range(phi.grid.dims):
-        amps = _axis_to_position(amps, phi.grid, axis)
+        amps = _axis_transform(amps, phi.grid, axis, forward=False)
     return PointerWavefunction(phi.grid, amps, "position")
 
 
@@ -207,12 +226,7 @@ def gaussian_pointer(
         raise DimensionError("mean_q/mean_p must be length-D vectors")
     if th.shape != (d, d) or np.max(np.abs(th - th.T)) > 1e-12:
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
-    for j in range(d):
-        if grid.extent[j] - abs(mu[j]) < 6.0 * np.sqrt(sig[j, j]):
-            raise GridCoverage(
-                f"axis {j}: extent {grid.extent[j]} covers fewer than 6 marginal "
-                f"standard deviations around the mean"
-            )
+    _check_coverage(grid, np.sqrt(np.diag(sig)), mu)
     sig_inv = np.linalg.inv(sig)
     centered = [grid.axis_array(j, grid.positions(j) - mu[j]) for j in range(d)]
     exponent = np.zeros(grid.shape, dtype=complex)
@@ -238,12 +252,8 @@ def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
         raise DimensionError(f"vortex modes need a 2-axis grid, got {grid.dims}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    span = 6.0 * sigma * np.sqrt(1.0 + abs(l))
-    for j in range(2):
-        if grid.extent[j] < span:
-            raise GridCoverage(
-                f"axis {j}: extent {grid.extent[j]} < {span} needed for |l|={abs(l)}"
-            )
+    std = sigma * np.sqrt(1.0 + abs(l))
+    _check_coverage(grid, (std, std), (0.0, 0.0))
     x = grid.axis_array(0, grid.positions(0))
     y = grid.axis_array(1, grid.positions(1))
     envelope = np.exp(-(x**2 + y**2) / (4.0 * sigma**2))
@@ -307,7 +317,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     cov_qp = np.zeros((d, d))
     for m in range(d):
         # Mixed representation: axis m in momentum, the rest in position.
-        psi_mix = _axis_to_momentum(psi_q, grid, m)
+        psi_mix = _axis_transform(psi_q, grid, m)
         reps = ["position"] * d
         reps[m] = "momentum"
         rho_mix = (np.abs(psi_mix) ** 2) * grid.cell_volume(tuple(reps))
@@ -318,7 +328,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
             cov_qp[q_axis, m] = raw - mean_q[q_axis] * mean_p[m]
     for j in range(d):
         # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
-        p_psi = _axis_to_position(ps[j] * _axis_to_momentum(psi_q, grid, j), grid, j)
+        p_psi = _apply_momentum(psi_q, grid, j)
         raw = complex(np.sum(np.conj(psi_q) * qs[j] * p_psi) * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
 

@@ -17,14 +17,14 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect, strong_readout
 from .entanglement import TwoModeGaussianParams, two_mode_gaussian
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError, InvalidObservable
 from .pointer import Grid, auto_grid, gaussian_pointer, lg_mode, moments
 from .quantum import (
     PAULI_X,
@@ -107,15 +107,6 @@ def _parse_real_matrix(obj, path: str, dim: int) -> np.ndarray:
     return np.stack([_parse_real_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(obj)])
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
-    observable_doc: object
-    axis0: int
-    quadrature: str
-    strength: float
-    mode: str
-
-
 @dataclass
 class ScenarioConfig:
     scenario_id: str
@@ -126,12 +117,14 @@ class ScenarioConfig:
     pointer_kind: str
     pointer_dims: int
     pointer_params: dict
-    grid_spec: tuple[tuple[int, ...], tuple[float, ...]] | None
-    couplings: tuple[CouplingConfig, ...]
+    grid: Grid | None
+    couplings: tuple[CouplingSpec, ...]
     interaction: str
     readout_direct: bool
     readout_axis0: int | None
-    readout_observable_doc: object
+    # None for direct projection, and for the post_projector readout, which
+    # resolve_system builds from the normalized post state.
+    readout_observable: Observable | None
     sweep: tuple[float, ...] | None
     document: dict
 
@@ -140,17 +133,25 @@ class ScenarioConfig:
         return copy.deepcopy(self.document)
 
 
-def _validate_observable_doc(doc, dim: int, path: str, allow_post_projector: bool):
+def _parse_observable(doc, dim: int, path: str, allow_post_projector: bool = False):
+    """Observable named or given by ``doc``; None for an allowed ``post_projector``."""
     if isinstance(doc, str):
         allowed = _NAMED_OBSERVABLES + (("post_projector",) if allow_post_projector else ())
         if doc not in allowed:
             _fail(f"unknown observable name {doc!r} (allowed: {sorted(allowed)})", path)
         if doc.startswith("pauli_") and dim != 2:
             _fail(f"{doc} requires system dimension 2, got {dim}", path)
-        return
-    matrix = _parse_complex_matrix(doc, path, dim)
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
-        _fail("observable matrix is not Hermitian", path)
+        if doc == "post_projector":
+            return None
+        if doc == "proj0":
+            matrix = np.zeros((dim, dim), dtype=complex)
+            matrix[0, 0] = 1.0
+            return Observable(matrix)
+        return Observable({"pauli_x": PAULI_X, "pauli_y": PAULI_Y, "pauli_z": PAULI_Z}[doc])
+    try:
+        return Observable(_parse_complex_matrix(doc, path, dim))
+    except InvalidObservable as exc:
+        raise ConfigError(str(exc), path) from None
 
 
 def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
@@ -223,7 +224,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             params[key] = _as_number(pointer[key], f"pointer.{key}")
         pdims = 2
 
-    grid_spec = None
+    grid = None
     if "grid" in pointer:
         gdoc = pointer["grid"]
         _check_keys(gdoc, "pointer.grid", required=("points_per_axis", "extent"))
@@ -235,14 +236,10 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             _fail(f"extent must list {pdims} entries", "pointer.grid.extent")
         pts_t = tuple(_as_int(v, f"pointer.grid.points_per_axis[{k}]") for k, v in enumerate(pts))
         ext_t = tuple(_as_number(v, f"pointer.grid.extent[{k}]") for k, v in enumerate(ext))
-        for k, n in enumerate(pts_t):
-            if n < 32 or n & (n - 1):
-                _fail(f"must be a power of two >= 32, got {n}",
-                      f"pointer.grid.points_per_axis[{k}]")
-        for k, length in enumerate(ext_t):
-            if length <= 0:
-                _fail(f"must be positive, got {length}", f"pointer.grid.extent[{k}]")
-        grid_spec = (pts_t, ext_t)
+        try:
+            grid = Grid(points_per_axis=pts_t, extent=ext_t)
+        except DimensionError as exc:
+            raise ConfigError(str(exc), "pointer.grid") from None
 
     couplings_doc = document["couplings"]
     if not isinstance(couplings_doc, list):
@@ -250,30 +247,22 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     couplings = []
     for k, cdoc in enumerate(couplings_doc):
         cpath = f"couplings[{k}]"
-        _check_keys(cdoc, cpath, required=("observable", "axis", "quadrature", "strength"),
-                    optional=("mode",))
-        _validate_observable_doc(cdoc["observable"], dim, f"{cpath}.observable",
-                                 allow_post_projector=False)
+        _check_keys(cdoc, cpath, required=("observable", "axis", "quadrature", "strength"))
+        observable = _parse_observable(cdoc["observable"], dim, f"{cpath}.observable")
         axis = _as_int(cdoc["axis"], f"{cpath}.axis")
         if not 1 <= axis <= pdims:
             _fail(f"axis must be in 1..{pdims}", f"{cpath}.axis")
-        quad = cdoc["quadrature"]
-        if quad not in ("q", "p"):
-            _fail("quadrature must be 'q' or 'p'", f"{cpath}.quadrature")
         strength = _as_number(cdoc["strength"], f"{cpath}.strength")
-        mode = cdoc.get("mode", "exact")
-        if mode not in ("exact", "first_order"):
-            _fail("mode must be 'exact' or 'first_order'", f"{cpath}.mode")
-        couplings.append(CouplingConfig(cdoc["observable"], axis - 1, quad, strength, mode))
+        try:
+            couplings.append(CouplingSpec(observable, axis - 1, cdoc["quadrature"], strength))
+        except ValueError as exc:
+            raise ConfigError(str(exc), cpath) from None
 
     interaction = document.get("interaction", "sequential")
     if interaction not in ("sequential", "simultaneous"):
         _fail("interaction must be 'sequential' or 'simultaneous'", "interaction")
-    if interaction == "simultaneous" and couplings:
-        if len({c.quadrature for c in couplings}) > 1:
-            _fail("simultaneous couplings must share one quadrature", "couplings")
-        if len({c.mode for c in couplings}) > 1:
-            _fail("simultaneous couplings must share one mode", "couplings")
+    if interaction == "simultaneous" and len({c.quadrature for c in couplings}) > 1:
+        _fail("simultaneous couplings must share one quadrature", "couplings")
 
     readout = document["readout"]
     if not isinstance(readout, dict):
@@ -282,7 +271,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         _check_keys(readout, "readout", required=("direct_projection",))
         direct = True
         r_axis0 = None
-        r_obs_doc = None
+        r_obs = None
         if post_index is not None:
             _fail("eigenvalue_index postselection needs a strong readout observable",
                   "system.post_state.eigenvalue_index")
@@ -294,7 +283,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             _fail(f"axis must be in 1..{pdims}", "readout.axis")
         r_axis0 = raxis - 1
         r_obs_doc = readout["observable"]
-        _validate_observable_doc(r_obs_doc, dim, "readout.observable", allow_post_projector=True)
+        r_obs = _parse_observable(r_obs_doc, dim, "readout.observable", allow_post_projector=True)
         if r_obs_doc == "post_projector" and post_amps is None:
             _fail("post_projector readout needs explicit post_state amplitudes",
                   "readout.observable")
@@ -318,12 +307,12 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         pointer_kind=kind,
         pointer_dims=pdims,
         pointer_params=params,
-        grid_spec=grid_spec,
+        grid=grid,
         couplings=tuple(couplings),
         interaction=interaction,
         readout_direct=direct,
         readout_axis0=r_axis0,
-        readout_observable_doc=r_obs_doc,
+        readout_observable=r_obs,
         sweep=sweep,
         document=copy.deepcopy(document),
     )
@@ -343,31 +332,11 @@ def load_config(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Builders
 
-def _named_observable(name: str, dim: int) -> Observable:
-    if name == "pauli_x":
-        return Observable(PAULI_X)
-    if name == "pauli_y":
-        return Observable(PAULI_Y)
-    if name == "pauli_z":
-        return Observable(PAULI_Z)
-    if name == "proj0":
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 1.0
-        return Observable(mat)
-    raise ConfigError(f"unknown named observable {name!r}")
-
-
-def _resolve_observable(doc, dim: int) -> Observable:
-    if isinstance(doc, str):
-        return _named_observable(doc, dim)
-    return Observable(_parse_complex_matrix(doc, "observable", dim))
-
-
 def build_pointer(cfg: ScenarioConfig):
     """Construct the grid and initial pointer state for a scenario."""
     params = cfg.pointer_params
-    if cfg.grid_spec is not None:
-        grid = Grid(points_per_axis=cfg.grid_spec[0], extent=cfg.grid_spec[1])
+    if cfg.grid is not None:
+        grid = cfg.grid
     elif cfg.pointer_kind == "gaussian":
         stds = np.sqrt(np.diag(params["sigma"]))
         grid = auto_grid(cfg.pointer_dims, stds, params.get("mean_q"))
@@ -393,11 +362,11 @@ def resolve_system(cfg: ScenarioConfig):
     pre = make_state(cfg.pre_amplitudes)
     if cfg.readout_direct:
         return pre, make_state(cfg.post_amplitudes), None, 0.0
-    if cfg.readout_observable_doc == "post_projector":
+    obs = cfg.readout_observable
+    if obs is None:
         post = make_state(cfg.post_amplitudes)
         obs = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
         return pre, post, obs, 1.0
-    obs = _resolve_observable(cfg.readout_observable_doc, cfg.dimension)
     if cfg.post_eigenvalue_index is not None:
         spec = eigendecompose(obs)
         idx = cfg.post_eigenvalue_index
@@ -415,16 +384,7 @@ def resolve_system(cfg: ScenarioConfig):
 
 
 def build_coupling_specs(cfg: ScenarioConfig, multiplier: float = 1.0) -> list[CouplingSpec]:
-    return [
-        CouplingSpec(
-            observable=_resolve_observable(c.observable_doc, cfg.dimension),
-            axis=c.axis0,
-            quadrature=c.quadrature,
-            strength=c.strength * multiplier,
-            mode=c.mode,
-        )
-        for c in cfg.couplings
-    ]
+    return [replace(spec, strength=spec.strength * multiplier) for spec in cfg.couplings]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +392,8 @@ def build_coupling_specs(cfg: ScenarioConfig, multiplier: float = 1.0) -> list[C
 
 @dataclass
 class ShiftReport:
-    """Initial/final pointer means, predictions and residuals for one run.
+    """Initial/final pointer means and predictions for one run; shifts and
+    residuals derive from them.
 
     ``wall_time_seconds`` is diagnostic only and never serialized: the CSV and
     JSON outputs are bit-exact deterministic by contract.
@@ -446,8 +407,6 @@ class ShiftReport:
     final_mean_p: np.ndarray
     predicted_dq: np.ndarray
     predicted_dp: np.ndarray
-    residual_q: np.ndarray
-    residual_p: np.ndarray
     lambda1: float
     lambda2: float
     convention: SignConvention
@@ -463,6 +422,14 @@ class ShiftReport:
     @property
     def shift_p(self) -> np.ndarray:
         return self.final_mean_p - self.initial_mean_p
+
+    @property
+    def residual_q(self) -> np.ndarray:
+        return np.abs(self.shift_q - self.predicted_dq)
+
+    @property
+    def residual_p(self) -> np.ndarray:
+        return np.abs(self.shift_p - self.predicted_dp)
 
     def residual_norm(self) -> float:
         return float(np.sqrt(np.sum(self.residual_q**2) + np.sum(self.residual_p**2)))
@@ -507,8 +474,6 @@ def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> Shift
     pointer_f, prob = simulate_pipeline(cfg, strength_multiplier)
     final = moments(pointer_f)
 
-    shift_q = final.mean_q - base.mean_q
-    shift_p = final.mean_p - base.mean_p
     strengths = [spec.strength for spec in specs]
     return ShiftReport(
         scenario_id=cfg.scenario_id,
@@ -519,8 +484,6 @@ def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> Shift
         final_mean_p=final.mean_p,
         predicted_dq=prediction.delta_q,
         predicted_dp=prediction.delta_p,
-        residual_q=np.abs(shift_q - prediction.delta_q),
-        residual_p=np.abs(shift_p - prediction.delta_p),
         lambda1=strengths[0] if len(strengths) > 0 else 0.0,
         lambda2=strengths[1] if len(strengths) > 1 else 0.0,
         convention=FROZEN_CONVENTION,
@@ -564,40 +527,40 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def report_csv_rows(report: ShiftReport) -> list[dict]:
-    rows = []
+_AXIS_VALUES = ("initial", "final", "shift", "predicted", "residual")
+
+
+def _axis_rows(report: ShiftReport):
+    """Yield ``(axis, quadrature, values)`` per axis, q before p, where
+    ``values`` maps each name in ``_AXIS_VALUES`` to a float."""
+    columns = {
+        "q": (report.initial_mean_q, report.final_mean_q, report.shift_q,
+              report.predicted_dq, report.residual_q),
+        "p": (report.initial_mean_p, report.final_mean_p, report.shift_p,
+              report.predicted_dp, report.residual_p),
+    }
     for axis in range(len(report.initial_mean_q)):
-        for quad in ("q", "p"):
-            if quad == "q":
-                initial = report.initial_mean_q[axis]
-                final = report.final_mean_q[axis]
-                predicted = report.predicted_dq[axis]
-                stored = report.residual_q[axis]
-            else:
-                initial = report.initial_mean_p[axis]
-                final = report.final_mean_p[axis]
-                predicted = report.predicted_dp[axis]
-                stored = report.residual_p[axis]
-            shift = final - initial
-            residual = abs(shift - predicted)
-            if residual != stored:
-                raise RuntimeError(
-                    f"stored residual {stored!r} does not reproduce {residual!r}"
-                )
-            rows.append({
-                "scenario_id": report.scenario_id,
-                "axis": str(axis + 1),
-                "quadrature": quad,
-                "initial_mean": _g17(initial),
-                "final_mean": _g17(final),
-                "shift": _g17(shift),
-                "predicted": _g17(predicted),
-                "residual": _g17(residual),
-                "lambda1": _g17(report.lambda1),
-                "lambda2": _g17(report.lambda2),
-                "prob": _g17(report.probability),
-            })
-    return rows
+        for quad, arrays in columns.items():
+            yield axis, quad, {name: float(arr[axis]) for name, arr in zip(_AXIS_VALUES, arrays)}
+
+
+def report_csv_rows(report: ShiftReport) -> list[dict]:
+    return [
+        {
+            "scenario_id": report.scenario_id,
+            "axis": str(axis + 1),
+            "quadrature": quad,
+            "initial_mean": _g17(values["initial"]),
+            "final_mean": _g17(values["final"]),
+            "shift": _g17(values["shift"]),
+            "predicted": _g17(values["predicted"]),
+            "residual": _g17(values["residual"]),
+            "lambda1": _g17(report.lambda1),
+            "lambda2": _g17(report.lambda2),
+            "prob": _g17(report.probability),
+        }
+        for axis, quad, values in _axis_rows(report)
+    ]
 
 
 def reports_csv_text(reports: list[ShiftReport]) -> str:
@@ -610,28 +573,9 @@ def reports_csv_text(reports: list[ShiftReport]) -> str:
 
 
 def report_json_obj(report: ShiftReport) -> dict:
-    axes = []
-    for axis in range(len(report.initial_mean_q)):
-        entry = {"axis": axis + 1}
-        for quad in ("q", "p"):
-            initial = (report.initial_mean_q if quad == "q" else report.initial_mean_p)[axis]
-            final = (report.final_mean_q if quad == "q" else report.final_mean_p)[axis]
-            predicted = (report.predicted_dq if quad == "q" else report.predicted_dp)[axis]
-            stored = (report.residual_q if quad == "q" else report.residual_p)[axis]
-            shift = final - initial
-            residual = abs(shift - predicted)
-            if residual != stored:
-                raise RuntimeError(
-                    f"stored residual {stored!r} does not reproduce {residual!r}"
-                )
-            entry[quad] = {
-                "initial": float(initial),
-                "final": float(final),
-                "shift": float(shift),
-                "predicted": float(predicted),
-                "residual": float(residual),
-            }
-        axes.append(entry)
+    axes = [{"axis": axis + 1} for axis in range(len(report.initial_mean_q))]
+    for axis, quad, values in _axis_rows(report):
+        axes[axis][quad] = values
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario_id": report.scenario_id,

@@ -200,7 +200,7 @@ def calibrate_sign_convention(points: int = 128) -> SignConvention:
     post_a = make_state([1, 1j])
     proj = Observable(np.outer(post_a.amplitudes, post_a.amplitudes.conj()))
     joint = make_joint(pre, phi)
-    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam, "exact")])
+    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam)])
     joint = strong_readout(joint, proj, 1)
     pointer, _ = postselect(joint, post_a)
     base = moments(phi)
@@ -211,7 +211,7 @@ def calibrate_sign_convention(points: int = 128) -> SignConvention:
     # Leg B: (Z)_w = 1 for post = |0>.
     post_b = make_state([1, 0])
     joint = make_joint(pre, phi)
-    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam, "exact")])
+    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam)])
     pointer, _ = postselect(joint, post_b)
     final_b = moments(pointer)
     re_orientation = 1 if final_b.mean_p[0] - base.mean_p[0] > 0 else -1

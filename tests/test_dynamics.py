@@ -217,13 +217,6 @@ class TestFirstOrderPointer:
         slope = np.polyfit(np.log(lams), np.log(distances), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
 
-    def test_first_order_mode_flags_truncation(self):
-        joint = make_joint(plus(), gauss1d())
-        out = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.05,
-                                                   "first_order")])
-        assert out.truncated
-        assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
 
 class TestMixedRepresentationPipeline:
     def test_momentum_coupling_then_strong_readout(self):

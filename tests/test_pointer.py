@@ -17,7 +17,8 @@ from pointersim import (
     to_momentum,
     to_position,
 )
-from conftest import oracle_mixed_moment
+from pointersim.pointer import _axis_transform
+from conftest import dense_axis_to_momentum, oracle_mixed_moment
 
 
 def grid2(points=128, extent=8.0):
@@ -58,6 +59,21 @@ class TestTransforms:
             g = Grid((256,), (8.0 * max(1.0, np.sqrt(s2)),))
             m = moments(gaussian_pointer(g, np.array([[s2]])))
             assert m.cov_pp[0, 0] == pytest.approx(1.0 / (4.0 * s2), rel=1e-9)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_axis_transform_matches_dense_oracle(self, axis, rng):
+        # One transform serves pointer-shaped (*grid) and joint-shaped
+        # (2, *grid) arrays; the joint case runs the FFT on a shifted array axis.
+        g = Grid((32, 64, 32), (5.0, 8.0, 4.0))
+        pointer = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        joint = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+        np.testing.assert_allclose(_axis_transform(pointer, g, axis),
+                                   dense_axis_to_momentum(pointer, g, axis), atol=1e-12)
+        expected = np.stack([dense_axis_to_momentum(part, g, axis) for part in joint])
+        np.testing.assert_allclose(_axis_transform(joint, g, axis), expected, atol=1e-12)
+        for arr in (pointer, joint):
+            back = _axis_transform(_axis_transform(arr, g, axis), g, axis, forward=False)
+            np.testing.assert_allclose(back, arr, atol=1e-12)
 
     def test_plane_wave_shift_theorem(self):
         g = Grid((128,), (8.0,))

@@ -108,16 +108,39 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eigenvector"):
             run_scenario(cfg)
 
-    def test_non_power_of_two_grid_rejected(self):
+    @pytest.mark.parametrize("points, extent, message", [
+        ([16, 64], [8.0, 8.0], "power of two"),
+        ([100, 64], [8.0, 8.0], "power of two"),
+        ([64, 64], [8.0, 0.0], "positive"),
+        ([64, 64], [-8.0, 8.0], "positive"),
+    ], ids=["points-below-32", "points-not-power-of-two", "extent-zero", "extent-negative"])
+    def test_non_power_of_two_grid_rejected(self, points, extent, message):
         doc = minimal_document()
-        doc["pointer"]["grid"]["points_per_axis"] = [100, 64]
-        with pytest.raises(ConfigError, match="power of two"):
+        doc["pointer"]["grid"] = {"points_per_axis": points, "extent": extent}
+        with pytest.raises(ConfigError, match=message) as info:
             parse_config(doc)
+        assert info.value.path == "pointer.grid"
 
     def test_non_hermitian_observable_rejected(self):
         doc = minimal_document()
         doc["couplings"][0]["observable"] = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
-        with pytest.raises(ConfigError, match="Hermitian"):
+        with pytest.raises(ConfigError, match="Hermitian") as info:
+            parse_config(doc)
+        assert info.value.path == "couplings[0].observable"
+
+    def test_non_hermitian_readout_observable_rejected(self):
+        doc = minimal_document()
+        doc["readout"]["observable"] = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+        with pytest.raises(ConfigError, match="Hermitian") as info:
+            parse_config(doc)
+        assert info.value.path == "readout.observable"
+
+    def test_coupling_mode_key_rejected(self):
+        # Schema change: couplings take exactly observable, axis, quadrature
+        # and strength; the first-order path is first_order_pointer, not a key.
+        doc = minimal_document()
+        doc["couplings"][0]["mode"] = "exact"
+        with pytest.raises(ConfigError, match=r"unknown keys \['mode'\]"):
             parse_config(doc)
 
 
