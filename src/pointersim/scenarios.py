@@ -133,7 +133,8 @@ class ScenarioConfig:
         return copy.deepcopy(self.document)
 
 
-def _parse_observable(doc, dim: int, path: str, allow_post_projector: bool = False):
+def _parse_observable(doc, dim: int, path: str,
+                      allow_post_projector: bool = False) -> Observable | None:
     """Observable named or given by ``doc``; None for an allowed ``post_projector``."""
     if isinstance(doc, str):
         allowed = _NAMED_OBSERVABLES + (("post_projector",) if allow_post_projector else ())
