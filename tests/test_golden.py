@@ -1,7 +1,9 @@
-"""Golden outputs: every bundled scenario reproduces its committed run JSON.
+"""Golden outputs: every bundled scenario reproduces its committed run JSON,
+and every 256^2 scenario its committed sweep JSON.
 
 ``tests/golden/<name>.json`` is the ``pointersim run`` JSON of each bundled
-scenario.  A refactor must leave every number within 1e-12 absolute and every
+scenario; ``tests/golden/sweep_<name>.json`` is the ``pointersim sweep`` JSON
+of each 256^2 scenario at ``SWEEP_MULTIPLIERS``.  A refactor must leave every number within 1e-12 absolute and every
 other field (keys, flags, names, list lengths) exactly as committed.
 Criterion 10 compares two runs of the same code, so it cannot catch a change
 that moves the results; this can.
@@ -12,10 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from pointersim.scenarios import bundled_scenario_names, load_bundled, report_json_text, run_scenario
+from pointersim.scenarios import (
+    bundled_scenario_names,
+    load_bundled,
+    report_json_text,
+    run_scenario,
+    run_sweep,
+    sweep_json_text,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 NUMBER_TOL = 1e-12
+SWEEP_MULTIPLIERS = (2.0, 1.5, 1.0, 0.75, 0.5)
+SWEPT = [name for name in bundled_scenario_names()
+         if load_bundled(name).grid.points_per_axis == (256, 256)]
 
 
 def assert_matches(actual, expected, path="$"):
@@ -36,14 +48,19 @@ def assert_matches(actual, expected, path="$"):
 
 
 def test_every_bundled_scenario_has_a_golden_file():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == bundled_scenario_names()
+    expected = bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT]
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(expected)
 
 
-@pytest.mark.parametrize("name", bundled_scenario_names())
-def test_run_matches_golden(name):
-    actual = json.loads(report_json_text(run_scenario(load_bundled(name))))
-    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    assert_matches(actual, expected)
+@pytest.mark.parametrize("golden", bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT])
+def test_run_matches_golden(golden):
+    if golden.startswith("sweep_"):
+        cfg = load_bundled(golden.removeprefix("sweep_"))
+        text = sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
+    else:
+        text = report_json_text(run_scenario(load_bundled(golden)))
+    expected = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    assert_matches(json.loads(text), expected)
 
 
 def test_comparison_catches_a_moved_number():
