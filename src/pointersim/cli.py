@@ -25,7 +25,7 @@ from .entanglement import (
 )
 from .errors import ConfigError, PointersimError
 from .fouriercorr import appendix_a_check
-from .pointer import Grid, auto_grid, lg_mode, moments
+from .pointer import auto_grid
 from .quantum import PAULI_Z, Observable, make_state
 from .scenarios import (
     load_config,
@@ -35,7 +35,7 @@ from .scenarios import (
     run_sweep,
     sweep_json_text,
 )
-from .shifts import lg_compatibility
+from .shifts import lg_check
 from . import validation
 
 
@@ -84,10 +84,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lg_check(args) -> int:
     l, sigma = args.l, args.sigma
-    ext = 8.0 * sigma * np.sqrt(1.0 + abs(l))
-    grid = Grid(points_per_axis=(args.points, args.points), extent=(ext, ext))
-    m = moments(lg_mode(grid, l, sigma))
-    residual = lg_compatibility(m, l)
+    m, residual = lg_check(l, sigma, args.points)
     obj = {
         "l": l,
         "sigma": sigma,

@@ -191,6 +191,20 @@ def to_position(phi: PointerWavefunction) -> PointerWavefunction:
     return PointerWavefunction(phi.grid, amps, "position")
 
 
+def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
+    """Raise InvalidCovariance unless ``sigma`` is symmetric positive definite
+    and ``theta`` (if given) is a symmetric matrix of the same shape."""
+    if np.max(np.abs(sigma - sigma.T)) > 1e-12:
+        raise InvalidCovariance("sigma is not symmetric")
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise InvalidCovariance("sigma is not positive definite") from None
+    if theta is not None and (theta.shape != sigma.shape
+                              or np.max(np.abs(theta - theta.T)) > 1e-12):
+        raise InvalidCovariance("theta must be a symmetric DxD matrix")
+
+
 def gaussian_pointer(
     grid: Grid,
     sigma: np.ndarray,
@@ -213,19 +227,12 @@ def gaussian_pointer(
     sig = np.asarray(sigma, dtype=float)
     if sig.shape != (d, d):
         raise DimensionError(f"sigma shape {sig.shape} does not match grid dims {d}")
-    if np.max(np.abs(sig - sig.T)) > 1e-12:
-        raise InvalidCovariance("sigma is not symmetric")
-    try:
-        np.linalg.cholesky(sig)
-    except np.linalg.LinAlgError:
-        raise InvalidCovariance("sigma is not positive definite") from None
     mu = np.zeros(d) if mean_q is None else np.asarray(mean_q, dtype=float)
     p0 = np.zeros(d) if mean_p is None else np.asarray(mean_p, dtype=float)
     th = np.zeros((d, d)) if theta is None else np.asarray(theta, dtype=float)
     if mu.shape != (d,) or p0.shape != (d,):
         raise DimensionError("mean_q/mean_p must be length-D vectors")
-    if th.shape != (d, d) or np.max(np.abs(th - th.T)) > 1e-12:
-        raise InvalidCovariance("theta must be a symmetric DxD matrix")
+    check_gaussian_params(sig, th)
     _check_coverage(grid, np.sqrt(np.diag(sig)), mu)
     sig_inv = np.linalg.inv(sig)
     centered = [grid.axis_array(j, grid.positions(j) - mu[j]) for j in range(d)]

@@ -24,8 +24,16 @@ import numpy as np
 
 from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect, strong_readout
 from .entanglement import TwoModeGaussianParams, two_mode_gaussian
-from .errors import ConfigError, DimensionError, InvalidObservable
-from .pointer import Grid, auto_grid, gaussian_pointer, lg_mode, moments
+from .errors import ConfigError, DimensionError, InvalidCovariance, InvalidObservable
+from .pointer import (
+    Grid,
+    MomentSet,
+    auto_grid,
+    check_gaussian_params,
+    gaussian_pointer,
+    lg_mode,
+    moments,
+)
 from .quantum import (
     PAULI_X,
     PAULI_Y,
@@ -209,8 +217,16 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         for key in ("mean_q", "mean_p"):
             if key in pointer:
                 params[key] = _parse_real_vector(pointer[key], f"pointer.{key}", pdims)
+        try:
+            check_gaussian_params(params["sigma"])
+        except InvalidCovariance as exc:
+            raise ConfigError(str(exc), "pointer.sigma") from None
         if "theta" in pointer:
             params["theta"] = _parse_real_matrix(pointer["theta"], "pointer.theta", pdims)
+            try:
+                check_gaussian_params(params["sigma"], params["theta"])
+            except InvalidCovariance as exc:
+                raise ConfigError(str(exc), "pointer.theta") from None
     elif kind == "lg":
         _check_keys(pointer, "pointer", required=("kind", "l", "sigma"), optional=("grid",))
         params["l"] = _as_int(pointer["l"], "pointer.l")
@@ -455,17 +471,16 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
     return postselect(joint, post)
 
 
-def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> ShiftReport:
-    """Execute the full pipeline for one scenario and compare to predictions."""
-    t0 = time.perf_counter()
-    grid, phi = build_pointer(cfg)
+def _shift_report(cfg: ScenarioConfig, strength_multiplier: float, grid: Grid,
+                  base: MomentSet, t0: float) -> ShiftReport:
+    """Predict, simulate and measure one strength multiplier, given the grid and
+    the initial moments ``base``; ``t0`` starts the report's wall clock."""
     pre, post, _readout_obs, a_l = resolve_system(cfg)
     specs = build_coupling_specs(cfg, strength_multiplier)
     terms = []
     for spec in specs:
         terms.append((spec.axis, spec.quadrature, spec.strength,
                       weak_value(spec.observable, pre, post)))
-    base = moments(phi)
     prediction = predict_general(
         base, terms,
         readout_axis=cfg.readout_axis0,
@@ -495,12 +510,22 @@ def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> Shift
     )
 
 
+def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> ShiftReport:
+    """Execute the full pipeline for one scenario and compare to predictions."""
+    t0 = time.perf_counter()
+    grid, phi = build_pointer(cfg)
+    return _shift_report(cfg, strength_multiplier, grid, moments(phi), t0)
+
+
 def run_sweep(cfg: ScenarioConfig, multipliers) -> tuple[list[ShiftReport], dict]:
     """Run the scenario at each strength multiplier and fit the residual slope."""
     mults = [float(m) for m in multipliers]
     if len(mults) < 3:
         raise ConfigError("a sweep needs at least 3 multipliers", "sweep")
-    reports = [run_scenario(cfg, m) for m in mults]
+    # The pointer and its initial moments do not depend on the multiplier.
+    grid, phi = build_pointer(cfg)
+    base = moments(phi)
+    reports = [_shift_report(cfg, m, grid, base, time.perf_counter()) for m in mults]
     norms = [r.residual_norm() for r in reports]
     xs, ys = [], []
     for m, n in zip(mults, norms):

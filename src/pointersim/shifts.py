@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect, strong_readout
 from .errors import DimensionError
-from .pointer import Grid, MomentSet, gaussian_pointer, moments
+from .pointer import Grid, MomentSet, gaussian_pointer, lg_mode, moments
 from .quantum import PAULI_Z, Observable, make_state
 
 
@@ -178,6 +178,15 @@ def lg_compatibility(m: MomentSet, l: int) -> float:
         abs(m.cov_qp[1, 0] + half),
         abs(m.cov_qq[0, 1]),
     ))
+
+
+def lg_check(l: int, sigma: float = 1.0, points: int = 256) -> tuple[MomentSet, float]:
+    """Moments of the order-``l`` vortex mode on a ``points``^2 grid of half-width
+    8 sigma sqrt(1 + |l|), and their :func:`lg_compatibility` residual."""
+    ext = 8.0 * sigma * np.sqrt(1.0 + abs(l))
+    grid = Grid(points_per_axis=(points, points), extent=(ext, ext))
+    m = moments(lg_mode(grid, l, sigma))
+    return m, lg_compatibility(m, l)
 
 
 def calibrate_sign_convention(points: int = 128) -> SignConvention:

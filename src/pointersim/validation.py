@@ -1,9 +1,10 @@
 """The full verification suite: one function per acceptance criterion.
 
 Each criterion returns a :class:`CriterionResult`; ``run_all`` executes all
-ten (the determinism criterion reruns the other nine and the bundled corpus
-and byte-compares the serialized outputs).  Results carry only deterministic
-values; wall-clock limits affect the pass flag but are never serialized.
+ten (the determinism criterion serializes the suite's own pass of the other
+nine plus the bundled corpus and byte-compares it with one full rerun).
+Results carry only deterministic values; wall-clock limits affect the pass
+flag but are never serialized.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .scenarios import (
     run_sweep,
     simulate_pipeline,
 )
-from .shifts import lg_compatibility
+from .shifts import lg_check
 from .dynamics import first_order_pointer
 
 
@@ -59,10 +60,7 @@ def criterion_1_lg_correlation_law() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     for l in (0, 1, 2):
-        ext = 8.0 * np.sqrt(1.0 + l)
-        grid = Grid(points_per_axis=(256, 256), extent=(ext, ext))
-        m = moments(lg_mode(grid, l, 1.0))
-        worst = max(worst, lg_compatibility(m, l))
+        worst = max(worst, lg_check(l)[1])
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-3 and elapsed < 5.0
     return CriterionResult(1, "lg_correlation_law", passed, worst, 1e-3,
@@ -227,9 +225,11 @@ def criterion_9_oracle_crosscheck() -> CriterionResult:
                            f"worst distance/tolerance ratio at scenario {worst_name}")
 
 
-def _deterministic_pass_bytes() -> bytes:
-    """Everything the suite serializes: criteria summary plus corpus reports."""
-    results = [fn() for fn in _CRITERIA_1_9]
+def _deterministic_pass_bytes(results=None) -> bytes:
+    """Everything the suite serializes: criteria summary plus corpus reports.
+    ``results`` are criteria 1-9 already run in this pass; None runs them."""
+    if results is None:
+        results = [fn() for fn in _CRITERIA_1_9]
     parts = [summary_json_text(results).encode()]
     for name in bundled_scenario_names():
         report = run_scenario(load_bundled(name))
@@ -238,9 +238,10 @@ def _deterministic_pass_bytes() -> bytes:
     return b"".join(parts)
 
 
-def criterion_10_determinism() -> CriterionResult:
-    """Two back-to-back full passes serialize to byte-identical reports."""
-    first = _deterministic_pass_bytes()
+def criterion_10_determinism(results=None) -> CriterionResult:
+    """Two back-to-back full passes serialize to byte-identical reports.  The
+    first pass reuses ``results``, criteria 1-9 as ``run_all`` just ran them."""
+    first = _deterministic_pass_bytes(results)
     second = _deterministic_pass_bytes()
     identical = first == second
     return CriterionResult(10, "determinism", identical, 0.0 if identical else 1.0, 0.0,
@@ -270,8 +271,7 @@ def run_criterion(number: int) -> CriterionResult:
 
 def run_all() -> list[CriterionResult]:
     results = [fn() for fn in _CRITERIA_1_9]
-    results.append(criterion_10_determinism())
-    return results
+    return results + [criterion_10_determinism(results)]
 
 
 def summary_json_text(results: list[CriterionResult]) -> str:

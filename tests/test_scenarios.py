@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pointersim import ConfigError
+from pointersim import ConfigError, scenarios
 from pointersim.cli import main
 from pointersim.scenarios import (
     bundled_scenario_names,
@@ -135,6 +135,18 @@ class TestParsing:
             parse_config(doc)
         assert info.value.path == "readout.observable"
 
+    @pytest.mark.parametrize("key, matrix, message", [
+        ("sigma", [[1.0, 1.2], [1.2, 1.0]], "not positive definite"),
+        ("sigma", [[1.0, 0.2], [0.0, 1.0]], "not symmetric"),
+        ("theta", [[0.0, 0.3], [0.1, 0.0]], "symmetric"),
+    ], ids=["sigma-not-positive-definite", "sigma-asymmetric", "theta-asymmetric"])
+    def test_bad_gaussian_matrix_rejected(self, key, matrix, message):
+        doc = minimal_document()
+        doc["pointer"][key] = matrix
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(doc)
+        assert info.value.path == f"pointer.{key}"
+
     def test_coupling_mode_key_rejected(self):
         # Schema change: couplings take exactly observable, axis, quadrature
         # and strength; the first-order path is first_order_pointer, not a key.
@@ -198,6 +210,13 @@ class TestRunSweep:
         cfg = load_bundled("jozsa_baseline")
         with pytest.raises(ConfigError, match="at least 3"):
             run_sweep(cfg, (1.0, 0.5))
+
+    def test_initial_moments_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = scenarios.moments
+        monkeypatch.setattr(scenarios, "moments", lambda phi: calls.append(phi) or original(phi))
+        run_sweep(parse_config(minimal_document()), (2.0, 1.5, 1.0, 0.75, 0.5))
+        assert len(calls) == 6  # the initial state once, then one final state per multiplier
 
     def test_zero_coupling_sweep_residuals_vanish(self):
         cfg = load_bundled("zero_coupling")
@@ -264,6 +283,14 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_non_positive_definite_sigma_exits_2(self, tmp_path, capsys):
+        doc = load_bundled("jozsa_baseline").to_document()
+        doc["pointer"]["sigma"] = [[1.0, 1.2], [1.2, 1.0]]
+        path = tmp_path / "bad_sigma.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "pointer.sigma: sigma is not positive definite" in capsys.readouterr().err
 
     def test_runtime_failure_exits_1(self, tmp_path):
         doc = minimal_document()
