@@ -37,12 +37,7 @@ def test_run_all_runs_each_criterion_twice(stub_suite):
     results = validation.run_all()
     assert calls == [2] * 9
     assert [r.number for r in results] == list(range(1, 11))
-
-
-def test_determinism_passes_when_the_rerun_matches(stub_suite):
-    results = validation.run_all()
-    assert results[-1].passed
-    assert results[-1].value == 0.0
+    assert results[-1].passed and results[-1].value == 0.0
 
 
 def test_determinism_fails_when_a_rerun_result_differs(stub_suite):
