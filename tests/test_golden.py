@@ -1,10 +1,13 @@
 """Golden outputs: every bundled scenario reproduces its committed run JSON,
-and every 256^2 scenario its committed sweep JSON.
+every 256^2 scenario its committed sweep JSON, and each command in
+``COMMANDS`` its committed output file.
 
 ``tests/golden/<name>.json`` is the ``pointersim run`` JSON of each bundled
 scenario; ``tests/golden/sweep_<name>.json`` is the ``pointersim sweep`` JSON
-of each 256^2 scenario at ``SWEEP_MULTIPLIERS``.  A refactor must leave every number within 1e-12 absolute and every
-other field (keys, flags, names, list lengths) exactly as committed.
+of each 256^2 scenario at ``SWEEP_MULTIPLIERS``; the file named after a
+``COMMANDS`` key is the JSON that command writes.  A refactor must leave
+every number within 1e-12 absolute and every other field (keys, flags,
+names, list lengths) exactly as committed.
 Criterion 10 compares two runs of the same code, so it cannot catch a change
 that moves the results; this can.
 """
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from pointersim.cli import main
 from pointersim.scenarios import (
     bundled_scenario_names,
     load_bundled,
@@ -28,6 +32,15 @@ NUMBER_TOL = 1e-12
 SWEEP_MULTIPLIERS = (2.0, 1.5, 1.0, 0.75, 0.5)
 SWEPT = [name for name in bundled_scenario_names()
          if load_bundled(name).grid.points_per_axis == (256, 256)]
+COMMANDS = {
+    "lg_check_l0": ["lg-check", "--l", "0"],
+    "lg_check_l1": ["lg-check", "--l", "1"],
+    "lg_check_l2": ["lg-check", "--l", "2"],
+    "entangle": ["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125"],
+    "appendix_a": ["appendix-a", "--sigma1", "1", "--sigma2", "1.3", "--c12", "0.2"],
+}
+GOLDEN_NAMES = (bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT]
+                + list(COMMANDS))
 
 
 def assert_matches(actual, expected, path="$"):
@@ -48,13 +61,16 @@ def assert_matches(actual, expected, path="$"):
 
 
 def test_every_bundled_scenario_has_a_golden_file():
-    expected = bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT]
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(expected)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_NAMES)
 
 
-@pytest.mark.parametrize("golden", bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT])
-def test_run_matches_golden(golden):
-    if golden.startswith("sweep_"):
+@pytest.mark.parametrize("golden", GOLDEN_NAMES)
+def test_run_matches_golden(golden, tmp_path):
+    if golden in COMMANDS:
+        assert main(COMMANDS[golden] + ["--out", str(tmp_path)]) == 0
+        (written,) = tmp_path.glob("*.json")
+        text = written.read_text(encoding="utf-8")
+    elif golden.startswith("sweep_"):
         cfg = load_bundled(golden.removeprefix("sweep_"))
         text = sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
     else:
