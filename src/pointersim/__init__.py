@@ -42,8 +42,6 @@ from .pointer import (
     gaussian_pointer,
     lg_mode,
     moments,
-    to_momentum,
-    to_position,
 )
 from .dynamics import (
     CouplingSpec,
@@ -62,8 +60,6 @@ from .shifts import (
     lg_compatibility,
     predict_general,
     predict_lg,
-    predict_sequential,
-    predict_single,
 )
 from .entanglement import (
     CMatrix,
@@ -77,7 +73,6 @@ from .entanglement import (
 from .fouriercorr import (
     DensityGrid,
     appendix_a_check,
-    density_from_wavefunction,
     gaussian_density,
     partial_fourier,
 )

@@ -9,7 +9,6 @@ deterministic; wall-clock timing goes to stdout only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .fouriercorr import appendix_a_check
 from .pointer import auto_grid
 from .quantum import PAULI_Z, Observable, make_state
 from .scenarios import (
+    json_text,
     load_config,
     report_json_text,
     reports_csv_text,
@@ -45,10 +45,6 @@ def _write(out_dir: str, name: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_run(args) -> int:
@@ -95,7 +91,7 @@ def _cmd_lg_check(args) -> int:
         "expected_corr_y_px": -0.5 * l,
         "residual": float(residual),
     }
-    _write(args.out, f"lg_check_l{l}.json", _dump(obj))
+    _write(args.out, f"lg_check_l{l}.json", json_text(obj))
     print(f"l={l}: corr(x,p_y)={obj['corr_x_py']:+.6f} (target {0.5 * l:+.2f}), "
           f"corr(y,p_x)={obj['corr_y_px']:+.6f} (target {-0.5 * l:+.2f}), "
           f"corr(x,y)={obj['corr_x_y']:+.2e}, residual={residual:.2e}")
@@ -127,7 +123,7 @@ def _cmd_entangle(args) -> int:
         "entangled_from_shifts": is_entangled(recon),
     }
     name = f"entangle_a{args.alpha:g}_b{args.beta:g}_g{args.gamma:g}.json"
-    _write(args.out, name, _dump(obj))
+    _write(args.out, name, json_text(obj))
     print(f"det(C) direct = {direct.det:+.6e}, from shifts = {recon.det:+.6e}")
     print(f"entangled: direct={obj['entangled_direct']} "
           f"from_shifts={obj['entangled_from_shifts']}")
@@ -145,7 +141,7 @@ def _cmd_appendix_a(args) -> int:
         "residual": residual,
     }
     name = f"appendix_a_s{args.sigma1:g}_{args.sigma2:g}_c{args.c12:g}.json"
-    _write(args.out, name, _dump(obj))
+    _write(args.out, name, json_text(obj))
     print(f"numeric = {numeric.real:+.6e}{numeric.imag:+.6e}i, "
           f"analytic = {analytic.real:+.6e}{analytic.imag:+.6e}i, residual = {residual:.2e}")
     return 0

@@ -31,7 +31,6 @@ from .pointer import (
     _axis_transform,
     _normalized,
     displace_momentum,
-    to_position,
 )
 from .quantum import Observable, SystemState, eigendecompose, weak_value
 
@@ -84,7 +83,7 @@ class JointState:
 def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
     """Product state |system> (x) |phi>."""
     amps = system.amplitudes.reshape((system.dim,) + (1,) * phi.grid.dims) * phi.amplitudes
-    return JointState(phi.grid, amps, (phi.representation,) * phi.grid.dims)
+    return JointState(phi.grid, amps, ("position",) * phi.grid.dims)
 
 
 def _to_axis_rep(state: JointState, axis: int, rep: str) -> JointState:
@@ -187,12 +186,11 @@ def first_order_pointer(
     ``postselect(apply_couplings(...))``.
     """
     values = [weak_value(s.observable, pre, post) for s in specs]
-    out = to_position(phi)
     if readout_axis is not None and readout_eigenvalue != 0.0:
         shifts = np.zeros(phi.grid.dims)
         shifts[readout_axis] = -readout_eigenvalue
-        out = displace_momentum(out, shifts)
-    amps = out.amplitudes
+        phi = displace_momentum(phi, shifts)
+    amps = phi.amplitudes
     delta = np.zeros_like(amps)
     for s, w in zip(specs, values):
         if s.strength == 0.0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParams, NormalizationError
-from .pointer import Grid, PointerWavefunction, to_position
+from .pointer import Grid
 
 _MASS_TOL = 1e-8
 
@@ -43,16 +43,6 @@ class DensityGrid:
             raise NormalizationError(f"density mass is {mass!r}, expected 1")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-
-def density_from_wavefunction(phi: PointerWavefunction) -> DensityGrid:
-    """Pointwise |phi|^2 in position space, renormalized to unit mass."""
-    if phi.grid.dims != 2:
-        raise DimensionError("density extraction needs a 2-axis pointer")
-    pos = to_position(phi)
-    vals = np.abs(pos.amplitudes) ** 2
-    mass = np.sum(vals) * phi.grid.dq(0) * phi.grid.dq(1)
-    return DensityGrid(grid=phi.grid, values=vals / mass)
 
 
 def gaussian_density(grid: Grid, sigma1: float, sigma2: float, c12: float) -> DensityGrid:

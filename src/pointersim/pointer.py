@@ -123,36 +123,29 @@ def _check_coverage(grid: Grid, stds, means) -> None:
 
 
 class PointerWavefunction:
-    """Complex amplitudes over a grid, tagged position or momentum."""
+    """Complex position-space amplitudes over a grid."""
 
-    def __init__(self, grid: Grid, amplitudes: np.ndarray, representation: str = "position"):
-        if representation not in ("position", "momentum"):
-            raise ValueError(f"unknown representation {representation!r}")
+    def __init__(self, grid: Grid, amplitudes: np.ndarray):
         amps = np.array(amplitudes, dtype=complex)  # copy: frozen below
         if amps.shape != grid.shape:
             raise DimensionError(f"amplitudes shape {amps.shape} != grid shape {grid.shape}")
         self.grid = grid
-        self.representation = representation
         self.amplitudes = amps
         self.amplitudes.flags.writeable = False
         norm2 = self.norm_squared()
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise NormalizationError(f"|psi|^2 integrates to {norm2!r}, expected 1")
 
-    def _dvol(self) -> float:
-        reps = (self.representation,) * self.grid.dims
-        return self.grid.cell_volume(reps)
-
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self._dvol())
+        dvol = self.grid.cell_volume(("position",) * self.grid.dims)
+        return float(np.sum(np.abs(self.amplitudes) ** 2) * dvol)
 
 
-def _normalized(grid: Grid, amps: np.ndarray, representation: str = "position") -> PointerWavefunction:
-    reps = (representation,) * grid.dims
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(reps))
+def _normalized(grid: Grid, amps: np.ndarray) -> PointerWavefunction:
+    norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims))
     if norm == 0.0 or not np.isfinite(norm):
         raise NormalizationError("cannot normalize: zero or non-finite norm")
-    return PointerWavefunction(grid, amps / norm, representation)
+    return PointerWavefunction(grid, amps / norm)
 
 
 @dataclass(frozen=True)
@@ -169,26 +162,6 @@ class MomentSet:
     cov_qq: np.ndarray
     cov_qp: np.ndarray
     cov_pp: np.ndarray
-
-
-def to_momentum(phi: PointerWavefunction) -> PointerWavefunction:
-    """Full transform into the momentum representation (no-op if already there)."""
-    if phi.representation == "momentum":
-        return phi
-    amps = phi.amplitudes
-    for axis in range(phi.grid.dims):
-        amps = _axis_transform(amps, phi.grid, axis)
-    return PointerWavefunction(phi.grid, amps, "momentum")
-
-
-def to_position(phi: PointerWavefunction) -> PointerWavefunction:
-    """Full transform into the position representation (no-op if already there)."""
-    if phi.representation == "position":
-        return phi
-    amps = phi.amplitudes
-    for axis in range(phi.grid.dims):
-        amps = _axis_transform(amps, phi.grid, axis, forward=False)
-    return PointerWavefunction(phi.grid, amps, "position")
 
 
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
@@ -278,7 +251,6 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     space; exact on-grid when each shift is an integer multiple of dp.  The
     position distribution is untouched.
     """
-    pos = to_position(phi)
     sh = np.asarray(shifts, dtype=float)
     if sh.shape != (phi.grid.dims,):
         raise DimensionError(f"need {phi.grid.dims} shifts, got shape {sh.shape}")
@@ -286,7 +258,7 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     for j in range(phi.grid.dims):
         if sh[j] != 0:
             phase = phase + sh[j] * phi.grid.axis_array(j, phi.grid.positions(j))
-    return PointerWavefunction(phi.grid, pos.amplitudes * np.exp(1j * phase), "position")
+    return PointerWavefunction(phi.grid, phi.amplitudes * np.exp(1j * phase))
 
 
 def moments(phi: PointerWavefunction) -> MomentSet:
@@ -301,13 +273,18 @@ def moments(phi: PointerWavefunction) -> MomentSet:
         raise NormalizationError("moments need a normalized wavefunction")
     grid = phi.grid
     d = grid.dims
-    psi_q = to_position(phi).amplitudes
-    psi_p = to_momentum(phi).amplitudes
+    psi_q = phi.amplitudes
+    psi_p = psi_q
+    for axis in range(d):
+        psi_p = _axis_transform(psi_p, grid, axis)
 
     dvol_q = grid.cell_volume(("position",) * d)
     dvol_p = grid.cell_volume(("momentum",) * d)
     rho_q = (np.abs(psi_q) ** 2) * dvol_q
     rho_p = (np.abs(psi_p) ** 2) * dvol_p
+    norm_p = float(np.sum(rho_p))
+    if abs(norm_p - 1.0) > _NORM_TOL:
+        raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
     qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
     ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
 
@@ -344,15 +321,14 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
 
 
-def auto_grid(dims: int, stds, means=None, points: int | None = None) -> Grid:
+def auto_grid(dims: int, stds, means=None) -> Grid:
     """Default grid for a state with the given per-axis spreads and means.
 
-    2-axis grids get 256 points per axis, 3-axis grids 64; the common extent
-    is 8 * max(std) + max(|mean|).
+    1- and 2-axis grids get 256 points per axis, 3-axis grids 64; the common
+    extent is 8 * max(std) + max(|mean|).
     """
     stds = np.atleast_1d(np.asarray(stds, dtype=float))
     mu = np.zeros(dims) if means is None else np.abs(np.asarray(means, dtype=float))
-    if points is None:
-        points = 256 if dims <= 2 else 64
+    points = 256 if dims <= 2 else 64
     L = 8.0 * float(np.max(stds)) + float(np.max(mu))
     return Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)

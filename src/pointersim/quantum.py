@@ -78,10 +78,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def projector(self, index: int) -> np.ndarray:
-        v = self.eigenvectors[:, index]
-        return np.outer(v, v.conj())
-
 
 def make_state(amplitudes) -> SystemState:
     """Normalize ``amplitudes`` into a SystemState."""

@@ -12,7 +12,6 @@ in-memory code is 0-based.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -118,27 +117,20 @@ def _parse_real_matrix(obj, path: str, dim: int) -> np.ndarray:
 @dataclass
 class ScenarioConfig:
     scenario_id: str
-    dimension: int
     pre_amplitudes: np.ndarray
     post_amplitudes: np.ndarray | None
     post_eigenvalue_index: int | None
     pointer_kind: str
-    pointer_dims: int
     pointer_params: dict
     grid: Grid | None
     couplings: tuple[CouplingSpec, ...]
     interaction: str
-    readout_direct: bool
+    # None for direct projection.
     readout_axis0: int | None
     # None for direct projection, and for the post_projector readout, which
     # resolve_system builds from the normalized post state.
     readout_observable: Observable | None
     sweep: tuple[float, ...] | None
-    document: dict
-
-    def to_document(self) -> dict:
-        """Reproduce an equivalent scenario document."""
-        return copy.deepcopy(self.document)
 
 
 def _parse_observable(doc, dim: int, path: str,
@@ -286,7 +278,6 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         _fail("readout must be an object", "readout")
     if readout.get("direct_projection") is True:
         _check_keys(readout, "readout", required=("direct_projection",))
-        direct = True
         r_axis0 = None
         r_obs = None
         if post_index is not None:
@@ -294,7 +285,6 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
                   "system.post_state.eigenvalue_index")
     else:
         _check_keys(readout, "readout", required=("axis", "observable"))
-        direct = False
         raxis = _as_int(readout["axis"], "readout.axis")
         if not 1 <= raxis <= pdims:
             _fail(f"axis must be in 1..{pdims}", "readout.axis")
@@ -317,21 +307,17 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario_id=sid,
-        dimension=dim,
         pre_amplitudes=pre,
         post_amplitudes=post_amps,
         post_eigenvalue_index=post_index,
         pointer_kind=kind,
-        pointer_dims=pdims,
         pointer_params=params,
         grid=grid,
         couplings=tuple(couplings),
         interaction=interaction,
-        readout_direct=direct,
         readout_axis0=r_axis0,
         readout_observable=r_obs,
         sweep=sweep,
-        document=copy.deepcopy(document),
     )
 
 
@@ -356,7 +342,7 @@ def build_pointer(cfg: ScenarioConfig):
         grid = cfg.grid
     elif cfg.pointer_kind == "gaussian":
         stds = np.sqrt(np.diag(params["sigma"]))
-        grid = auto_grid(cfg.pointer_dims, stds, params.get("mean_q"))
+        grid = auto_grid(len(stds), stds, params.get("mean_q"))
     elif cfg.pointer_kind == "lg":
         std = params["sigma"] * np.sqrt(1.0 + abs(params["l"]))
         grid = auto_grid(2, [std, std])
@@ -377,7 +363,7 @@ def build_pointer(cfg: ScenarioConfig):
 def resolve_system(cfg: ScenarioConfig):
     """Resolve (pre, post, readout observable, readout eigenvalue) for a scenario."""
     pre = make_state(cfg.pre_amplitudes)
-    if cfg.readout_direct:
+    if cfg.readout_axis0 is None:
         return pre, make_state(cfg.post_amplitudes), None, 0.0
     obs = cfg.readout_observable
     if obs is None:
@@ -466,16 +452,17 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
             joint = apply_couplings(joint, [spec])
     elif specs:
         joint = apply_couplings(joint, specs)
-    if not cfg.readout_direct:
+    if cfg.readout_axis0 is not None:
         joint = strong_readout(joint, readout_obs, cfg.readout_axis0)
     return postselect(joint, post)
 
 
 def _shift_report(cfg: ScenarioConfig, strength_multiplier: float, grid: Grid,
-                  base: MomentSet, t0: float) -> ShiftReport:
-    """Predict, simulate and measure one strength multiplier, given the grid and
-    the initial moments ``base``; ``t0`` starts the report's wall clock."""
-    pre, post, _readout_obs, a_l = resolve_system(cfg)
+                  base: MomentSet, system, t0: float) -> ShiftReport:
+    """Predict, simulate and measure one strength multiplier, given the grid,
+    the initial moments ``base`` and ``system`` from :func:`resolve_system`;
+    ``t0`` starts the report's wall clock."""
+    pre, post, _readout_obs, a_l = system
     specs = build_coupling_specs(cfg, strength_multiplier)
     terms = []
     for spec in specs:
@@ -484,7 +471,7 @@ def _shift_report(cfg: ScenarioConfig, strength_multiplier: float, grid: Grid,
     prediction = predict_general(
         base, terms,
         readout_axis=cfg.readout_axis0,
-        readout_eigenvalue=a_l if not cfg.readout_direct else 0.0,
+        readout_eigenvalue=a_l,
         conv=FROZEN_CONVENTION,
     )
     pointer_f, prob = simulate_pipeline(cfg, strength_multiplier)
@@ -514,7 +501,7 @@ def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> Shift
     """Execute the full pipeline for one scenario and compare to predictions."""
     t0 = time.perf_counter()
     grid, phi = build_pointer(cfg)
-    return _shift_report(cfg, strength_multiplier, grid, moments(phi), t0)
+    return _shift_report(cfg, strength_multiplier, grid, moments(phi), resolve_system(cfg), t0)
 
 
 def run_sweep(cfg: ScenarioConfig, multipliers) -> tuple[list[ShiftReport], dict]:
@@ -522,10 +509,11 @@ def run_sweep(cfg: ScenarioConfig, multipliers) -> tuple[list[ShiftReport], dict
     mults = [float(m) for m in multipliers]
     if len(mults) < 3:
         raise ConfigError("a sweep needs at least 3 multipliers", "sweep")
-    # The pointer and its initial moments do not depend on the multiplier.
+    # The pointer, its initial moments and the system do not depend on the multiplier.
     grid, phi = build_pointer(cfg)
     base = moments(phi)
-    reports = [_shift_report(cfg, m, grid, base, time.perf_counter()) for m in mults]
+    system = resolve_system(cfg)
+    reports = [_shift_report(cfg, m, grid, base, system, time.perf_counter()) for m in mults]
     norms = [r.residual_norm() for r in reports]
     xs, ys = [], []
     for m, n in zip(mults, norms):
@@ -621,13 +609,17 @@ def report_json_obj(report: ShiftReport) -> dict:
     }
 
 
+def json_text(obj) -> str:
+    """The one JSON output format: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def report_json_text(report: ShiftReport) -> str:
-    return json.dumps(report_json_obj(report), sort_keys=True, indent=2) + "\n"
+    return json_text(report_json_obj(report))
 
 
 def sweep_json_text(reports: list[ShiftReport], summary: dict) -> str:
-    obj = {"summary": summary, "reports": [report_json_obj(r) for r in reports]}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json_text({"summary": summary, "reports": [report_json_obj(r) for r in reports]})
 
 
 # ---------------------------------------------------------------------------

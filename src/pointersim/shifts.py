@@ -100,50 +100,6 @@ def predict_general(
     return ShiftPrediction(delta_q=dq, delta_p=dp, includes_readout_offset=has_offset)
 
 
-def predict_sequential(
-    m: MomentSet,
-    lambda1: float,
-    lambda2: float,
-    a1w: complex,
-    a2w: complex,
-    a3l: float,
-    conv: SignConvention = FROZEN_CONVENTION,
-) -> ShiftPrediction:
-    """Two successive weak position couplings (axes 1, 2) with a strong
-    readout on axis 3, postselected on the eigenvalue ``a3l`` branch."""
-    if m.mean_q.size != 3:
-        raise DimensionError("sequential predictions need 3-axis moments")
-    return predict_general(
-        m,
-        [(0, "q", lambda1, a1w), (1, "q", lambda2, a2w)],
-        readout_axis=2,
-        readout_eigenvalue=a3l,
-        conv=conv,
-    )
-
-
-def predict_single(
-    m: MomentSet,
-    lam: float,
-    aw: complex,
-    a2l: float,
-    conv: SignConvention = FROZEN_CONVENTION,
-) -> ShiftPrediction:
-    """Single weak position coupling on axis 1, readout on axis 2.
-
-    Pass ``a2l = 0`` for direct-projection postselection (no readout offset).
-    """
-    if m.mean_q.size != 2:
-        raise DimensionError("single-coupling predictions need 2-axis moments")
-    return predict_general(
-        m,
-        [(0, "q", lam, aw)],
-        readout_axis=1,
-        readout_eigenvalue=a2l,
-        conv=conv,
-    )
-
-
 def predict_lg(l: int, g: float, aw: complex, bw: complex, sigma: float = 1.0) -> ShiftPrediction:
     """Shifts for the vortex-mode probe: one pulse coupling A to p_x and B to p_y.
 

@@ -25,9 +25,11 @@ from .fouriercorr import appendix_a_check
 from .pointer import Grid, auto_grid, displace_momentum, gaussian_pointer, lg_mode, moments
 from .quantum import PAULI_Z, Observable, make_state
 from .scenarios import (
+    _g17,
     bundled_scenario_names,
     build_coupling_specs,
     build_pointer,
+    json_text,
     load_bundled,
     report_json_text,
     reports_csv_text,
@@ -208,7 +210,7 @@ def criterion_9_oracle_crosscheck() -> CriterionResult:
         fo_pointer = first_order_pointer(
             pre, post, specs, phi,
             readout_axis=cfg.readout_axis0,
-            readout_eigenvalue=a_l if not cfg.readout_direct else 0.0,
+            readout_eigenvalue=a_l,
         )
         m_exact = moments(exact_pointer)
         m_fo = moments(fo_pointer)
@@ -275,9 +277,7 @@ def run_all() -> list[CriterionResult]:
 
 
 def summary_json_text(results: list[CriterionResult]) -> str:
-    import json
-
-    obj = {
+    return json_text({
         "all_passed": all(r.passed for r in results),
         "criteria": [
             {
@@ -290,8 +290,7 @@ def summary_json_text(results: list[CriterionResult]) -> str:
             }
             for r in results
         ],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def summary_csv_text(results: list[CriterionResult]) -> str:
@@ -299,6 +298,6 @@ def summary_csv_text(results: list[CriterionResult]) -> str:
     for r in results:
         lines.append(
             f"{r.number},{r.name},{str(r.passed).lower()},"
-            f"{format(float(r.value), '.17g')},{format(float(r.threshold), '.17g')}"
+            f"{_g17(r.value)},{_g17(r.threshold)}"
         )
     return "\n".join(lines) + "\n"

@@ -8,10 +8,7 @@ from pointersim import (
     Grid,
     InvalidParams,
     appendix_a_check,
-    density_from_wavefunction,
     gaussian_density,
-    gaussian_pointer,
-    lg_mode,
     partial_fourier,
 )
 from pointersim.fouriercorr import DensityGrid
@@ -22,23 +19,6 @@ def grid2(points=128, extent=10.0):
 
 
 class TestDensity:
-    def test_from_gaussian_wavefunction(self):
-        g = grid2()
-        f = density_from_wavefunction(gaussian_pointer(g, np.eye(2)))
-        mass = np.sum(f.values) * g.dq(0) * g.dq(1)
-        assert mass == pytest.approx(1.0, abs=1e-12)
-        # |exp(-q^2/4)|^2 = exp(-q^2/2): unit variance density.
-        q1 = g.axis_array(0, g.positions(0))
-        var = float(np.sum(f.values * q1**2) * g.dq(0) * g.dq(1))
-        assert var == pytest.approx(1.0, rel=1e-9)
-
-    def test_vortex_density_has_hole(self):
-        g = grid2(256, 12.0)
-        f = density_from_wavefunction(lg_mode(g, 1, 1.0))
-        assert np.min(f.values) >= 0.0
-        center = f.values[g.points_per_axis[0] // 2, g.points_per_axis[1] // 2]
-        assert center < np.max(f.values) * 1e-3
-
     def test_rejects_unnormalized(self):
         g = grid2()
         with pytest.raises(Exception):

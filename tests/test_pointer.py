@@ -14,11 +14,10 @@ from pointersim import (
     gaussian_pointer,
     lg_mode,
     moments,
-    to_momentum,
-    to_position,
 )
+from pointersim import pointer
 from pointersim.pointer import _axis_transform
-from conftest import dense_axis_to_momentum, oracle_mixed_moment
+from conftest import dense_axis_transform, oracle_mixed_moment
 
 
 def grid2(points=128, extent=8.0):
@@ -42,17 +41,6 @@ class TestGrid:
 
 
 class TestTransforms:
-    def test_round_trip(self):
-        g = grid2()
-        phi = gaussian_pointer(g, np.array([[1.0, 0.3], [0.3, 0.8]]))
-        back = to_position(to_momentum(phi))
-        assert np.max(np.abs(back.amplitudes - phi.amplitudes)) <= 1e-10
-
-    def test_norm_preserved(self):
-        g = grid2()
-        phi = gaussian_pointer(g, np.eye(2), mean_p=np.array([0.4, -0.2]))
-        assert to_momentum(phi).norm_squared() == pytest.approx(1.0, abs=1e-12)
-
     def test_gaussian_momentum_variance(self):
         # Fourier pair: position variance s^2 maps to momentum variance 1/(4 s^2).
         for s2 in (0.5, 1.0, 2.0):
@@ -68,11 +56,15 @@ class TestTransforms:
         pointer = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
         joint = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
         np.testing.assert_allclose(_axis_transform(pointer, g, axis),
-                                   dense_axis_to_momentum(pointer, g, axis), atol=1e-12)
-        expected = np.stack([dense_axis_to_momentum(part, g, axis) for part in joint])
+                                   dense_axis_transform(pointer, g, axis), atol=1e-12)
+        expected = np.stack([dense_axis_transform(part, g, axis) for part in joint])
         np.testing.assert_allclose(_axis_transform(joint, g, axis), expected, atol=1e-12)
         for arr in (pointer, joint):
-            back = _axis_transform(_axis_transform(arr, g, axis), g, axis, forward=False)
+            forward = _axis_transform(arr, g, axis)
+            # Parseval: sum |psi_p|^2 dp = sum |psi_q|^2 dq along the axis.
+            assert np.sum(np.abs(forward) ** 2) * g.dp(axis) == pytest.approx(
+                np.sum(np.abs(arr) ** 2) * g.dq(axis), rel=1e-12)
+            back = _axis_transform(forward, g, axis, forward=False)
             np.testing.assert_allclose(back, arr, atol=1e-12)
 
     def test_plane_wave_shift_theorem(self):
@@ -166,6 +158,12 @@ class TestLgMode:
         m = moments(lg_mode(Grid((256, 256), (ext, ext)), l, sigma))
         assert m.cov_qq[0, 0] == pytest.approx(sigma**2 * (1 + abs(l)), rel=1e-6)
 
+    def test_vortex_has_a_hole_at_the_origin(self):
+        g = grid2(256, 12.0)
+        density = np.abs(lg_mode(g, 1, 1.0).amplitudes) ** 2
+        center = density[g.points_per_axis[0] // 2, g.points_per_axis[1] // 2]
+        assert center < np.max(density) * 1e-3
+
     def test_requires_two_axes(self):
         with pytest.raises(DimensionError):
             lg_mode(Grid((64,), (8.0,)), 1, 1.0)
@@ -212,6 +210,17 @@ class TestMoments:
         phi = gaussian_pointer(g, np.eye(2))
         with pytest.raises(NormalizationError):
             PointerWavefunction(g, phi.amplitudes * 1.1)
+
+    def test_rejects_momentum_density_off_unit_mass(self, monkeypatch):
+        # The momentum density is checked too: a transform that lost
+        # unitarity must fail loudly instead of scaling mean_p and cov_pp.
+        phi = gaussian_pointer(grid2(), np.eye(2))
+        unitary = pointer._axis_transform
+        monkeypatch.setattr(pointer, "_axis_transform",
+                            lambda arr, grid, axis, forward=True:
+                            1.01 * unitary(arr, grid, axis, forward))
+        with pytest.raises(NormalizationError, match="momentum density"):
+            moments(phi)
 
     def test_product_state_cross_terms_vanish(self):
         m = moments(gaussian_pointer(grid2(), np.diag([1.0, 0.7])))

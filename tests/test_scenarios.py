@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,12 +49,6 @@ class TestParsing:
         for name in names:
             cfg = load_bundled(name)
             assert cfg.scenario_id == name
-
-    def test_round_trip(self):
-        for name in bundled_scenario_names():
-            cfg = load_bundled(name)
-            doc = cfg.to_document()
-            assert parse_config(doc).to_document() == doc
 
     def test_unknown_top_level_key(self):
         doc = minimal_document()
@@ -215,8 +210,14 @@ class TestRunSweep:
         calls = []
         original = scenarios.moments
         monkeypatch.setattr(scenarios, "moments", lambda phi: calls.append(phi) or original(phi))
+        resolved = []
+        resolve = scenarios.resolve_system
+        monkeypatch.setattr(scenarios, "resolve_system",
+                            lambda cfg: resolved.append(cfg) or resolve(cfg))
         run_sweep(parse_config(minimal_document()), (2.0, 1.5, 1.0, 0.75, 0.5))
         assert len(calls) == 6  # the initial state once, then one final state per multiplier
+        # Once for the predictions, then once per multiplier inside simulate_pipeline.
+        assert len(resolved) == 6
 
     def test_zero_coupling_sweep_residuals_vanish(self):
         cfg = load_bundled("zero_coupling")
@@ -285,7 +286,8 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     def test_non_positive_definite_sigma_exits_2(self, tmp_path, capsys):
-        doc = load_bundled("jozsa_baseline").to_document()
+        doc = json.loads((Path(scenarios.__file__).parent / "scenarios"
+                          / "jozsa_baseline.json").read_text(encoding="utf-8"))
         doc["pointer"]["sigma"] = [[1.0, 1.2], [1.2, 1.0]]
         path = tmp_path / "bad_sigma.json"
         path.write_text(json.dumps(doc))

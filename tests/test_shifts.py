@@ -5,7 +5,6 @@ import pytest
 
 from pointersim import (
     FROZEN_CONVENTION,
-    DimensionError,
     Grid,
     MomentSet,
     SignConvention,
@@ -16,10 +15,9 @@ from pointersim import (
     moments,
     predict_general,
     predict_lg,
-    predict_sequential,
-    predict_single,
+    weak_value,
 )
-from pointersim.scenarios import load_bundled, run_scenario
+from pointersim.scenarios import load_bundled, resolve_system, run_scenario
 
 
 def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
@@ -30,6 +28,19 @@ def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
         cov_qp=np.zeros((d, d)) if cov_qp is None else np.asarray(cov_qp, float),
         cov_pp=0.25 * np.eye(d) if cov_pp is None else np.asarray(cov_pp, float),
     )
+
+
+def sequential_prediction(m, lambda1, lambda2, a1w, a2w, a3l, conv=FROZEN_CONVENTION):
+    """Weak position couplings on axes 1 and 2, strong readout on axis 3."""
+    return predict_general(m, [(0, "q", lambda1, a1w), (1, "q", lambda2, a2w)],
+                           readout_axis=2, readout_eigenvalue=a3l, conv=conv)
+
+
+def single_prediction(m, lam, aw, a2l, conv=FROZEN_CONVENTION):
+    """Weak position coupling on axis 1, readout on axis 2 (a2l = 0 for direct
+    projection)."""
+    return predict_general(m, [(0, "q", lam, aw)],
+                           readout_axis=1, readout_eigenvalue=a2l, conv=conv)
 
 
 def test_frozen_convention_matches_oracle_calibration():
@@ -45,16 +56,16 @@ class TestPredictSequential:
     def test_reduces_to_single_coupling_form(self):
         cov = np.array([[1.0, 0.4, 0.0], [0.4, 0.9, 0.0], [0.0, 0.0, 1.1]])
         m3 = moment_set(3, cov_qq=cov)
-        seq = predict_sequential(m3, 0.05, 0.0, 0.2 + 0.7j, 0.0, 1.0)
+        seq = sequential_prediction(m3, 0.05, 0.0, 0.2 + 0.7j, 0.0, 1.0)
         m2 = moment_set(2, cov_qq=cov[:2, :2])
-        single = predict_single(m2, 0.05, 0.2 + 0.7j, 1.0)
+        single = single_prediction(m2, 0.05, 0.2 + 0.7j, 1.0)
         np.testing.assert_allclose(seq.delta_q[:2], single.delta_q, atol=1e-15)
         assert seq.delta_p[0] == pytest.approx(single.delta_p[0], abs=1e-15)
         assert seq.delta_q[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_real_weak_values_leave_only_readout_offset(self):
         cov = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
-        pred = predict_sequential(moment_set(3, cov_qq=cov), 0.05, 0.04, 0.7, -0.2, 2.0)
+        pred = sequential_prediction(moment_set(3, cov_qq=cov), 0.05, 0.04, 0.7, -0.2, 2.0)
         np.testing.assert_allclose(pred.delta_q, 0.0, atol=1e-15)
         assert pred.delta_p[2] == pytest.approx(FROZEN_CONVENTION.re_orientation * 2.0)
         assert pred.includes_readout_offset
@@ -62,40 +73,36 @@ class TestPredictSequential:
     def test_readout_axis_correlation_magnitude(self):
         cov = np.eye(3)
         cov[0, 2] = cov[2, 0] = 0.3
-        pred = predict_sequential(moment_set(3, cov_qq=cov), 0.05, 0.0, 1j, 0.0, 0.0)
+        pred = sequential_prediction(moment_set(3, cov_qq=cov), 0.05, 0.0, 1j, 0.0, 0.0)
         assert abs(pred.delta_q[2]) == pytest.approx(2 * 0.05 * 1.0 * 0.3)
-
-    def test_requires_three_axes(self):
-        with pytest.raises(DimensionError):
-            predict_sequential(moment_set(2), 0.1, 0.1, 1j, 1j, 1.0)
 
     def test_no_correlation_to_readout_axis_means_no_q3_shift(self):
         # Cross correlations with the readout axis vanish: dq3 has no term left.
         cov = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        pred = predict_sequential(moment_set(3, cov_qq=cov), 0.05, 0.04, 1j, 0.5j, 1.0)
+        pred = sequential_prediction(moment_set(3, cov_qq=cov), 0.05, 0.04, 1j, 0.5j, 1.0)
         assert pred.delta_q[2] == pytest.approx(0.0, abs=1e-15)
         assert pred.delta_q[0] != 0.0
 
 
 class TestPredictSingle:
     def test_zero_correlation_kills_readout_axis_shift(self):
-        pred = predict_single(moment_set(2), 0.05, 2.0 + 3.0j, 1.0)
+        pred = single_prediction(moment_set(2), 0.05, 2.0 + 3.0j, 1.0)
         assert pred.delta_q[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_imaginary_weak_value_magnitudes(self):
-        pred = predict_single(moment_set(2), 0.05, 1j, 0.0)
+        pred = single_prediction(moment_set(2), 0.05, 1j, 0.0)
         assert abs(pred.delta_q[0]) == pytest.approx(0.1)
         assert pred.delta_p[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_real_weak_value_magnitudes(self):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        pred = predict_single(moment_set(2, cov_qq=cov), 0.05, 1.0, 0.0)
+        pred = single_prediction(moment_set(2, cov_qq=cov), 0.05, 1.0, 0.0)
         np.testing.assert_allclose(pred.delta_q, 0.0, atol=1e-15)
         assert abs(pred.delta_p[0]) == pytest.approx(0.05)
 
     def test_qp_correlation_enters_readout_momentum(self):
         qp = np.array([[0.0, 0.3], [0.0, 0.0]])
-        pred = predict_single(moment_set(2, cov_qp=qp), 0.05, 1j, 1.0)
+        pred = single_prediction(moment_set(2, cov_qp=qp), 0.05, 1j, 1.0)
         s, r = FROZEN_CONVENTION.orientation, FROZEN_CONVENTION.re_orientation
         assert pred.delta_p[1] == pytest.approx(r * 1.0 + s * 2 * 0.05 * 0.3)
 
@@ -115,6 +122,18 @@ class TestPredictLg:
         pred = predict_lg(1, 0.1, 0.0, 1j)
         assert pred.delta_q[0] == pytest.approx(0.1)
         assert pred.delta_q[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_engine_on_lg_probe(self):
+        # The vortex relation is the general engine evaluated on the mode's
+        # built-in moments: both predictions agree on the bundled probe.
+        cfg = load_bundled("lg_probe")
+        pre, post, _obs, _a_l = resolve_system(cfg)
+        a, b = (weak_value(c.observable, pre, post) for c in cfg.couplings)
+        pred = predict_lg(cfg.pointer_params["l"], cfg.couplings[0].strength, a, b,
+                          cfg.pointer_params["sigma"])
+        report = run_scenario(cfg)
+        np.testing.assert_allclose(pred.delta_q, report.predicted_dq, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.delta_p, report.predicted_dp, rtol=0, atol=1e-12)
 
 
 class TestLgCompatibility:
@@ -137,15 +156,15 @@ class TestProperties:
         for _ in range(20):
             lam = rng.uniform(0.01, 0.2)
             w = complex(rng.normal(), rng.normal())
-            base = predict_single(m, lam, w, 0.0)
-            doubled = predict_single(m, 2 * lam, w, 0.0)
+            base = single_prediction(m, lam, w, 0.0)
+            doubled = single_prediction(m, 2 * lam, w, 0.0)
             np.testing.assert_allclose(doubled.delta_q, 2 * base.delta_q, atol=1e-14)
             np.testing.assert_allclose(doubled.delta_p, 2 * base.delta_p, atol=1e-14)
-            scaled = predict_single(m, lam, 3 * w, 0.0)
+            scaled = single_prediction(m, lam, 3 * w, 0.0)
             np.testing.assert_allclose(scaled.delta_q, 3 * base.delta_q, atol=1e-14)
 
     def test_zero_coupling_fixed_point(self):
-        pred = predict_sequential(moment_set(3), 0.0, 0.0, 1j, 1j, 2.5)
+        pred = sequential_prediction(moment_set(3), 0.0, 0.0, 1j, 1j, 2.5)
         np.testing.assert_allclose(pred.delta_q, 0.0, atol=1e-15)
         np.testing.assert_allclose(pred.delta_p[:2], 0.0, atol=1e-15)
         assert pred.delta_p[2] == pytest.approx(FROZEN_CONVENTION.re_orientation * 2.5)
@@ -168,6 +187,6 @@ def test_flipped_convention_fails_against_simulation():
     from pointersim.scenarios import build_pointer
     _, phi = build_pointer(cfg)
     m = _moments(phi)
-    wrong = predict_single(m, cfg.couplings[0].strength, 1j, 1.0, conv=flipped)
+    wrong = single_prediction(m, cfg.couplings[0].strength, 1j, 1.0, conv=flipped)
     lam = cfg.couplings[0].strength
     assert abs(report.shift_q[0] - wrong.delta_q[0]) > 20 * (3 * lam**2)
