@@ -15,7 +15,6 @@ from pointersim import (
     lg_mode,
     moments,
 )
-from pointersim import pointer
 from pointersim.pointer import _axis_transform
 from conftest import dense_axis_transform, oracle_mixed_moment
 
@@ -215,10 +214,9 @@ class TestMoments:
         # The momentum density is checked too: a transform that lost
         # unitarity must fail loudly instead of scaling mean_p and cov_pp.
         phi = gaussian_pointer(grid2(), np.eye(2))
-        unitary = pointer._axis_transform
-        monkeypatch.setattr(pointer, "_axis_transform",
+        monkeypatch.setattr("pointersim.pointer._axis_transform",
                             lambda arr, grid, axis, forward=True:
-                            1.01 * unitary(arr, grid, axis, forward))
+                            1.01 * _axis_transform(arr, grid, axis, forward))
         with pytest.raises(NormalizationError, match="momentum density"):
             moments(phi)
 
