@@ -100,7 +100,7 @@ def _cmd_lg_check(args) -> int:
 
 def _cmd_entangle(args) -> int:
     params = TwoModeGaussianParams(args.alpha, args.beta, args.gamma)
-    grid = auto_grid(2, np.sqrt(np.diag(params.position_covariance())))
+    grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
     phi = two_mode_gaussian(grid, params)
     probe = WeakProbeConfig(
         observable=Observable(PAULI_Z),

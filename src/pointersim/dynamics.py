@@ -69,7 +69,7 @@ class JointState:
         self.amplitudes.flags.writeable = False
         self.reps = tuple(reps)
         norm2 = self.norm_squared()
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"joint state norm^2 = {norm2!r}, expected 1")
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect
 from .errors import DimensionError, InvalidParams, UnusableProbe
-from .pointer import Grid, PointerWavefunction, _check_coverage, _normalized, moments
+from .pointer import Grid, MomentSet, PointerWavefunction, _check_coverage, _normalized, moments
 from .quantum import Observable, SystemState, weak_value
 from .shifts import FROZEN_CONVENTION, SignConvention
 
@@ -99,11 +99,11 @@ def c_matrix_direct(phi: PointerWavefunction) -> CMatrix:
 
 def _measured_row(
     phi: PointerWavefunction,
+    base: MomentSet,
     probe: WeakProbeConfig,
     quadrature: str,
     denom: float,
 ) -> tuple[float, float]:
-    base = moments(phi)
     joint = make_joint(probe.pre, phi)
     spec = CouplingSpec(probe.observable, axis=0, quadrature=quadrature,
                         strength=probe.strength)
@@ -138,8 +138,9 @@ def c_matrix_from_shifts(
             f"Im(weak value) = {w.imag:.2e}: correlation terms are unobservable"
         )
     denom = conv.orientation * 2.0 * probe.strength * w.imag
-    row_q = _measured_row(phi, probe, "q", denom)
-    row_p = _measured_row(phi, probe, "p", denom)
+    base = moments(phi)
+    row_q = _measured_row(phi, base, probe, "q", denom)
+    row_p = _measured_row(phi, base, probe, "p", denom)
     return CMatrix(entries=np.array([row_q, row_p]))
 
 

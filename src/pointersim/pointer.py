@@ -133,7 +133,7 @@ class PointerWavefunction:
         self.amplitudes = amps
         self.amplitudes.flags.writeable = False
         norm2 = self.norm_squared()
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"|psi|^2 integrates to {norm2!r}, expected 1")
 
     def norm_squared(self) -> float:
@@ -269,7 +269,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     where both operators are diagonal, and the cov_qp diagonal from the
     symmetrized same-axis product.
     """
-    if abs(phi.norm_squared() - 1.0) > _NORM_TOL:
+    if not abs(phi.norm_squared() - 1.0) <= _NORM_TOL:
         raise NormalizationError("moments need a normalized wavefunction")
     grid = phi.grid
     d = grid.dims
@@ -283,7 +283,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     rho_q = (np.abs(psi_q) ** 2) * dvol_q
     rho_p = (np.abs(psi_p) ** 2) * dvol_p
     norm_p = float(np.sum(rho_p))
-    if abs(norm_p - 1.0) > _NORM_TOL:
+    if not abs(norm_p - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
     qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
     ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
@@ -321,13 +321,14 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
 
 
-def auto_grid(dims: int, stds, means=None) -> Grid:
+def auto_grid(stds, means=None) -> Grid:
     """Default grid for a state with the given per-axis spreads and means.
 
     1- and 2-axis grids get 256 points per axis, 3-axis grids 64; the common
     extent is 8 * max(std) + max(|mean|).
     """
     stds = np.atleast_1d(np.asarray(stds, dtype=float))
+    dims = len(stds)
     mu = np.zeros(dims) if means is None else np.abs(np.asarray(means, dtype=float))
     points = 256 if dims <= 2 else 64
     L = 8.0 * float(np.max(stds)) + float(np.max(mu))

@@ -342,13 +342,13 @@ def build_pointer(cfg: ScenarioConfig):
         grid = cfg.grid
     elif cfg.pointer_kind == "gaussian":
         stds = np.sqrt(np.diag(params["sigma"]))
-        grid = auto_grid(len(stds), stds, params.get("mean_q"))
+        grid = auto_grid(stds, params.get("mean_q"))
     elif cfg.pointer_kind == "lg":
         std = params["sigma"] * np.sqrt(1.0 + abs(params["l"]))
-        grid = auto_grid(2, [std, std])
+        grid = auto_grid([std, std])
     else:
         tm = TwoModeGaussianParams(params["alpha"], params["beta"], params["gamma"])
-        grid = auto_grid(2, np.sqrt(np.diag(tm.position_covariance())))
+        grid = auto_grid(np.sqrt(np.diag(tm.position_covariance())))
     if cfg.pointer_kind == "gaussian":
         phi = gaussian_pointer(grid, params["sigma"], params.get("mean_q"),
                                params.get("mean_p"), params.get("theta"))

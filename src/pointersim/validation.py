@@ -1,10 +1,11 @@
 """The full verification suite: one function per acceptance criterion.
 
-Each criterion returns a :class:`CriterionResult`; ``run_all`` executes all
-ten (the determinism criterion serializes the suite's own pass of the other
-nine plus the bundled corpus and byte-compares it with one full rerun).
-Results carry only deterministic values; wall-clock limits affect the pass
-flag but are never serialized.
+Each criterion returns a :class:`CriterionResult`.  A suite pass runs every
+bundled scenario once (the corpus) and passes it to criteria 1-9, of which
+3, 4, 5 and 9 read its reports.  ``run_all`` executes all ten: the
+determinism criterion serializes the pass and byte-compares it with one full
+rerun that builds its own corpus.  Results carry only deterministic values;
+wall-clock limits affect the pass flag but are never serialized.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .scenarios import (
     resolve_system,
     run_scenario,
     run_sweep,
-    simulate_pipeline,
 )
 from .shifts import lg_check
 from .dynamics import first_order_pointer
@@ -57,7 +57,7 @@ class CriterionResult:
                 f"{self.value:.3e} vs {self.threshold:.3e} ({self.detail})")
 
 
-def criterion_1_lg_correlation_law() -> CriterionResult:
+def criterion_1_lg_correlation_law(corpus) -> CriterionResult:
     """corr(x,p_y) = +l/2, corr(y,p_x) = -l/2, corr(x,y) = 0 for l in {0,1,2}."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -69,7 +69,7 @@ def criterion_1_lg_correlation_law() -> CriterionResult:
                            "max law residual over l in {0,1,2}, 256^2 grid")
 
 
-def criterion_2_single_wm_shifts() -> CriterionResult:
+def criterion_2_single_wm_shifts(corpus) -> CriterionResult:
     """Single weak coupling on a correlated Gaussian: residuals <= 3*lambda^2
     per component and quadratic residual decay over the strength sweep."""
     t0 = time.perf_counter()
@@ -86,27 +86,26 @@ def criterion_2_single_wm_shifts() -> CriterionResult:
                            f"worst residual at lambda={lam:g}; sweep slope {slope:.3f}")
 
 
-def criterion_3_sequential_shifts() -> CriterionResult:
+def criterion_3_sequential_shifts(corpus) -> CriterionResult:
     """Two sequential couplings on a correlated 3-axis Gaussian: all six
-    components within 3*(l1+l2)^2; readout offset exact at zero coupling."""
+    components within 3*(l1+l2)^2; readout offset exact at zero coupling.
+    The time limit covers the corpus run of the scenario as well."""
     t0 = time.perf_counter()
-    cfg = load_bundled("seq_corr_full")
-    report = run_scenario(cfg)
+    cfg, report = corpus["seq_corr_full"]
     lam_tot = sum(abs(c.strength) for c in cfg.couplings)
     bound = 3.0 * lam_tot**2
     worst = float(max(np.max(report.residual_q), np.max(report.residual_p)))
     zero = run_scenario(cfg, 0.0)
     offset_residual = float(zero.residual_p[2])
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0 + report.wall_time_seconds
     passed = worst <= bound and offset_residual <= 1e-9 and elapsed < 60.0
     return CriterionResult(3, "sequential_shifts", passed, worst, bound,
                            f"offset residual at lambda=0: {offset_residual:.2e}")
 
 
-def criterion_4_jozsa_reduction() -> CriterionResult:
+def criterion_4_jozsa_reduction(corpus) -> CriterionResult:
     """Uncorrelated 3-axis pointer: the cross-axis shifts vanish."""
-    cfg = load_bundled("jozsa_reduction_3d")
-    report = run_scenario(cfg)
+    cfg, report = corpus["jozsa_reduction_3d"]
     lam = cfg.couplings[0].strength
     tol = max(1e-6, 3 * lam**2)
     vals = (abs(float(report.shift_q[1])), abs(float(report.shift_q[2])),
@@ -116,10 +115,9 @@ def criterion_4_jozsa_reduction() -> CriterionResult:
                            "max of |dq2|, |dq3|, |dp3 - readout offset|")
 
 
-def criterion_5_real_weak_value_null() -> CriterionResult:
+def criterion_5_real_weak_value_null(corpus) -> CriterionResult:
     """Real weak value on a fully correlated pointer: no correlation-driven shifts."""
-    cfg = load_bundled("real_weak_value")
-    report = run_scenario(cfg)
+    cfg, report = corpus["real_weak_value"]
     lam = cfg.couplings[0].strength
     tol = max(1e-6, 3 * lam**2)
     vals = [abs(float(report.shift_q[j])) for j in range(3)]
@@ -130,7 +128,7 @@ def criterion_5_real_weak_value_null() -> CriterionResult:
                            "max correlation-driven component")
 
 
-def criterion_6_displacement_invariance() -> CriterionResult:
+def criterion_6_displacement_invariance(corpus) -> CriterionResult:
     """All covariance blocks invariant under on-grid momentum displacement."""
     worst = 0.0
     grid3 = Grid(points_per_axis=(64, 64, 64), extent=(8.0, 8.0, 8.0))
@@ -151,7 +149,7 @@ def criterion_6_displacement_invariance() -> CriterionResult:
                            "max covariance-entry change, Gaussian and vortex states")
 
 
-def criterion_7_entanglement_protocol() -> CriterionResult:
+def criterion_7_entanglement_protocol(corpus) -> CriterionResult:
     """Shift-reconstructed C agrees with the direct C and the det sign matches."""
     t0 = time.perf_counter()
     probe = WeakProbeConfig(
@@ -165,7 +163,7 @@ def criterion_7_entanglement_protocol() -> CriterionResult:
     worst_zero_det = 0.0
     for gamma in (0.0, 0.05, -0.05, 0.1, -0.1):
         params = TwoModeGaussianParams(0.25, 0.25, gamma)
-        grid = auto_grid(2, np.sqrt(np.diag(params.position_covariance())))
+        grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
         phi = two_mode_gaussian(grid, params)
         direct = c_matrix_direct(phi)
         recon = c_matrix_from_shifts(phi, probe)
@@ -184,7 +182,7 @@ def criterion_7_entanglement_protocol() -> CriterionResult:
                            f"|det| at gamma=0: {worst_zero_det:.2e}; det signs agree: {dets_ok}")
 
 
-def criterion_8_appendix_a_identity() -> CriterionResult:
+def criterion_8_appendix_a_identity(corpus) -> CriterionResult:
     """Partial-transform correlation identity over a 3x3 parameter sweep."""
     worst = 0.0
     for s in (0.8, 1.0, 1.25):
@@ -195,27 +193,24 @@ def criterion_8_appendix_a_identity() -> CriterionResult:
                            "max residual over sigma x c12 sweep (equal sigmas)")
 
 
-def criterion_9_oracle_crosscheck() -> CriterionResult:
+def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     """First-order weak-value construction vs the exact pipeline, every bundled
     scenario: mean vectors agree within max(3*lambda_tot^2, 1e-9)."""
     worst_margin = -np.inf
     worst_name = ""
     all_ok = True
-    for name in bundled_scenario_names():
-        cfg = load_bundled(name)
+    for name, (cfg, report) in corpus.items():
         _grid, phi = build_pointer(cfg)
         pre, post, _obs, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
-        exact_pointer, _prob = simulate_pipeline(cfg)
         fo_pointer = first_order_pointer(
             pre, post, specs, phi,
             readout_axis=cfg.readout_axis0,
             readout_eigenvalue=a_l,
         )
-        m_exact = moments(exact_pointer)
         m_fo = moments(fo_pointer)
-        dist = float(max(np.max(np.abs(m_exact.mean_q - m_fo.mean_q)),
-                         np.max(np.abs(m_exact.mean_p - m_fo.mean_p))))
+        dist = float(max(np.max(np.abs(report.final_mean_q - m_fo.mean_q)),
+                         np.max(np.abs(report.final_mean_p - m_fo.mean_p))))
         lam_tot = sum(abs(c.strength) for c in cfg.couplings)
         tol = max(3.0 * lam_tot**2, 1e-9)
         ok = dist <= tol
@@ -227,23 +222,39 @@ def criterion_9_oracle_crosscheck() -> CriterionResult:
                            f"worst distance/tolerance ratio at scenario {worst_name}")
 
 
-def _deterministic_pass_bytes(results=None) -> bytes:
-    """Everything the suite serializes: criteria summary plus corpus reports.
-    ``results`` are criteria 1-9 already run in this pass; None runs them."""
-    if results is None:
-        results = [fn() for fn in _CRITERIA_1_9]
-    parts = [summary_json_text(results).encode()]
+def _bundled_corpus() -> dict:
+    """``{name: (cfg, report)}``: every bundled scenario run once.  Holds no
+    pointer arrays, and is built afresh for each suite pass."""
+    corpus = {}
     for name in bundled_scenario_names():
-        report = run_scenario(load_bundled(name))
+        cfg = load_bundled(name)
+        corpus[name] = (cfg, run_scenario(cfg))
+    return corpus
+
+
+def _suite_pass() -> tuple[list[CriterionResult], dict]:
+    """One suite pass: build the corpus, then run criteria 1-9 on it."""
+    corpus = _bundled_corpus()
+    return [fn(corpus) for fn in _CRITERIA_1_9], corpus
+
+
+def _deterministic_pass_bytes(suite_pass=None) -> bytes:
+    """Everything the suite serializes: criteria summary plus corpus reports.
+    ``suite_pass`` is ``(results, corpus)`` from a pass already run; None
+    runs a fresh one."""
+    results, corpus = suite_pass if suite_pass is not None else _suite_pass()
+    parts = [summary_json_text(results).encode()]
+    for _cfg, report in corpus.values():
         parts.append(report_json_text(report).encode())
         parts.append(reports_csv_text([report]).encode())
     return b"".join(parts)
 
 
-def criterion_10_determinism(results=None) -> CriterionResult:
+def criterion_10_determinism(suite_pass=None) -> CriterionResult:
     """Two back-to-back full passes serialize to byte-identical reports.  The
-    first pass reuses ``results``, criteria 1-9 as ``run_all`` just ran them."""
-    first = _deterministic_pass_bytes(results)
+    first pass reuses ``suite_pass``, ``(results, corpus)`` as ``run_all``
+    just ran them; the second builds its own corpus."""
+    first = _deterministic_pass_bytes(suite_pass)
     second = _deterministic_pass_bytes()
     identical = first == second
     return CriterionResult(10, "determinism", identical, 0.0 if identical else 1.0, 0.0,
@@ -268,12 +279,12 @@ def run_criterion(number: int) -> CriterionResult:
         return criterion_10_determinism()
     if not 1 <= number <= 9:
         raise ValueError(f"no criterion number {number}")
-    return _CRITERIA_1_9[number - 1]()
+    return _CRITERIA_1_9[number - 1](_bundled_corpus())
 
 
 def run_all() -> list[CriterionResult]:
-    results = [fn() for fn in _CRITERIA_1_9]
-    return results + [criterion_10_determinism(results)]
+    results, corpus = _suite_pass()
+    return results + [criterion_10_determinism((results, corpus))]
 
 
 def summary_json_text(results: list[CriterionResult]) -> str:

@@ -8,6 +8,8 @@ from pointersim import (
     PAULI_Z,
     CouplingSpec,
     Grid,
+    JointState,
+    NormalizationError,
     Observable,
     PostselectionFailed,
     RepresentationError,
@@ -48,6 +50,10 @@ class TestMakeJoint:
         m0, m1 = moments(phi), moments(pointer)
         np.testing.assert_allclose(m1.cov_qq, m0.cov_qq, atol=1e-12)
         np.testing.assert_allclose(m1.mean_q, m0.mean_q, atol=1e-12)
+
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(NormalizationError):
+            JointState(Grid((32,), (8.0,)), np.full((2, 32), np.nan), ("position",))
 
     def test_reduced_system_populations(self):
         phi = gauss1d()

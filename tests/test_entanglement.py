@@ -31,7 +31,7 @@ def reference_params():
 
 def reference_pointer(params=None):
     params = params or reference_params()
-    grid = auto_grid(2, np.sqrt(np.diag(params.position_covariance())))
+    grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
     return two_mode_gaussian(grid, params)
 
 

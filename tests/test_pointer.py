@@ -210,6 +210,24 @@ class TestMoments:
         with pytest.raises(NormalizationError):
             PointerWavefunction(g, phi.amplitudes * 1.1)
 
+    def test_rejects_nan_amplitudes(self):
+        # NaN compares false with everything, so a "> tol" check would let it through.
+        with pytest.raises(NormalizationError):
+            PointerWavefunction(Grid((32,), (8.0,)), np.full(32, np.nan))
+
+    def test_moments_reject_nan_position_density(self):
+        phi = gaussian_pointer(grid2(), np.eye(2))
+        phi.amplitudes = np.full(phi.grid.shape, np.nan, dtype=complex)
+        with pytest.raises(NormalizationError, match="normalized"):
+            moments(phi)
+
+    def test_moments_reject_nan_momentum_density(self, monkeypatch):
+        phi = gaussian_pointer(grid2(), np.eye(2))
+        monkeypatch.setattr("pointersim.pointer._axis_transform",
+                            lambda arr, grid, axis, forward=True: np.full_like(arr, np.nan))
+        with pytest.raises(NormalizationError, match="momentum density"):
+            moments(phi)
+
     def test_rejects_momentum_density_off_unit_mass(self, monkeypatch):
         # The momentum density is checked too: a transform that lost
         # unitarity must fail loudly instead of scaling mean_p and cov_pp.

@@ -1,8 +1,11 @@
-"""How ``run_all`` schedules the suite: criteria 1-9 run twice, not three times.
+"""How ``run_all`` schedules the suite: two passes, each simulating the
+bundled corpus once and handing it to criteria 1-9.
 
 The stubs stand in for the real criteria so that only the scheduling is
 under test; the real criteria are covered by ``test_acceptance.py``.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,41 +17,73 @@ from pointersim.validation import CriterionResult
 def stub_suite(monkeypatch):
     """Nine counting stubs for criteria 1-9 and a one-scenario corpus.
 
-    Returns the per-criterion call counts and the set of criterion numbers
-    whose result changes from one call to the next.
+    Records the per-criterion call counts (``calls``), the corpora built in
+    order (``built``) and, per criterion call, ``(number, corpus)`` with the
+    corpus it received (``received``).  Criterion numbers added to
+    ``unstable`` return a different value on each call.
     """
     calls = [0] * 9
     unstable: set[int] = set()
+    built: list[dict] = []
+    received: list[tuple[int, dict]] = []
 
     def stub(number):
-        def criterion():
+        def criterion(corpus):
             calls[number - 1] += 1
+            received.append((number, corpus))
             value = float(calls[number - 1]) if number in unstable else 0.0
             return CriterionResult(number, f"stub_{number}", True, value, 1.0, "stub")
         return criterion
 
+    real_corpus = validation._bundled_corpus
+
+    def counting_corpus():
+        built.append(real_corpus())
+        return built[-1]
+
     monkeypatch.setattr(validation, "_CRITERIA_1_9", tuple(stub(n) for n in range(1, 10)))
     monkeypatch.setattr(validation, "bundled_scenario_names", lambda: ["zero_coupling"])
-    return calls, unstable
+    monkeypatch.setattr(validation, "_bundled_corpus", counting_corpus)
+    return SimpleNamespace(calls=calls, unstable=unstable, built=built, received=received)
 
 
 def test_run_all_runs_each_criterion_twice(stub_suite):
-    calls, _unstable = stub_suite
     results = validation.run_all()
-    assert calls == [2] * 9
+    assert stub_suite.calls == [2] * 9
     assert [r.number for r in results] == list(range(1, 11))
     assert results[-1].passed and results[-1].value == 0.0
 
 
+def test_each_pass_builds_one_corpus_shared_by_its_criteria(stub_suite):
+    built, received = stub_suite.built, stub_suite.received
+    validation.run_all()
+    assert len(built) == 2
+    assert built[0] is not built[1]
+    assert list(built[0]) == ["zero_coupling"]
+    first, second = received[:9], received[9:]
+    assert [n for n, _ in first] == [n for n, _ in second] == list(range(1, 10))
+    assert all(corpus is built[0] for _, corpus in first)
+    assert all(corpus is built[1] for _, corpus in second)
+
+
 def test_determinism_fails_when_a_rerun_result_differs(stub_suite):
-    _calls, unstable = stub_suite
-    unstable.add(4)
+    stub_suite.unstable.add(4)
     results = validation.run_all()
     assert not results[-1].passed
     assert results[-1].value == 1.0
 
 
+@pytest.mark.parametrize("number", range(1, 10))
+def test_run_criterion_dispatches_to_its_criterion(stub_suite, number):
+    result = validation.run_criterion(number)
+    assert result.number == number
+    assert stub_suite.calls == [1 if n == number else 0 for n in range(1, 10)]
+    assert len(stub_suite.built) == 1 and len(stub_suite.received) == 1
+    got_number, got_corpus = stub_suite.received[0]
+    assert got_number == number and got_corpus is stub_suite.built[0]
+
+
 def test_criterion_10_alone_makes_two_fresh_passes(stub_suite):
-    calls, _unstable = stub_suite
     assert validation.run_criterion(10).passed
-    assert calls == [2] * 9
+    assert stub_suite.calls == [2] * 9
+    assert len(stub_suite.built) == 2
