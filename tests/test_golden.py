@@ -1,11 +1,14 @@
-"""Golden outputs: every bundled scenario reproduces its committed run JSON,
-every 256^2 scenario its committed sweep JSON, and each command in
-``COMMANDS`` its committed output file.
+"""Golden outputs: every bundled scenario reproduces its committed run JSON
+and pointer moments, every 256^2 scenario its committed sweep JSON, and each
+command in ``COMMANDS`` its committed output file.
 
 ``tests/golden/<name>.json`` is the ``pointersim run`` JSON of each bundled
-scenario; ``tests/golden/sweep_<name>.json`` is the ``pointersim sweep`` JSON
-of each 256^2 scenario at ``SWEEP_MULTIPLIERS``; the file named after a
-``COMMANDS`` key is the JSON that command writes.  A refactor must leave
+scenario; ``tests/golden/moments_<name>.json`` holds all five ``MomentSet``
+blocks of its initial pointer and of its postselected final pointer, which
+the run JSON (means only) does not pin; ``tests/golden/sweep_<name>.json``
+is the ``pointersim sweep`` JSON of each 256^2 scenario at
+``SWEEP_MULTIPLIERS``; the file named after a ``COMMANDS`` key is the JSON
+that command writes.  A refactor must leave
 every number within 1e-12 absolute and every other field (keys, flags,
 names, list lengths) exactly as committed.
 Criterion 10 compares two runs of the same code, so it cannot catch a change
@@ -18,12 +21,16 @@ from pathlib import Path
 import pytest
 
 from pointersim.cli import main
+from pointersim.pointer import MomentSet, moments
 from pointersim.scenarios import (
+    build_pointer,
     bundled_scenario_names,
+    json_text,
     load_bundled,
     report_json_text,
     run_scenario,
     run_sweep,
+    simulate_pipeline,
     sweep_json_text,
 )
 
@@ -39,8 +46,23 @@ COMMANDS = {
     "entangle": ["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125"],
     "appendix_a": ["appendix-a", "--sigma1", "1", "--sigma2", "1.3", "--c12", "0.2"],
 }
-GOLDEN_NAMES = (bundled_scenario_names() + [f"sweep_{name}" for name in SWEPT]
-                + list(COMMANDS))
+GOLDEN_NAMES = (bundled_scenario_names()
+                + [f"moments_{name}" for name in bundled_scenario_names()]
+                + [f"sweep_{name}" for name in SWEPT] + list(COMMANDS))
+MOMENT_BLOCKS = ("mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp")
+
+
+def moments_json_text(name: str) -> str:
+    """The five moment blocks of scenario ``name``'s initial pointer and of
+    its postselected final pointer, as JSON."""
+    cfg = load_bundled(name)
+    _grid, phi = build_pointer(cfg)
+    final, _prob = simulate_pipeline(cfg)
+
+    def blocks(m: MomentSet) -> dict:
+        return {key: getattr(m, key).tolist() for key in MOMENT_BLOCKS}
+
+    return json_text({"initial": blocks(moments(phi)), "final": blocks(moments(final))})
 
 
 def assert_matches(actual, expected, path="$"):
@@ -73,6 +95,8 @@ def test_run_matches_golden(golden, tmp_path):
     elif golden.startswith("sweep_"):
         cfg = load_bundled(golden.removeprefix("sweep_"))
         text = sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
+    elif golden.startswith("moments_"):
+        text = moments_json_text(golden.removeprefix("moments_"))
     else:
         text = report_json_text(run_scenario(load_bundled(golden)))
     expected = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
