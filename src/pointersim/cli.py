@@ -153,7 +153,7 @@ def _cmd_validate(args) -> int:
     _write(args.out, "validate_summary.csv", validation.summary_csv_text(results))
     for r in results:
         print(r.line())
-    failed = [r.number for r in results if not r.passed]
+    failed = [r.number for r in results if not r.ok]
     if failed:
         print(f"FAILED criteria: {failed}")
         return 1

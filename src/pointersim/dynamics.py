@@ -30,6 +30,7 @@ from .pointer import (
     _apply_momentum,
     _axis_transform,
     _normalized,
+    _sum_abs2,
     displace_momentum,
 )
 from .quantum import Observable, SystemState, eigendecompose, weak_value
@@ -77,7 +78,7 @@ class JointState:
         return self.amplitudes.shape[0]
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.cell_volume(self.reps))
+        return _sum_abs2(self.amplitudes) * self.grid.cell_volume(self.reps)
 
 
 def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
@@ -133,7 +134,7 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
         rotated = np.einsum("ij,i...->j...", v.conj(), amps)
         xi = _quadrature_values(state.grid, s.axis, quadrature)
         eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * state.grid.dims)
-        rotated = rotated * np.exp(-1j * s.strength * eigcol * xi)
+        np.multiply(rotated, np.exp(-1j * s.strength * eigcol * xi), out=rotated)
         new = np.einsum("ij,j...->i...", v, rotated)
         return JointState(state.grid, new, state.reps)
     # General case: pointwise Hermitian generator, batched eigendecomposition.
@@ -141,10 +142,11 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
     gen = np.zeros(shape + (d, d), dtype=complex)
     for s in live:
         xi = np.broadcast_to(_quadrature_values(state.grid, s.axis, quadrature), shape)
-        gen = gen + s.strength * xi[..., None, None] * s.observable.matrix
+        gen += s.strength * xi[..., None, None] * s.observable.matrix
     w, v = np.linalg.eigh(gen)
     vec = np.moveaxis(amps, 0, -1)
-    rotated = np.einsum("...ij,...i->...j", v.conj(), vec) * np.exp(-1j * w)
+    rotated = np.einsum("...ij,...i->...j", v.conj(), vec)
+    np.multiply(rotated, np.exp(-1j * w), out=rotated)
     vec_new = np.einsum("...ij,...j->...i", v, rotated)
     new = np.moveaxis(vec_new, -1, 0)
     return JointState(state.grid, new, state.reps)

@@ -98,18 +98,22 @@ def _axis_transform(arr: np.ndarray, grid: Grid, axis: int, forward: bool = True
     """
     p = grid.momenta(axis)
     fft_axis = axis - grid.dims
+    # The FFT result is a fresh array, so each scaling writes into it in place.
     if forward:
         phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
-        return (grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase * np.fft.fft(arr, axis=fft_axis)
+        out = np.fft.fft(arr, axis=fft_axis)
+        return np.multiply((grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase, out, out=out)
     n = grid.points_per_axis[axis]
     phase = grid.axis_array(axis, np.exp(-1j * p * grid.extent[axis]))
-    return (grid.dp(axis) * n / np.sqrt(2.0 * np.pi)) * np.fft.ifft(phase * arr, axis=fft_axis)
+    out = np.fft.ifft(phase * arr, axis=fft_axis)
+    return np.multiply(grid.dp(axis) * n / np.sqrt(2.0 * np.pi), out, out=out)
 
 
 def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """``p_axis`` applied to position-space amplitudes: transform, multiply, transform back."""
     p = grid.axis_array(axis, grid.momenta(axis))
-    return _axis_transform(p * _axis_transform(arr, grid, axis), grid, axis, forward=False)
+    out = _axis_transform(arr, grid, axis)
+    return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False)
 
 
 def _check_coverage(grid: Grid, stds, means) -> None:
@@ -138,7 +142,16 @@ class PointerWavefunction:
 
     def norm_squared(self) -> float:
         dvol = self.grid.cell_volume(("position",) * self.grid.dims)
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * dvol)
+        return _sum_abs2(self.amplitudes) * dvol
+
+
+def _sum_abs2(amps: np.ndarray) -> float:
+    """``sum |amps|^2`` as one real dot product over the float64 view, in
+    memory order so that no copy is made.  It differs from
+    ``np.sum(np.abs(amps) ** 2)`` in the last bits, so it serves norm checks
+    only; NaN and inf stay NaN and inf."""
+    flat = amps.ravel(order="K").view(np.float64)
+    return float(np.dot(flat, flat))
 
 
 def _normalized(grid: Grid, amps: np.ndarray) -> PointerWavefunction:
@@ -214,11 +227,11 @@ def gaussian_pointer(
         for j in range(d):
             coeff = -0.25 * sig_inv[i, j] + 0.5j * th[i, j]
             if coeff != 0:
-                exponent = exponent + coeff * (centered[i] * centered[j])
+                exponent += coeff * (centered[i] * centered[j])
     for j in range(d):
         if p0[j] != 0:
-            exponent = exponent + 1j * p0[j] * grid.axis_array(j, grid.positions(j))
-    return _normalized(grid, np.exp(exponent))
+            exponent += 1j * p0[j] * grid.axis_array(j, grid.positions(j))
+    return _normalized(grid, np.exp(exponent, out=exponent))
 
 
 def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
@@ -261,6 +274,13 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     return PointerWavefunction(phi.grid, phi.amplitudes * np.exp(1j * phase))
 
 
+def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``|amps|^2 * vol``, computed in one real array (``out`` if given)."""
+    rho = np.abs(amps, out=out)
+    np.square(rho, out=rho)
+    return np.multiply(rho, vol, out=rho)
+
+
 def moments(phi: PointerWavefunction) -> MomentSet:
     """Means and all covariance blocks of a normalized pointer state.
 
@@ -268,52 +288,65 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     momentum space, the cov_qp off-diagonals from the mixed representation
     where both operators are diagonal, and the cov_qp diagonal from the
     symmetrized same-axis product.
+
+    Budget: 4*D axis transforms per call (D for momentum space, D for the
+    mixed representations, 2*D for the same-axis products).  Taking the
+    same-axis products from the mixed representations would need 3*D; that
+    waits on ROADMAP item 1, which re-baselines the traced FFT counts.
     """
-    if not abs(phi.norm_squared() - 1.0) <= _NORM_TOL:
-        raise NormalizationError("moments need a normalized wavefunction")
     grid = phi.grid
     d = grid.dims
     psi_q = phi.amplitudes
+    dvol_q = grid.cell_volume(("position",) * d)
+    rho_q = _density(psi_q, dvol_q)
+    if not abs(float(np.sum(rho_q)) - 1.0) <= _NORM_TOL:
+        raise NormalizationError("moments need a normalized wavefunction")
     psi_p = psi_q
     for axis in range(d):
         psi_p = _axis_transform(psi_p, grid, axis)
-
-    dvol_q = grid.cell_volume(("position",) * d)
-    dvol_p = grid.cell_volume(("momentum",) * d)
-    rho_q = (np.abs(psi_q) ** 2) * dvol_q
-    rho_p = (np.abs(psi_p) ** 2) * dvol_p
+    rho_p = _density(psi_p, grid.cell_volume(("momentum",) * d))
+    del psi_p
     norm_p = float(np.sum(rho_p))
     if not abs(norm_p - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
     qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
     ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
+    w, prod = np.empty_like(rho_q), np.empty_like(rho_q)
 
-    mean_q = np.array([float(np.sum(rho_q * qs[j])) for j in range(d)])
-    mean_p = np.array([float(np.sum(rho_p * ps[j])) for j in range(d)])
+    def mean_and_cov(rho, xs):
+        # w = rho * x_i gives the mean of x_i and row i of the covariance:
+        # rho * x_i * x_j evaluates as (rho * x_i) * x_j.
+        mean, raw = np.zeros(d), np.zeros((d, d))
+        for i in range(d):
+            mean[i] = float(np.sum(np.multiply(rho, xs[i], out=w)))
+            for j in range(i, d):
+                raw[i, j] = raw[j, i] = float(np.sum(np.multiply(w, xs[j], out=prod)))
+        return mean, raw - np.outer(mean, mean)
 
-    cov_qq = np.zeros((d, d))
-    cov_pp = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            cov_qq[i, j] = cov_qq[j, i] = float(np.sum(rho_q * qs[i] * qs[j])) - mean_q[i] * mean_q[j]
-            cov_pp[i, j] = cov_pp[j, i] = float(np.sum(rho_p * ps[i] * ps[j])) - mean_p[i] * mean_p[j]
+    mean_p, cov_pp = mean_and_cov(rho_p, ps)
+    del rho_p
+    mean_q, cov_qq = mean_and_cov(rho_q, qs)
 
     cov_qp = np.zeros((d, d))
     for m in range(d):
         # Mixed representation: axis m in momentum, the rest in position.
-        psi_mix = _axis_transform(psi_q, grid, m)
         reps = ["position"] * d
         reps[m] = "momentum"
-        rho_mix = (np.abs(psi_mix) ** 2) * grid.cell_volume(tuple(reps))
+        rho_mix = _density(_axis_transform(psi_q, grid, m), grid.cell_volume(tuple(reps)),
+                           out=rho_q)
         for q_axis in range(d):
             if q_axis == m:
                 continue
-            raw = float(np.sum(rho_mix * qs[q_axis] * ps[m]))
+            np.multiply(rho_mix, qs[q_axis], out=prod)
+            raw = float(np.sum(np.multiply(prod, ps[m], out=prod)))
             cov_qp[q_axis, m] = raw - mean_q[q_axis] * mean_p[m]
+    del rho_q, rho_mix, w, prod
+    conj_q = np.empty_like(psi_q)
     for j in range(d):
         # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
         p_psi = _apply_momentum(psi_q, grid, j)
-        raw = complex(np.sum(np.conj(psi_q) * qs[j] * p_psi) * dvol_q)
+        np.multiply(np.conjugate(psi_q, out=conj_q), qs[j], out=conj_q)
+        raw = complex(np.sum(np.multiply(conj_q, p_psi, out=p_psi)) * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
 
     for arr in (mean_q, mean_p, cov_qq, cov_qp, cov_pp):

@@ -4,8 +4,9 @@ Each criterion returns a :class:`CriterionResult`.  A suite pass runs every
 bundled scenario once (the corpus) and passes it to criteria 1-9, of which
 3, 4, 5 and 9 read its reports.  ``run_all`` executes all ten: the
 determinism criterion serializes the pass and byte-compares it with one full
-rerun that builds its own corpus.  Results carry only deterministic values;
-wall-clock limits affect the pass flag but are never serialized.
+rerun that builds its own corpus.  ``passed`` and every serialized value
+are deterministic; criteria 1, 2, 3 and 7 also carry a wall-clock budget,
+which is never serialized but fails ``pointersim validate`` when blown.
 """
 
 from __future__ import annotations
@@ -44,17 +45,36 @@ from .dynamics import first_order_pointer
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome.  ``passed`` judges the numbers only; the
+    wall-clock ``budget_s`` (None: no budget) and ``elapsed_s`` are kept out
+    of the serialized summaries, so that machine load cannot change their
+    bytes, and ``ok`` requires both."""
+
     number: int
     name: str
     passed: bool
     value: float
     threshold: float
     detail: str
+    budget_s: float | None = None
+    elapsed_s: float = 0.0
+
+    @property
+    def within_budget(self) -> bool:
+        return self.budget_s is None or self.elapsed_s < self.budget_s
+
+    @property
+    def ok(self) -> bool:
+        return self.passed and self.within_budget
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        status = "PASS" if self.ok else "FAIL"
+        budget = ""
+        if self.budget_s is not None:
+            over = "" if self.within_budget else ", OVER BUDGET"
+            budget = f"; {self.elapsed_s:.2f} s of {self.budget_s:g} s budget{over}"
         return (f"[{status}] criterion {self.number:2d} {self.name}: "
-                f"{self.value:.3e} vs {self.threshold:.3e} ({self.detail})")
+                f"{self.value:.3e} vs {self.threshold:.3e} ({self.detail}{budget})")
 
 
 def criterion_1_lg_correlation_law(corpus) -> CriterionResult:
@@ -64,14 +84,19 @@ def criterion_1_lg_correlation_law(corpus) -> CriterionResult:
     for l in (0, 1, 2):
         worst = max(worst, lg_check(l)[1])
     elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-3 and elapsed < 5.0
-    return CriterionResult(1, "lg_correlation_law", passed, worst, 1e-3,
-                           "max law residual over l in {0,1,2}, 256^2 grid")
+    return CriterionResult(1, "lg_correlation_law", worst <= 1e-3, worst, 1e-3,
+                           "max law residual over l in {0,1,2}, 256^2 grid",
+                           budget_s=5.0, elapsed_s=elapsed)
 
 
 def criterion_2_single_wm_shifts(corpus) -> CriterionResult:
     """Single weak coupling on a correlated Gaussian: residuals <= 3*lambda^2
-    per component and quadratic residual decay over the strength sweep."""
+    per component and quadratic residual decay over the strength sweep.
+
+    The slope gate (2.0 +/- 0.3) relies on the scenario's off-centre pointer
+    (``mean_q`` 0.25 on the coupled axis), which keeps a lambda^2 term in
+    the residual: the same sweep with the pointer centred fits a slope of
+    2.99 and would fail the gate."""
     t0 = time.perf_counter()
     cfg = load_bundled("single_wm_correlated")
     reports, summary = run_sweep(cfg, cfg.sweep)
@@ -81,9 +106,10 @@ def criterion_2_single_wm_shifts(corpus) -> CriterionResult:
     slope = summary["slope"]
     elapsed = time.perf_counter() - t0
     slope_ok = slope is not None and abs(slope - 2.0) <= 0.3
-    passed = worst <= 3 * lam**2 and slope_ok and elapsed < 10.0
+    passed = worst <= 3 * lam**2 and slope_ok
     return CriterionResult(2, "single_wm_shifts", passed, worst, 3 * lam**2,
-                           f"worst residual at lambda={lam:g}; sweep slope {slope:.3f}")
+                           f"worst residual at lambda={lam:g}; sweep slope {slope:.3f}",
+                           budget_s=10.0, elapsed_s=elapsed)
 
 
 def criterion_3_sequential_shifts(corpus) -> CriterionResult:
@@ -98,9 +124,10 @@ def criterion_3_sequential_shifts(corpus) -> CriterionResult:
     zero = run_scenario(cfg, 0.0)
     offset_residual = float(zero.residual_p[2])
     elapsed = time.perf_counter() - t0 + report.wall_time_seconds
-    passed = worst <= bound and offset_residual <= 1e-9 and elapsed < 60.0
+    passed = worst <= bound and offset_residual <= 1e-9
     return CriterionResult(3, "sequential_shifts", passed, worst, bound,
-                           f"offset residual at lambda=0: {offset_residual:.2e}")
+                           f"offset residual at lambda=0: {offset_residual:.2e}",
+                           budget_s=60.0, elapsed_s=elapsed)
 
 
 def criterion_4_jozsa_reduction(corpus) -> CriterionResult:
@@ -177,9 +204,10 @@ def criterion_7_entanglement_protocol(corpus) -> CriterionResult:
         else:
             dets_ok = dets_ok and (direct.det < 0) and (np.sign(recon.det) == np.sign(direct.det))
     elapsed = time.perf_counter() - t0
-    passed = worst_rel <= 0.05 and dets_ok and worst_zero_det <= 1e-6 and elapsed < 20.0
+    passed = worst_rel <= 0.05 and dets_ok and worst_zero_det <= 1e-6
     return CriterionResult(7, "entanglement_protocol", passed, worst_rel, 0.05,
-                           f"|det| at gamma=0: {worst_zero_det:.2e}; det signs agree: {dets_ok}")
+                           f"|det| at gamma=0: {worst_zero_det:.2e}; det signs agree: {dets_ok}",
+                           budget_s=20.0, elapsed_s=elapsed)
 
 
 def criterion_8_appendix_a_identity(corpus) -> CriterionResult:

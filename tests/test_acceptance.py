@@ -20,7 +20,7 @@ def _check(results, number):
     result = results[number - 1]
     assert result.number == number
     print(result.line())
-    assert result.passed, result.line()
+    assert result.ok, result.line()
     return result
 
 

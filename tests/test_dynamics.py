@@ -52,8 +52,9 @@ class TestMakeJoint:
         np.testing.assert_allclose(m1.mean_q, m0.mean_q, atol=1e-12)
 
     def test_nan_amplitudes_rejected(self):
-        with pytest.raises(NormalizationError):
-            JointState(Grid((32,), (8.0,)), np.full((2, 32), np.nan), ("position",))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NormalizationError):
+                JointState(Grid((32,), (8.0,)), np.full((2, 32), bad), ("position",))
 
     def test_reduced_system_populations(self):
         phi = gauss1d()
@@ -122,6 +123,25 @@ class TestApplyCouplings:
         out = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.5)])
         pointer, _ = postselect(out, make_state([1, 0]))
         assert moments(pointer).mean_q[0] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("specs", [
+        [CouplingSpec(Observable(PAULI_X), 0, "q", 0.3)],
+        [CouplingSpec(Observable(PAULI_X), 1, "p", 0.3)],
+        [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.4),
+         CouplingSpec(Observable(PAULI_X), 1, "q", 0.3)],
+    ], ids=["single_q", "single_p", "simultaneous"])
+    def test_leaves_the_input_state_alone(self, specs):
+        # The kernels multiply their own fresh arrays in place: the input
+        # amplitudes keep their bits and share no memory with the output.
+        # The second call starts from the simultaneous branch's
+        # non-C-contiguous layout.
+        state = make_joint(make_state([1, 1j]), gauss2d(points=64))
+        for _ in range(2):
+            before = state.amplitudes.tobytes()
+            out = apply_couplings(state, specs)
+            assert state.amplitudes.tobytes() == before
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            state = out
 
 
 class TestPostselect:

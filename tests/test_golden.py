@@ -8,9 +8,9 @@ blocks of its initial pointer and of its postselected final pointer, which
 the run JSON (means only) does not pin; ``tests/golden/sweep_<name>.json``
 is the ``pointersim sweep`` JSON of each 256^2 scenario at
 ``SWEEP_MULTIPLIERS``; the file named after a ``COMMANDS`` key is the JSON
-that command writes.  A refactor must leave
-every number within 1e-12 absolute and every other field (keys, flags,
-names, list lengths) exactly as committed.
+that command writes.  A refactor must leave every number within 1e-12
+absolute and every other field (keys, flags, names, list lengths) exactly as
+committed.
 Criterion 10 compares two runs of the same code, so it cannot catch a change
 that moves the results; this can.
 """

@@ -15,7 +15,7 @@ from pointersim import (
     lg_mode,
     moments,
 )
-from pointersim.pointer import _axis_transform
+from pointersim.pointer import _apply_momentum, _axis_transform
 from conftest import dense_axis_transform, oracle_mixed_moment
 
 
@@ -211,22 +211,26 @@ class TestMoments:
             PointerWavefunction(g, phi.amplitudes * 1.1)
 
     def test_rejects_nan_amplitudes(self):
-        # NaN compares false with everything, so a "> tol" check would let it through.
-        with pytest.raises(NormalizationError):
-            PointerWavefunction(Grid((32,), (8.0,)), np.full(32, np.nan))
+        # NaN compares false with everything, so a "> tol" check would let it
+        # through; inf must fail as well.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NormalizationError):
+                PointerWavefunction(Grid((32,), (8.0,)), np.full(32, bad))
 
     def test_moments_reject_nan_position_density(self):
         phi = gaussian_pointer(grid2(), np.eye(2))
-        phi.amplitudes = np.full(phi.grid.shape, np.nan, dtype=complex)
-        with pytest.raises(NormalizationError, match="normalized"):
-            moments(phi)
+        for bad in (np.nan, np.inf):
+            phi.amplitudes = np.full(phi.grid.shape, bad, dtype=complex)
+            with pytest.raises(NormalizationError, match="normalized"):
+                moments(phi)
 
     def test_moments_reject_nan_momentum_density(self, monkeypatch):
         phi = gaussian_pointer(grid2(), np.eye(2))
-        monkeypatch.setattr("pointersim.pointer._axis_transform",
-                            lambda arr, grid, axis, forward=True: np.full_like(arr, np.nan))
-        with pytest.raises(NormalizationError, match="momentum density"):
-            moments(phi)
+        for bad in (np.nan, np.inf):
+            monkeypatch.setattr("pointersim.pointer._axis_transform",
+                                lambda arr, grid, axis, forward=True: np.full_like(arr, bad))
+            with pytest.raises(NormalizationError, match="momentum density"):
+                moments(phi)
 
     def test_rejects_momentum_density_off_unit_mass(self, monkeypatch):
         # The momentum density is checked too: a transform that lost
@@ -251,3 +255,40 @@ class TestMoments:
         np.testing.assert_allclose(m.cov_pp, m.cov_pp.T, atol=1e-12)
         assert np.all(np.diag(m.cov_qq) > 0)
         assert np.all(np.diag(m.cov_pp) > 0)
+
+
+class TestKernelsLeaveInputsAlone:
+    """The kernels scale and multiply their own fresh arrays in place; none
+    may write into its input or hand back memory the input owns."""
+
+    @staticmethod
+    def assert_untouched(before, arr, result):
+        assert arr.tobytes() == before
+        assert not np.shares_memory(result, arr)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("leading", [(), (2,)], ids=["pointer", "joint"])
+    def test_axis_transform(self, rng, forward, leading):
+        g = Grid((32, 64), (5.0, 8.0))
+        arr = rng.normal(size=leading + g.shape) + 1j * rng.normal(size=leading + g.shape)
+        before = arr.tobytes()
+        for axis in range(g.dims):
+            self.assert_untouched(before, arr, _axis_transform(arr, g, axis, forward))
+
+    def test_apply_momentum(self, rng):
+        g = Grid((32, 64), (5.0, 8.0))
+        arr = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        before = arr.tobytes()
+        for axis in range(g.dims):
+            self.assert_untouched(before, arr, _apply_momentum(arr, g, axis))
+
+    def test_moments_twice_on_one_state(self):
+        g = Grid((32, 32, 32), (8.0, 8.0, 8.0))
+        phi = gaussian_pointer(g, np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]),
+                               mean_q=[0.2, 0.0, -0.1], mean_p=[0.0, 0.4, 0.0],
+                               theta=np.array([[0.0, 0.2, 0.1], [0.2, 0.1, 0.0], [0.1, 0.0, 0.0]]))
+        before = phi.amplitudes.tobytes()
+        first, second = moments(phi), moments(phi)
+        for blk in ("mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp"):
+            self.assert_untouched(before, phi.amplitudes, getattr(first, blk))
+            assert getattr(first, blk).tobytes() == getattr(second, blk).tobytes()

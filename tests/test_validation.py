@@ -1,5 +1,7 @@
 """How ``run_all`` schedules the suite: two passes, each simulating the
-bundled corpus once and handing it to criteria 1-9.
+bundled corpus once and handing it to criteria 1-9; and how a blown
+wall-clock budget fails ``pointersim validate`` without entering the
+serialized summaries.
 
 The stubs stand in for the real criteria so that only the scheduling is
 under test; the real criteria are covered by ``test_acceptance.py``.
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from pointersim import validation
+from pointersim.cli import main
 from pointersim.validation import CriterionResult
 
 
@@ -20,10 +23,12 @@ def stub_suite(monkeypatch):
     Records the per-criterion call counts (``calls``), the corpora built in
     order (``built``) and, per criterion call, ``(number, corpus)`` with the
     corpus it received (``received``).  Criterion numbers added to
-    ``unstable`` return a different value on each call.
+    ``unstable`` return a different value on each call; those added to
+    ``slow`` report twice their 1 s wall-clock budget.
     """
     calls = [0] * 9
     unstable: set[int] = set()
+    slow: set[int] = set()
     built: list[dict] = []
     received: list[tuple[int, dict]] = []
 
@@ -32,7 +37,9 @@ def stub_suite(monkeypatch):
             calls[number - 1] += 1
             received.append((number, corpus))
             value = float(calls[number - 1]) if number in unstable else 0.0
-            return CriterionResult(number, f"stub_{number}", True, value, 1.0, "stub")
+            elapsed = 2.0 if number in slow else 0.5
+            return CriterionResult(number, f"stub_{number}", True, value, 1.0, "stub",
+                                   budget_s=1.0, elapsed_s=elapsed)
         return criterion
 
     real_corpus = validation._bundled_corpus
@@ -44,7 +51,8 @@ def stub_suite(monkeypatch):
     monkeypatch.setattr(validation, "_CRITERIA_1_9", tuple(stub(n) for n in range(1, 10)))
     monkeypatch.setattr(validation, "bundled_scenario_names", lambda: ["zero_coupling"])
     monkeypatch.setattr(validation, "_bundled_corpus", counting_corpus)
-    return SimpleNamespace(calls=calls, unstable=unstable, built=built, received=received)
+    return SimpleNamespace(calls=calls, unstable=unstable, slow=slow, built=built,
+                           received=received)
 
 
 def test_run_all_runs_each_criterion_twice(stub_suite):
@@ -87,3 +95,23 @@ def test_criterion_10_alone_makes_two_fresh_passes(stub_suite):
     assert validation.run_criterion(10).passed
     assert stub_suite.calls == [2] * 9
     assert len(stub_suite.built) == 2
+
+
+def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tmp_path):
+    def summaries(results):
+        return validation.summary_json_text(results), validation.summary_csv_text(results)
+
+    on_time = validation.run_all()
+    assert all(r.ok for r in on_time)
+    assert main(["validate", "--out", str(tmp_path / "on_time")]) == 0
+
+    stub_suite.slow.add(3)
+    late = validation.run_all()
+    assert late[2].passed and not late[2].within_budget and not late[2].ok
+    assert "OVER BUDGET" in late[2].line()
+    assert summaries(late) == summaries(on_time)
+    assert late[-1].passed  # the determinism criterion never sees the clock
+    assert main(["validate", "--out", str(tmp_path / "late")]) == 1
+    for name in ("validate_summary.json", "validate_summary.csv"):
+        assert ((tmp_path / "late" / name).read_bytes()
+                == (tmp_path / "on_time" / name).read_bytes())
