@@ -13,6 +13,7 @@ values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ from .pointer import (
 from .quantum import Observable, SystemState, eigendecompose, weak_value
 
 _POSTSELECT_FLOOR = 1e-12
+# Grid cells per block in the single-observable branch of apply_couplings:
+# a block's rotated amplitudes (d * 2**14 complex values, 0.5 MiB at d = 2)
+# stay in cache from the rotation through the phase to the rotation back.
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,24 @@ class CouplingSpec:
 
 
 class JointState:
-    """System tensor pointer amplitudes, shape (d, *grid.shape)."""
+    """System tensor pointer amplitudes, shape (d, *grid.shape).
+
+    The constructor copies the caller's array, so later writes to it never
+    reach the state; the kernels hand over arrays they have just built through
+    :meth:`_adopt` instead.  ``amplitudes`` is read-only either way.
+    """
 
     def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...]):
-        amps = np.array(amplitudes, dtype=complex)  # copy: frozen below
+        self._wrap(grid, np.array(amplitudes, dtype=complex), reps)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, amps: np.ndarray, reps: tuple[str, ...]) -> JointState:
+        """Wrap ``amps``, a fresh complex array nothing else references, without a copy."""
+        state = cls.__new__(cls)
+        state._wrap(grid, amps, reps)
+        return state
+
+    def _wrap(self, grid: Grid, amps: np.ndarray, reps: tuple[str, ...]) -> None:
         if amps.ndim != grid.dims + 1 or amps.shape[1:] != grid.shape:
             raise DimensionError(
                 f"joint amplitudes shape {amps.shape} incompatible with grid {grid.shape}"
@@ -84,7 +103,7 @@ class JointState:
 def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
     """Product state |system> (x) |phi>."""
     amps = system.amplitudes.reshape((system.dim,) + (1,) * phi.grid.dims) * phi.amplitudes
-    return JointState(phi.grid, amps, ("position",) * phi.grid.dims)
+    return JointState._adopt(phi.grid, amps, ("position",) * phi.grid.dims)
 
 
 def _to_axis_rep(state: JointState, axis: int, rep: str) -> JointState:
@@ -93,7 +112,7 @@ def _to_axis_rep(state: JointState, axis: int, rep: str) -> JointState:
     amps = _axis_transform(state.amplitudes, state.grid, axis, forward=rep == "momentum")
     reps = list(state.reps)
     reps[axis] = rep
-    return JointState(state.grid, amps, tuple(reps))
+    return JointState._adopt(state.grid, amps, tuple(reps))
 
 
 def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
@@ -106,6 +125,12 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
 
     All specs in one call must use the same quadrature kind; the listed terms
     act simultaneously (they are summed in one exponent).
+
+    With one live term the observable is diagonalized once; the amplitudes
+    are rotated into its eigenbasis, phased and rotated back one block of
+    leading grid rows at a time (``_BLOCK_CELLS`` cells), straight into the
+    fresh array the returned state adopts.  Every cell sees the same
+    operations as a full-array rotation, so the result is bit-equal to it.
     """
     if not specs:
         return state
@@ -131,12 +156,18 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
         s = live[0]
         spec_eig = eigendecompose(s.observable)
         v = spec_eig.eigenvectors
-        rotated = np.einsum("ij,i...->j...", v.conj(), amps)
+        v_conj = v.conj()
         xi = _quadrature_values(state.grid, s.axis, quadrature)
         eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * state.grid.dims)
-        np.multiply(rotated, np.exp(-1j * s.strength * eigcol * xi), out=rotated)
-        new = np.einsum("ij,j...->i...", v, rotated)
-        return JointState(state.grid, new, state.reps)
+        phase = np.exp(-1j * s.strength * eigcol * xi)
+        new = np.empty_like(amps)
+        rows = max(1, _BLOCK_CELLS // math.prod(state.grid.shape[1:]))
+        for start in range(0, amps.shape[1], rows):
+            blk = slice(start, start + rows)
+            rotated = np.einsum("ij,i...->j...", v_conj, amps[:, blk])
+            np.multiply(rotated, phase[:, blk] if s.axis == 0 else phase, out=rotated)
+            np.einsum("ij,j...->i...", v, rotated, out=new[:, blk])
+        return JointState._adopt(state.grid, new, state.reps)
     # General case: pointwise Hermitian generator, batched eigendecomposition.
     shape = state.grid.shape
     gen = np.zeros(shape + (d, d), dtype=complex)
@@ -144,12 +175,12 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
         xi = np.broadcast_to(_quadrature_values(state.grid, s.axis, quadrature), shape)
         gen += s.strength * xi[..., None, None] * s.observable.matrix
     w, v = np.linalg.eigh(gen)
-    vec = np.moveaxis(amps, 0, -1)
-    rotated = np.einsum("...ij,...i->...j", v.conj(), vec)
+    del gen
+    rotated = np.einsum("...ij,...i->...j", v.conj(), np.moveaxis(amps, 0, -1))
     np.multiply(rotated, np.exp(-1j * w), out=rotated)
-    vec_new = np.einsum("...ij,...j->...i", v, rotated)
-    new = np.moveaxis(vec_new, -1, 0)
-    return JointState(state.grid, new, state.reps)
+    new = np.empty_like(amps)
+    np.einsum("...ij,...j->...i", v, rotated, out=np.moveaxis(new, 0, -1))
+    return JointState._adopt(state.grid, new, state.reps)
 
 
 def strong_readout(state: JointState, observable: Observable, axis: int) -> JointState:
@@ -169,7 +200,8 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
     prob = float(np.sum(np.abs(pointer) ** 2) * state.grid.cell_volume(state.reps))
     if prob < _POSTSELECT_FLOOR:
         raise PostselectionFailed(f"postselection probability {prob:.3e} below 1e-12")
-    return _normalized(state.grid, pointer), prob
+    # Every axis is in position representation, so prob is also the squared norm.
+    return _normalized(state.grid, pointer, prob), prob
 
 
 def first_order_pointer(
@@ -201,5 +233,6 @@ def first_order_pointer(
             xi_amps = _quadrature_values(phi.grid, s.axis, "q") * amps
         else:
             xi_amps = _apply_momentum(amps, phi.grid, s.axis)
-        delta = delta + (s.strength * w) * xi_amps
-    return _normalized(phi.grid, amps - 1j * delta)
+        np.add(delta, np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta)
+        del xi_amps
+    return _normalized(phi.grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))

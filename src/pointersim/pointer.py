@@ -88,32 +88,37 @@ class Grid:
         return vol
 
 
-def _axis_transform(arr: np.ndarray, grid: Grid, axis: int, forward: bool = True) -> np.ndarray:
+def _axis_transform(arr: np.ndarray, grid: Grid, axis: int, forward: bool = True,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Unitary q -> p transform along pointer axis ``axis`` (kernel exp(-i p q)/sqrt(2 pi)),
     or its inverse when ``forward`` is false.
 
     The FFT runs on array axis ``axis - grid.dims``, so ``arr`` may carry
     leading axes (the system index of a joint state); the grid-shaped phase
-    broadcasts against them by trailing alignment.
+    broadcasts against them by trailing alignment.  The result is written into
+    ``out`` (a complex array of ``arr``'s shape, which may be ``arr`` itself)
+    and returned; without ``out`` it is a fresh array and ``arr`` is left alone.
     """
     p = grid.momenta(axis)
     fft_axis = axis - grid.dims
-    # The FFT result is a fresh array, so each scaling writes into it in place.
     if forward:
         phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
-        out = np.fft.fft(arr, axis=fft_axis)
+        out = np.fft.fft(arr, axis=fft_axis, out=out)
         return np.multiply((grid.dq(axis) / np.sqrt(2.0 * np.pi)) * phase, out, out=out)
     n = grid.points_per_axis[axis]
     phase = grid.axis_array(axis, np.exp(-1j * p * grid.extent[axis]))
-    out = np.fft.ifft(phase * arr, axis=fft_axis)
+    out = np.multiply(phase, arr, out=out)
+    np.fft.ifft(out, axis=fft_axis, out=out)
     return np.multiply(grid.dp(axis) * n / np.sqrt(2.0 * np.pi), out, out=out)
 
 
-def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """``p_axis`` applied to position-space amplitudes: transform, multiply, transform back."""
+def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``p_axis`` applied to position-space amplitudes: transform, multiply,
+    transform back, all in ``out`` (which may be ``arr``; fresh when omitted)."""
     p = grid.axis_array(axis, grid.momenta(axis))
-    out = _axis_transform(arr, grid, axis)
-    return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False)
+    out = _axis_transform(arr, grid, axis, out=out)
+    return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False, out=out)
 
 
 def _check_coverage(grid: Grid, stds, means) -> None:
@@ -127,10 +132,24 @@ def _check_coverage(grid: Grid, stds, means) -> None:
 
 
 class PointerWavefunction:
-    """Complex position-space amplitudes over a grid."""
+    """Complex position-space amplitudes over a grid.
+
+    The constructor copies the caller's array, so later writes to it never
+    reach the state; the kernels hand over arrays they have just built through
+    :meth:`_adopt` instead.  ``amplitudes`` is read-only either way.
+    """
 
     def __init__(self, grid: Grid, amplitudes: np.ndarray):
-        amps = np.array(amplitudes, dtype=complex)  # copy: frozen below
+        self._wrap(grid, np.array(amplitudes, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, amps: np.ndarray) -> PointerWavefunction:
+        """Wrap ``amps``, a fresh complex array nothing else references, without a copy."""
+        state = cls.__new__(cls)
+        state._wrap(grid, amps)
+        return state
+
+    def _wrap(self, grid: Grid, amps: np.ndarray) -> None:
         if amps.shape != grid.shape:
             raise DimensionError(f"amplitudes shape {amps.shape} != grid shape {grid.shape}")
         self.grid = grid
@@ -146,19 +165,25 @@ class PointerWavefunction:
 
 
 def _sum_abs2(amps: np.ndarray) -> float:
-    """``sum |amps|^2`` as one real dot product over the float64 view, in
+    """``sum |amps|^2`` as one real inner product over the float64 view, in
     memory order so that no copy is made.  It differs from
     ``np.sum(np.abs(amps) ** 2)`` in the last bits, so it serves norm checks
-    only; NaN and inf stay NaN and inf."""
+    only; NaN and inf stay NaN and inf.  ``einsum`` rather than ``np.dot``
+    keeps the reduction off BLAS, whose idle threads would spin after it."""
     flat = amps.ravel(order="K").view(np.float64)
-    return float(np.dot(flat, flat))
+    return float(np.einsum("i,i->", flat, flat))
 
 
-def _normalized(grid: Grid, amps: np.ndarray) -> PointerWavefunction:
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims))
+def _normalized(grid: Grid, amps: np.ndarray, mass: float | None = None) -> PointerWavefunction:
+    """Divide ``amps`` in place by its norm and adopt it, so ``amps`` must be a
+    fresh complex array nothing else references.  ``mass`` is
+    ``sum |amps|^2 * dvol`` when the caller has already computed it."""
+    if mass is None:
+        mass = np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims)
+    norm = np.sqrt(mass)
     if norm == 0.0 or not np.isfinite(norm):
         raise NormalizationError("cannot normalize: zero or non-finite norm")
-    return PointerWavefunction(grid, amps / norm)
+    return PointerWavefunction._adopt(grid, np.divide(amps, norm, out=amps))
 
 
 @dataclass(frozen=True)
@@ -271,7 +296,7 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     for j in range(phi.grid.dims):
         if sh[j] != 0:
             phase = phase + sh[j] * phi.grid.axis_array(j, phi.grid.positions(j))
-    return PointerWavefunction(phi.grid, phi.amplitudes * np.exp(1j * phase))
+    return PointerWavefunction._adopt(phi.grid, phi.amplitudes * np.exp(1j * phase))
 
 
 def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -292,7 +317,8 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     Budget: 4*D axis transforms per call (D for momentum space, D for the
     mixed representations, 2*D for the same-axis products).  Taking the
     same-axis products from the mixed representations would need 3*D; that
-    waits on ROADMAP item 1, which re-baselines the traced FFT counts.
+    waits on ROADMAP item 1, which re-baselines the traced FFT counts.  The
+    transforms all write into one complex scratch array the size of the state.
     """
     grid = phi.grid
     d = grid.dims
@@ -301,11 +327,10 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     rho_q = _density(psi_q, dvol_q)
     if not abs(float(np.sum(rho_q)) - 1.0) <= _NORM_TOL:
         raise NormalizationError("moments need a normalized wavefunction")
-    psi_p = psi_q
-    for axis in range(d):
-        psi_p = _axis_transform(psi_p, grid, axis)
-    rho_p = _density(psi_p, grid.cell_volume(("momentum",) * d))
-    del psi_p
+    scratch = _axis_transform(psi_q, grid, 0, out=np.empty_like(psi_q))
+    for axis in range(1, d):
+        scratch = _axis_transform(scratch, grid, axis, out=scratch)
+    rho_p = _density(scratch, grid.cell_volume(("momentum",) * d))
     norm_p = float(np.sum(rho_p))
     if not abs(norm_p - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
@@ -332,8 +357,8 @@ def moments(phi: PointerWavefunction) -> MomentSet:
         # Mixed representation: axis m in momentum, the rest in position.
         reps = ["position"] * d
         reps[m] = "momentum"
-        rho_mix = _density(_axis_transform(psi_q, grid, m), grid.cell_volume(tuple(reps)),
-                           out=rho_q)
+        rho_mix = _density(_axis_transform(psi_q, grid, m, out=scratch),
+                           grid.cell_volume(tuple(reps)), out=rho_q)
         for q_axis in range(d):
             if q_axis == m:
                 continue
@@ -344,7 +369,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     conj_q = np.empty_like(psi_q)
     for j in range(d):
         # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
-        p_psi = _apply_momentum(psi_q, grid, j)
+        p_psi = _apply_momentum(psi_q, grid, j, out=scratch)
         np.multiply(np.conjugate(psi_q, out=conj_q), qs[j], out=conj_q)
         raw = complex(np.sum(np.multiply(conj_q, p_psi, out=p_psi)) * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]

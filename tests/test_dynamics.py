@@ -56,6 +56,17 @@ class TestMakeJoint:
             with pytest.raises(NormalizationError):
                 JointState(Grid((32,), (8.0,)), np.full((2, 32), bad), ("position",))
 
+    def test_constructor_copies_caller_array(self):
+        caller = make_joint(plus(), gauss1d(32)).amplitudes.copy()
+        joint = JointState(Grid((32,), (8.0,)), caller, ("position",))
+        assert caller.flags.writeable
+        before = joint.amplitudes.tobytes()
+        caller *= 2.0
+        assert joint.amplitudes.tobytes() == before
+        assert not joint.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            joint.amplitudes[0, 0] = 0.0
+
     def test_reduced_system_populations(self):
         phi = gauss1d()
         pre = make_state([1, 2j])

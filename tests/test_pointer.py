@@ -228,7 +228,8 @@ class TestMoments:
         phi = gaussian_pointer(grid2(), np.eye(2))
         for bad in (np.nan, np.inf):
             monkeypatch.setattr("pointersim.pointer._axis_transform",
-                                lambda arr, grid, axis, forward=True: np.full_like(arr, bad))
+                                lambda arr, grid, axis, forward=True, out=None:
+                                np.full_like(arr, bad))
             with pytest.raises(NormalizationError, match="momentum density"):
                 moments(phi)
 
@@ -237,8 +238,8 @@ class TestMoments:
         # unitarity must fail loudly instead of scaling mean_p and cov_pp.
         phi = gaussian_pointer(grid2(), np.eye(2))
         monkeypatch.setattr("pointersim.pointer._axis_transform",
-                            lambda arr, grid, axis, forward=True:
-                            1.01 * _axis_transform(arr, grid, axis, forward))
+                            lambda arr, grid, axis, forward=True, out=None:
+                            1.01 * _axis_transform(arr, grid, axis, forward, out))
         with pytest.raises(NormalizationError, match="momentum density"):
             moments(phi)
 
@@ -257,9 +258,24 @@ class TestMoments:
         assert np.all(np.diag(m.cov_pp) > 0)
 
 
+class TestConstructorCopiesCallerArrays:
+    def test_pointer_wavefunction(self):
+        g = grid2(32)
+        caller = gaussian_pointer(g, np.eye(2)).amplitudes.copy()
+        phi = PointerWavefunction(g, caller)
+        assert caller.flags.writeable
+        before = phi.amplitudes.tobytes()
+        caller *= 2.0
+        assert phi.amplitudes.tobytes() == before
+        assert not phi.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            phi.amplitudes[0, 0] = 0.0
+
+
 class TestKernelsLeaveInputsAlone:
-    """The kernels scale and multiply their own fresh arrays in place; none
-    may write into its input or hand back memory the input owns."""
+    """The kernels scale and multiply their own arrays in place; unless a
+    transform is handed its input as ``out``, none may write into its input
+    or hand back memory the input owns."""
 
     @staticmethod
     def assert_untouched(before, arr, result):
@@ -281,6 +297,19 @@ class TestKernelsLeaveInputsAlone:
         before = arr.tobytes()
         for axis in range(g.dims):
             self.assert_untouched(before, arr, _apply_momentum(arr, g, axis))
+
+    @pytest.mark.parametrize("leading", [(), (2,)], ids=["pointer", "joint"])
+    def test_in_place_equals_fresh(self, rng, leading):
+        # ``out`` may be the input itself; the bits must not depend on it.
+        g = Grid((32, 64), (5.0, 8.0))
+        arr = rng.normal(size=leading + g.shape) + 1j * rng.normal(size=leading + g.shape)
+        for axis in range(g.dims):
+            for kernel in (lambda a, o: _axis_transform(a, g, axis, True, o),
+                           lambda a, o: _axis_transform(a, g, axis, False, o),
+                           lambda a, o: _apply_momentum(a, g, axis, o)):
+                work = arr.copy()
+                assert kernel(work, work) is work
+                assert work.tobytes() == kernel(arr, None).tobytes()
 
     def test_moments_twice_on_one_state(self):
         g = Grid((32, 32, 32), (8.0, 8.0, 8.0))

@@ -1,5 +1,6 @@
-"""Property tests: the axis transform is unitary, and the grid moments of a
-correlated Gaussian reproduce its covariance parameters.
+"""Property tests: the axis transform is unitary, the grid moments of a
+correlated Gaussian reproduce its covariance parameters, and the blockwise
+single-observable coupling equals the full-array rotation bit for bit.
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as deterministic as the rest of the suite.
@@ -9,7 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointersim.dynamics import CouplingSpec, JointState, apply_couplings
 from pointersim.pointer import Grid, _axis_transform, gaussian_pointer, moments
+from pointersim.quantum import Observable, eigendecompose
+from conftest import random_hermitian
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -70,3 +74,41 @@ def test_gaussian_moments_match_sigma_and_theta(params):
     m = moments(gaussian_pointer(covering_grid(len(sigma)), sigma, theta=theta))
     np.testing.assert_allclose(m.cov_qq, sigma, rtol=0, atol=1e-9)
     np.testing.assert_allclose(m.cov_qp, sigma @ theta, rtol=0, atol=1e-9)
+
+
+def full_array_coupling(state: JointState, spec: CouplingSpec) -> np.ndarray:
+    """Reference for the single-observable branch: rotate the whole joint
+    array into the eigenbasis, phase it, and rotate it back."""
+    grid, d = state.grid, state.system_dim
+    eig = eigendecompose(spec.observable)
+    v = eig.eigenvectors
+    rotated = np.einsum("ij,i...->j...", v.conj(), state.amplitudes)
+    vals = grid.positions(spec.axis) if spec.quadrature == "q" else grid.momenta(spec.axis)
+    xi = grid.axis_array(spec.axis, vals)
+    eigcol = eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
+    np.multiply(rotated, np.exp(-1j * spec.strength * eigcol * xi), out=rotated)
+    return np.einsum("ij,j...->i...", v, rotated)
+
+
+@PROPERTY_SETTINGS
+@given(points=st.sampled_from(((32,), (64,), (32, 64), (64, 64), (32, 32, 32), (32, 64, 32))),
+       d=st.integers(1, 4), quadrature=st.sampled_from(("q", "p")),
+       strength=st.floats(-2.0, 2.0).filter(lambda x: x != 0.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_single_coupling_matches_full_array_rotation(points, d, quadrature, strength, seed,
+                                                     data):
+    grid = Grid(points, (8.0,) * len(points))
+    axis = data.draw(st.integers(0, grid.dims - 1))
+    rng = np.random.default_rng(seed)
+    shape = (d,) + grid.shape
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    reps = ["position"] * grid.dims
+    if quadrature == "p":
+        reps[axis] = "momentum"
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(tuple(reps)))
+    state = JointState(grid, amps, tuple(reps))
+    spec = CouplingSpec(Observable(random_hermitian(rng, d)), axis, quadrature, strength)
+    out = apply_couplings(state, [spec])
+    assert out.reps == state.reps
+    assert out.amplitudes.tobytes() == full_array_coupling(state, spec).tobytes()
+    assert abs(out.norm_squared() - state.norm_squared()) <= 1e-12

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,20 @@ class TestRunScenario:
                             "shift,predicted,residual,lambda1,lambda2,prob")
         assert len(lines) == 1 + 2 * 2  # header + axes x quadratures
         assert lines[1].startswith("jozsa_baseline,1,q,")
+
+    def test_traced_peak_stays_within_two_and_a_half_joint_states(self):
+        # The 64^3 joint state is 8 MiB.  A run whose stages copied it, or
+        # kept the initial pointer alive through the couplings, would peak at
+        # about 40 MiB; handing fresh arrays over keeps it near 17 MiB.
+        cfg = load_bundled("seq_corr_full")
+        joint_bytes = 2 * 64**3 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_json_shape(self):
         report = run_scenario(load_bundled("jozsa_baseline"))
