@@ -47,6 +47,7 @@ from .dynamics import (
     CouplingSpec,
     JointState,
     apply_couplings,
+    evolve,
     first_order_pointer,
     make_joint,
     postselect,

@@ -6,7 +6,8 @@ own representation, so the evolution reduces to a pointwise d x d matrix
 exponential over grid points; with a single coupling the observable is
 diagonalized once and only phases touch the grid.
 
-The first-order path, which the closed-form shift predictions assume, is
+Every caller runs the exact pipeline through :func:`evolve`.  The first-order
+path, which the closed-form shift predictions assume, is
 :func:`first_order_pointer`: it builds the postselected pointer from weak
 values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
 """
@@ -202,6 +203,26 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
         raise PostselectionFailed(f"postselection probability {prob:.3e} below 1e-12")
     # Every axis is in position representation, so prob is also the squared norm.
     return _normalized(state.grid, pointer, prob), prob
+
+
+def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec],
+           post: SystemState, *, simultaneous: bool = False,
+           readout: tuple[Observable, int] | None = None) -> tuple[PointerWavefunction, float]:
+    """The exact pipeline: ``|pre> (x) |phi>``, each spec in turn (all as one
+    term when ``simultaneous``), the strong readout ``(observable, axis)`` when
+    given, then :func:`postselect` onto ``post``.  One spec and no readout is
+    the usual weak measurement.  ``phi`` is dropped once joined, so a caller
+    holding no reference of its own frees it early."""
+    joint = make_joint(pre, phi)
+    del phi  # full-grid; the joint state holds what the pipeline needs
+    if not simultaneous:
+        for spec in specs:
+            joint = apply_couplings(joint, [spec])
+    elif specs:
+        joint = apply_couplings(joint, specs)
+    if readout is not None:
+        joint = strong_readout(joint, *readout)
+    return postselect(joint, post)
 
 
 def first_order_pointer(

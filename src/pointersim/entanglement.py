@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect
+from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams, UnusableProbe
 from .pointer import Grid, MomentSet, PointerWavefunction, _check_coverage, _normalized, moments
 from .quantum import Observable, SystemState, weak_value
@@ -74,6 +74,10 @@ class WeakProbeConfig:
     post: SystemState
     strength: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.strength) and self.strength != 0.0):
+            raise InvalidParams(f"probe strength must be finite and nonzero, got {self.strength}")
+
 
 def two_mode_gaussian(grid: Grid, params: TwoModeGaussianParams) -> PointerWavefunction:
     """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on the grid."""
@@ -104,12 +108,9 @@ def _measured_row(
     quadrature: str,
     denom: float,
 ) -> tuple[float, float]:
-    joint = make_joint(probe.pre, phi)
     spec = CouplingSpec(probe.observable, axis=0, quadrature=quadrature,
                         strength=probe.strength)
-    joint = apply_couplings(joint, [spec])
-    pointer, _prob = postselect(joint, probe.post)
-    final = moments(pointer)
+    final = moments(evolve(probe.pre, phi, [spec], probe.post)[0])
     return (
         (final.mean_q[1] - base.mean_q[1]) / denom,
         (final.mean_p[1] - base.mean_p[1]) / denom,

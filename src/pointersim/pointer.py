@@ -295,8 +295,12 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     phase = np.zeros(phi.grid.shape)
     for j in range(phi.grid.dims):
         if sh[j] != 0:
-            phase = phase + sh[j] * phi.grid.axis_array(j, phi.grid.positions(j))
-    return PointerWavefunction._adopt(phi.grid, phi.amplitudes * np.exp(1j * phase))
+            np.add(phase, sh[j] * phi.grid.axis_array(j, phi.grid.positions(j)), out=phase)
+    # One buffer holds 1j*phase, its exp and the product; factor first, as numpy's
+    # temporary elision ordered the former ``amps * np.exp(...)`` on grids >= 256 KiB.
+    factor = np.multiply(1j, phase, out=np.empty(phi.grid.shape, dtype=complex))
+    np.exp(factor, out=factor)
+    return PointerWavefunction._adopt(phi.grid, np.multiply(factor, phi.amplitudes, out=factor))
 
 
 def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.ndarray:

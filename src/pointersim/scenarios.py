@@ -21,12 +21,11 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect, strong_readout
+from .dynamics import CouplingSpec, evolve
 from .entanglement import TwoModeGaussianParams, two_mode_gaussian
 from .errors import ConfigError, DimensionError, InvalidCovariance, InvalidObservable
 from .pointer import (
     Grid,
-    MomentSet,
     auto_grid,
     check_gaussian_params,
     gaussian_pointer,
@@ -443,88 +442,66 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
 
     Returns ``(final_pointer, probability)``.
     """
-    _grid, phi = build_pointer(cfg)
     pre, post, readout_obs, _a_l = resolve_system(cfg)
-    specs = build_coupling_specs(cfg, strength_multiplier)
-    joint = make_joint(pre, phi)
-    del phi  # full-grid; the joint state holds what the pipeline needs
-    if cfg.interaction == "sequential":
-        for spec in specs:
-            joint = apply_couplings(joint, [spec])
-    elif specs:
-        joint = apply_couplings(joint, specs)
-    if cfg.readout_axis0 is not None:
-        joint = strong_readout(joint, readout_obs, cfg.readout_axis0)
-    return postselect(joint, post)
+    readout = None if cfg.readout_axis0 is None else (readout_obs, cfg.readout_axis0)
+    # The built pointer goes straight to evolve, which drops it once joined.
+    return evolve(pre, build_pointer(cfg)[1], build_coupling_specs(cfg, strength_multiplier),
+                  post, simultaneous=cfg.interaction == "simultaneous", readout=readout)
 
 
-def _shift_report(cfg: ScenarioConfig, strength_multiplier: float, grid: Grid,
-                  base: MomentSet, system, t0: float) -> ShiftReport:
-    """Predict, simulate and measure one strength multiplier, given the grid,
-    the initial moments ``base`` and ``system`` from :func:`resolve_system`;
-    ``t0`` starts the report's wall clock."""
-    pre, post, _readout_obs, a_l = system
-    specs = build_coupling_specs(cfg, strength_multiplier)
-    terms = []
-    for spec in specs:
-        terms.append((spec.axis, spec.quadrature, spec.strength,
-                      weak_value(spec.observable, pre, post)))
-    prediction = predict_general(
-        base, terms,
-        readout_axis=cfg.readout_axis0,
-        readout_eigenvalue=a_l,
-        conv=FROZEN_CONVENTION,
-    )
-    pointer_f, prob = simulate_pipeline(cfg, strength_multiplier)
-    final = moments(pointer_f)
-
-    strengths = [spec.strength for spec in specs]
-    return ShiftReport(
-        scenario_id=cfg.scenario_id,
-        probability=prob,
-        initial_mean_q=base.mean_q,
-        initial_mean_p=base.mean_p,
-        final_mean_q=final.mean_q,
-        final_mean_p=final.mean_p,
-        predicted_dq=prediction.delta_q,
-        predicted_dp=prediction.delta_p,
-        lambda1=strengths[0] if len(strengths) > 0 else 0.0,
-        lambda2=strengths[1] if len(strengths) > 1 else 0.0,
-        convention=FROZEN_CONVENTION,
-        grid_points=grid.points_per_axis,
-        grid_extent=grid.extent,
-        includes_readout_offset=prediction.includes_readout_offset,
-        wall_time_seconds=time.perf_counter() - t0,
-    )
-
-
-def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> ShiftReport:
-    """Execute the full pipeline for one scenario and compare to predictions."""
+def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftReport]:
+    """Predict, simulate and measure each strength multiplier in turn.  The
+    pointer, its initial moments and the system are built once for all of
+    them, so the first report's ``wall_time_seconds`` includes that build."""
     t0 = time.perf_counter()
     grid, phi = build_pointer(cfg)
     base = moments(phi)
     del phi  # full-grid; only its moments are needed from here on
-    return _shift_report(cfg, strength_multiplier, grid, base, resolve_system(cfg), t0)
+    pre, post, _readout_obs, a_l = resolve_system(cfg)
+    reports = []
+    for m in multipliers:
+        specs = build_coupling_specs(cfg, m)
+        terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
+                 for s in specs]
+        prediction = predict_general(base, terms, readout_axis=cfg.readout_axis0,
+                                     readout_eigenvalue=a_l, conv=FROZEN_CONVENTION)
+        pointer_f, prob = simulate_pipeline(cfg, m)
+        final = moments(pointer_f)
+        del pointer_f  # full-grid; only its moments are needed from here on
+        lambda1, lambda2 = ([s.strength for s in specs] + [0.0, 0.0])[:2]
+        reports.append(ShiftReport(
+            scenario_id=cfg.scenario_id, probability=prob,
+            initial_mean_q=base.mean_q, initial_mean_p=base.mean_p,
+            final_mean_q=final.mean_q, final_mean_p=final.mean_p,
+            predicted_dq=prediction.delta_q, predicted_dp=prediction.delta_p,
+            lambda1=lambda1, lambda2=lambda2, convention=FROZEN_CONVENTION,
+            grid_points=grid.points_per_axis, grid_extent=grid.extent,
+            includes_readout_offset=prediction.includes_readout_offset,
+            wall_time_seconds=time.perf_counter() - t0,
+        ))
+        t0 = time.perf_counter()
+    return reports
+
+
+def run_scenario(cfg: ScenarioConfig, strength_multiplier: float = 1.0) -> ShiftReport:
+    """Execute the full pipeline for one scenario and compare to predictions."""
+    return _shift_reports(cfg, [strength_multiplier])[0]
 
 
 def run_sweep(cfg: ScenarioConfig, multipliers) -> tuple[list[ShiftReport], dict]:
-    """Run the scenario at each strength multiplier and fit the residual slope."""
+    """Run the scenario at each strength multiplier and fit the log-log
+    residual slope over the positive multipliers whose residual norm exceeds
+    1e-13; the slope is None unless two distinct such multipliers remain."""
     mults = [float(m) for m in multipliers]
     if len(mults) < 3:
         raise ConfigError("a sweep needs at least 3 multipliers", "sweep")
-    # The pointer, its initial moments and the system do not depend on the multiplier.
-    grid, phi = build_pointer(cfg)
-    base = moments(phi)
-    del phi
-    system = resolve_system(cfg)
-    reports = [_shift_report(cfg, m, grid, base, system, time.perf_counter()) for m in mults]
+    if not all(np.isfinite(mults)):
+        raise ConfigError(f"multipliers must be finite, got {mults}", "sweep")
+    reports = _shift_reports(cfg, mults)
     norms = [r.residual_norm() for r in reports]
-    xs, ys = [], []
-    for m, n in zip(mults, norms):
-        if m > 0 and n > 1e-13:
-            xs.append(np.log(m))
-            ys.append(np.log(n))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
+    logs = [(np.log(m), np.log(n)) for m, n in zip(mults, norms) if m > 0 and n > 1e-13]
+    xs, ys = [x for x, _ in logs], [y for _, y in logs]
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(set(xs)) >= 2 else None
     summary = {
         "scenario_id": cfg.scenario_id,
         "multipliers": mults,

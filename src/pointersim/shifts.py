@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplingSpec, apply_couplings, make_joint, postselect, strong_readout
+from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError
 from .pointer import Grid, MomentSet, gaussian_pointer, lg_mode, moments
 from .quantum import PAULI_Z, Observable, make_state
@@ -164,21 +164,15 @@ def calibrate_sign_convention(points: int = 128) -> SignConvention:
     # Leg A: (Z)_w = i for post = (|0> + i|1>)/sqrt(2).
     post_a = make_state([1, 1j])
     proj = Observable(np.outer(post_a.amplitudes, post_a.amplitudes.conj()))
-    joint = make_joint(pre, phi)
-    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam)])
-    joint = strong_readout(joint, proj, 1)
-    pointer, _ = postselect(joint, post_a)
+    specs = [CouplingSpec(z, 0, "q", lam)]
+    final = moments(evolve(pre, phi, specs, post_a, readout=(proj, 1))[0])
     base = moments(phi)
-    final = moments(pointer)
     orientation = 1 if final.mean_q[0] - base.mean_q[0] > 0 else -1
     offset_sign = 1 if final.mean_p[1] - base.mean_p[1] > 0 else -1
 
     # Leg B: (Z)_w = 1 for post = |0>.
     post_b = make_state([1, 0])
-    joint = make_joint(pre, phi)
-    joint = apply_couplings(joint, [CouplingSpec(z, 0, "q", lam)])
-    pointer, _ = postselect(joint, post_b)
-    final_b = moments(pointer)
+    final_b = moments(evolve(pre, phi, specs, post_b)[0])
     re_orientation = 1 if final_b.mean_p[0] - base.mean_p[0] > 0 else -1
 
     if offset_sign != re_orientation:

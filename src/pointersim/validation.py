@@ -228,11 +228,10 @@ def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     worst_name = ""
     all_ok = True
     for name, (cfg, report) in corpus.items():
-        _grid, phi = build_pointer(cfg)
         pre, post, _obs, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
         fo_pointer = first_order_pointer(
-            pre, post, specs, phi,
+            pre, post, specs, build_pointer(cfg)[1],
             readout_axis=cfg.readout_axis0,
             readout_eigenvalue=a_l,
         )

@@ -14,6 +14,7 @@ from pointersim import (
     PostselectionFailed,
     RepresentationError,
     apply_couplings,
+    evolve,
     first_order_pointer,
     gaussian_pointer,
     make_joint,
@@ -153,6 +154,54 @@ class TestApplyCouplings:
             assert state.amplitudes.tobytes() == before
             assert not np.shares_memory(out.amplitudes, state.amplitudes)
             state = out
+
+
+def explicit_chain(pre, phi, specs, post, simultaneous=False, readout=None):
+    """Reference for evolve: make_joint, the couplings, the strong readout
+    and postselect, written out call by call."""
+    joint = make_joint(pre, phi)
+    if simultaneous:
+        if specs:
+            joint = apply_couplings(joint, specs)
+    else:
+        for spec in specs:
+            joint = apply_couplings(joint, [spec])
+    if readout is not None:
+        joint = strong_readout(joint, readout[0], readout[1])
+    return postselect(joint, post)
+
+
+POST = make_state([1, 1j])
+READOUT = (Observable(np.outer(POST.amplitudes, POST.amplitudes.conj())), 1)
+SEQUENTIAL_QP = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.2),
+                 CouplingSpec(Observable(PAULI_X), 1, "p", 0.15)]
+SIMULTANEOUS_PAIR = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.4),
+                     CouplingSpec(Observable(PAULI_X), 1, "q", 0.3)]
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("specs, simultaneous", [
+        (SEQUENTIAL_QP, False),
+        (SIMULTANEOUS_PAIR, True),
+        ([], False),
+        ([], True),
+    ], ids=["sequential_q_p", "simultaneous_pair", "empty", "empty_simultaneous"])
+    @pytest.mark.parametrize("readout", [None, READOUT], ids=["direct", "readout"])
+    def test_equals_the_explicit_chain_bit_for_bit(self, specs, simultaneous, readout):
+        pre = make_state([1, 2j])
+        phi = gaussian_pointer(Grid((64, 64), (8.0, 8.0)), np.array([[1.0, 0.3], [0.3, 1.0]]),
+                               theta=np.array([[0.0, 0.2], [0.2, 0.0]]))
+        pointer, prob = evolve(pre, phi, specs, POST, simultaneous=simultaneous,
+                               readout=readout)
+        ref, ref_prob = explicit_chain(pre, phi, specs, POST, simultaneous, readout)
+        assert pointer.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        assert prob == ref_prob
+
+    def test_leaves_the_pointer_alone(self):
+        phi = gauss2d(points=64)
+        before = phi.amplitudes.tobytes()
+        evolve(plus(), phi, SEQUENTIAL_QP, POST, readout=READOUT)
+        assert phi.amplitudes.tobytes() == before
 
 
 class TestPostselect:

@@ -44,6 +44,16 @@ def probe(strength=0.05, post=None):
     )
 
 
+class TestWeakProbeConfig:
+    @pytest.mark.parametrize("strength", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_zero_or_non_finite_strength(self, strength):
+        with pytest.raises(InvalidParams, match="finite and nonzero"):
+            probe(strength=strength)
+
+    def test_accepts_negative_strength(self):
+        assert probe(strength=-0.05).strength == -0.05
+
+
 class TestTwoModeGaussian:
     def test_params_validation(self):
         with pytest.raises(InvalidParams):

@@ -1,5 +1,7 @@
 """Grids, transforms, Gaussian and vortex states, moment functionals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,21 @@ class TestDisplacement:
         m = moments(out)
         assert m.cov_qp[0, 1] == pytest.approx(0.5, abs=1e-9)
         assert m.cov_qp[1, 0] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_traced_peak_stays_near_one_and_a_half_pointers(self):
+        # The result is one pointer's bytes and the real phase half of that.
+        # Building 1j*phase, its exp and the product as separate arrays
+        # would peak at two and a half.
+        g = Grid((64, 64, 64), (8.0, 8.0, 8.0))
+        phi = gaussian_pointer(g, np.eye(3))
+        tracemalloc.start()
+        try:
+            out = displace_momentum(phi, [3 * g.dp(0), -2 * g.dp(1), 5 * g.dp(2)])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * phi.amplitudes.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
+        assert out.amplitudes.shape == g.shape
 
 
 class TestMoments:

@@ -234,6 +234,12 @@ class TestRunSweep:
         # Once for the predictions, then once per multiplier inside simulate_pipeline.
         assert len(resolved) == 6
 
+    def test_rejects_non_finite_multipliers(self):
+        cfg = parse_config(minimal_document())
+        with pytest.raises(ConfigError, match="multipliers must be finite") as info:
+            run_sweep(cfg, (1.0, -np.inf, 0.5))
+        assert info.value.path == "sweep"
+
     def test_zero_coupling_sweep_residuals_vanish(self):
         cfg = load_bundled("zero_coupling")
         reports, summary = run_sweep(cfg, cfg.sweep)
@@ -290,6 +296,32 @@ class TestCli:
         cfg_path.write_text(json.dumps(minimal_document()))
         assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "document"])
+    def test_sweep_at_one_distinct_multiplier_has_no_slope(self, tmp_path, source):
+        # Three equal multipliers leave one distinct log-multiplier: there is
+        # no line to fit, so the slope is null rather than a fitting error.
+        doc = minimal_document()
+        args = []
+        if source == "flag":
+            args = ["--multipliers", "1", "1", "1"]
+        else:
+            doc["sweep"] = [1, 1, 1]
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["sweep", str(cfg_path), *args, "--out", str(tmp_path / "s")]) == 0
+        summary = json.loads((tmp_path / "s" / "tiny_sweep.json").read_text())["summary"]
+        assert summary["multipliers"] == [1.0, 1.0, 1.0]
+        assert summary["slope"] is None
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_sweep_non_finite_multiplier_exits_2(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "tiny.json"
+        cfg_path.write_text(json.dumps(minimal_document()))
+        assert main(["sweep", str(cfg_path), "--multipliers", bad, "1", "0.5",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert "config error: sweep: multipliers must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -333,6 +365,15 @@ class TestCli:
         obj = json.loads((tmp_path / files[0]).read_text())
         assert obj["entangled_direct"] and obj["entangled_from_shifts"]
         assert obj["det_direct"] == pytest.approx(-1.0 / 12.0, abs=1e-6)
+
+    @pytest.mark.parametrize("strength", ["0", "nan", "inf"])
+    def test_entangle_unusable_strength_exits_1(self, tmp_path, capsys, strength):
+        assert main(["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125",
+                     "--strength", strength, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: probe strength must be finite and nonzero")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_appendix_a_command(self, tmp_path):
         assert main(["appendix-a", "--sigma1", "1.0", "--sigma2", "1.0",
