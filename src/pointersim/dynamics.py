@@ -6,7 +6,11 @@ own representation, so the evolution reduces to a pointwise d x d matrix
 exponential over grid points; with a single coupling the observable is
 diagonalized once and only phases touch the grid.
 
-Every caller runs the exact pipeline through :func:`evolve`.  The first-order
+Every caller runs the exact pipeline through :func:`evolve`.  Its coupling,
+readout and transform steps write their results back into the one joint
+buffer that :func:`make_joint` allocated, so the pipeline holds a single joint
+state; called directly, :func:`apply_couplings` and :func:`strong_readout`
+allocate their output and leave their input state alone.  The first-order
 path, which the closed-form shift predictions assume, is
 :func:`first_order_pointer`: it builds the postselected pointer from weak
 values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
@@ -14,7 +18,6 @@ values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +34,15 @@ from .pointer import (
     PointerWavefunction,
     _apply_momentum,
     _axis_transform,
+    _mass,
     _normalized,
+    _row_blocks,
     _sum_abs2,
     displace_momentum,
 )
 from .quantum import Observable, SystemState, eigendecompose, weak_value
 
 _POSTSELECT_FLOOR = 1e-12
-# Grid cells per block in the single-observable branch of apply_couplings:
-# a block's rotated amplitudes (d * 2**14 complex values, 0.5 MiB at d = 2)
-# stay in cache from the rotation through the phase to the rotation back.
-_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,22 @@ class CouplingSpec:
 class JointState:
     """System tensor pointer amplitudes, shape (d, *grid.shape).
 
-    The constructor copies the caller's array, so later writes to it never
-    reach the state; the kernels hand over arrays they have just built through
-    :meth:`_adopt` instead.  ``amplitudes`` is read-only either way.
+    The constructor copies the caller's array in C order, so later writes to
+    it never reach the state and the pointer that :func:`postselect` projects
+    out is C-ordered; the kernels hand over C-ordered arrays they have just
+    built through :meth:`_adopt` instead.  ``amplitudes`` is a read-only view
+    either way.
+    The array under it, ``_buffer``, stays writeable: :func:`evolve` passes it
+    as ``out`` so that each step overwrites the state it has just read.
     """
 
     def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...]):
-        self._wrap(grid, np.array(amplitudes, dtype=complex), reps)
+        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"), reps)
 
     @classmethod
     def _adopt(cls, grid: Grid, amps: np.ndarray, reps: tuple[str, ...]) -> JointState:
-        """Wrap ``amps``, a fresh complex array nothing else references, without a copy."""
+        """Wrap ``amps`` without a copy: a fresh complex array nothing else
+        references, or the joint buffer of the pipeline step that wrote it."""
         state = cls.__new__(cls)
         state._wrap(grid, amps, reps)
         return state
@@ -86,7 +92,8 @@ class JointState:
         if len(reps) != grid.dims:
             raise DimensionError("one representation tag per pointer axis required")
         self.grid = grid
-        self.amplitudes = amps
+        self._buffer = amps
+        self.amplitudes = amps.view()
         self.amplitudes.flags.writeable = False
         self.reps = tuple(reps)
         norm2 = self.norm_squared()
@@ -107,10 +114,15 @@ def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
     return JointState._adopt(phi.grid, amps, ("position",) * phi.grid.dims)
 
 
-def _to_axis_rep(state: JointState, axis: int, rep: str) -> JointState:
+def _to_axis_rep(state: JointState, axis: int, rep: str,
+                 out: np.ndarray | None = None) -> JointState:
+    """``state`` with pointer axis ``axis`` in representation ``rep``; the
+    transform writes into ``out`` (fresh when omitted, and not made at all
+    when the axis is already there)."""
     if state.reps[axis] == rep:
         return state
-    amps = _axis_transform(state.amplitudes, state.grid, axis, forward=rep == "momentum")
+    amps = _axis_transform(state.amplitudes, state.grid, axis, forward=rep == "momentum",
+                           out=out)
     reps = list(state.reps)
     reps[axis] = rep
     return JointState._adopt(state.grid, amps, tuple(reps))
@@ -121,17 +133,25 @@ def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
     return grid.axis_array(axis, vals)
 
 
-def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
+def apply_couplings(state: JointState, specs: list[CouplingSpec],
+                    out: np.ndarray | None = None) -> JointState:
     """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)``.
 
     All specs in one call must use the same quadrature kind; the listed terms
-    act simultaneously (they are summed in one exponent).
+    act simultaneously (they are summed in one exponent).  The axis
+    transforms and the evolved amplitudes are written into ``out``, a complex
+    array of the state's shape that may be the state's own ``_buffer``; the
+    returned state adopts it.  Without ``out`` the call allocates one, so the
+    input state is left alone.  With nothing to transform or couple it
+    returns ``state`` itself.
 
-    With one live term the observable is diagonalized once; the amplitudes
-    are rotated into its eigenbasis, phased and rotated back one block of
-    leading grid rows at a time (``_BLOCK_CELLS`` cells), straight into the
-    fresh array the returned state adopts.  Every cell sees the same
-    operations as a full-array rotation, so the result is bit-equal to it.
+    Both branches work one block of leading grid rows at a time
+    (``_BLOCK_CELLS`` cells): a block is rotated into the eigenbasis of the
+    generator, phased, and rotated back into ``out``.  Every cell sees the
+    same operations as a full-array rotation, so the result is bit-equal to
+    it, and a block is read before its rows of ``out`` are written.  With one
+    live term the observable is diagonalized once; with several, the
+    pointwise generator is.
     """
     if not specs:
         return state
@@ -146,48 +166,50 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec]) -> JointState:
             raise DimensionError(f"axis {s.axis} outside grid with {state.grid.dims} axes")
     quadrature = specs[0].quadrature
     rep = "position" if quadrature == "q" else "momentum"
-    for s in specs:
-        state = _to_axis_rep(state, s.axis, rep)
     live = [s for s in specs if s.strength != 0.0]
+    if not live and all(state.reps[s.axis] == rep for s in specs):
+        return state
+    if out is None:
+        out = np.empty_like(state.amplitudes)
+    for s in specs:
+        state = _to_axis_rep(state, s.axis, rep, out)
     if not live:
         return state
-    amps = state.amplitudes
+    grid, amps = state.grid, state.amplitudes
     if len(live) == 1:
         # Single observable: diagonalize once, apply pure phases per eigenline.
         s = live[0]
         spec_eig = eigendecompose(s.observable)
         v = spec_eig.eigenvectors
         v_conj = v.conj()
-        xi = _quadrature_values(state.grid, s.axis, quadrature)
-        eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * state.grid.dims)
+        xi = _quadrature_values(grid, s.axis, quadrature)
+        eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
         phase = np.exp(-1j * s.strength * eigcol * xi)
-        new = np.empty_like(amps)
-        rows = max(1, _BLOCK_CELLS // math.prod(state.grid.shape[1:]))
-        for start in range(0, amps.shape[1], rows):
-            blk = slice(start, start + rows)
+        for blk in _row_blocks(grid.shape):
             rotated = np.einsum("ij,i...->j...", v_conj, amps[:, blk])
             np.multiply(rotated, phase[:, blk] if s.axis == 0 else phase, out=rotated)
-            np.einsum("ij,j...->i...", v, rotated, out=new[:, blk])
-        return JointState._adopt(state.grid, new, state.reps)
+            np.einsum("ij,j...->i...", v, rotated, out=out[:, blk])
+        return JointState._adopt(grid, out, state.reps)
     # General case: pointwise Hermitian generator, batched eigendecomposition.
-    shape = state.grid.shape
-    gen = np.zeros(shape + (d, d), dtype=complex)
+    gen = np.zeros(grid.shape + (d, d), dtype=complex)
     for s in live:
-        xi = np.broadcast_to(_quadrature_values(state.grid, s.axis, quadrature), shape)
+        xi = _quadrature_values(grid, s.axis, quadrature)
         gen += s.strength * xi[..., None, None] * s.observable.matrix
     w, v = np.linalg.eigh(gen)
     del gen
-    rotated = np.einsum("...ij,...i->...j", v.conj(), np.moveaxis(amps, 0, -1))
-    np.multiply(rotated, np.exp(-1j * w), out=rotated)
-    new = np.empty_like(amps)
-    np.einsum("...ij,...j->...i", v, rotated, out=np.moveaxis(new, 0, -1))
-    return JointState._adopt(state.grid, new, state.reps)
+    for blk in _row_blocks(grid.shape):
+        rotated = np.einsum("...ij,...i->...j", v[blk].conj(), np.moveaxis(amps[:, blk], 0, -1))
+        np.multiply(rotated, np.exp(-1j * w[blk]), out=rotated)
+        np.einsum("...ij,...j->...i", v[blk], rotated, out=np.moveaxis(out[:, blk], 0, -1))
+    return JointState._adopt(grid, out, state.reps)
 
 
-def strong_readout(state: JointState, observable: Observable, axis: int) -> JointState:
-    """Unit-strength exact position coupling used as the projective readout."""
+def strong_readout(state: JointState, observable: Observable, axis: int,
+                   out: np.ndarray | None = None) -> JointState:
+    """Unit-strength exact position coupling used as the projective readout;
+    ``out`` as for :func:`apply_couplings`."""
     spec = CouplingSpec(observable=observable, axis=axis, quadrature="q", strength=1.0)
-    return apply_couplings(state, [spec])
+    return apply_couplings(state, [spec], out)
 
 
 def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunction, float]:
@@ -198,7 +220,7 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
     for axis in range(state.grid.dims):
         state = _to_axis_rep(state, axis, "position")
     pointer = np.einsum("a,a...->...", target.amplitudes.conj(), state.amplitudes)
-    prob = float(np.sum(np.abs(pointer) ** 2) * state.grid.cell_volume(state.reps))
+    prob = float(_mass(pointer, state.grid.cell_volume(state.reps)))
     if prob < _POSTSELECT_FLOOR:
         raise PostselectionFailed(f"postselection probability {prob:.3e} below 1e-12")
     # Every axis is in position representation, so prob is also the squared norm.
@@ -212,16 +234,21 @@ def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec]
     term when ``simultaneous``), the strong readout ``(observable, axis)`` when
     given, then :func:`postselect` onto ``post``.  One spec and no readout is
     the usual weak measurement.  ``phi`` is dropped once joined, so a caller
-    holding no reference of its own frees it early."""
+    holding no reference of its own frees it early.  Every step, the
+    transforms back to position included, writes into the joint buffer of
+    :func:`make_joint`, so no second joint state is ever made."""
     joint = make_joint(pre, phi)
     del phi  # full-grid; the joint state holds what the pipeline needs
+    buf = joint._buffer
     if not simultaneous:
         for spec in specs:
-            joint = apply_couplings(joint, [spec])
+            joint = apply_couplings(joint, [spec], buf)
     elif specs:
-        joint = apply_couplings(joint, specs)
+        joint = apply_couplings(joint, specs, buf)
     if readout is not None:
-        joint = strong_readout(joint, *readout)
+        joint = strong_readout(joint, *readout, buf)
+    for axis in range(joint.grid.dims):
+        joint = _to_axis_rep(joint, axis, "position", buf)
     return postselect(joint, post)
 
 

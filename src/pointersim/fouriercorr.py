@@ -67,14 +67,18 @@ def partial_fourier(f: DensityGrid, axis: int) -> np.ndarray:
     This is not the pointer module's unitary axis transform: the kernel has
     no ``1/sqrt(2 pi)``.  The prefactor cancels in the moment functional, but
     scaling by it moves the rounding, which changes the serialized residual of
-    the Appendix-A check in its last digits.
+    the Appendix-A check in its last digits.  For the same reason the product
+    is written out with its operand order fixed: complex ``a * b`` and
+    ``b * a`` may differ in the last bit, and numpy may swap the operands of a
+    plain ``*`` on large temporaries.
     """
     if axis not in (0, 1):
         raise DimensionError(f"axis must be 0 or 1, got {axis}")
     grid = f.grid
     p = grid.momenta(axis)
     phase = grid.axis_array(axis, np.exp(1j * p * grid.extent[axis]))
-    return grid.dq(axis) * phase * np.fft.fft(f.values, axis=axis)
+    out = np.fft.fft(f.values, axis=axis)
+    return np.multiply(grid.dq(axis) * phase, out, out=out)
 
 
 def appendix_a_check(

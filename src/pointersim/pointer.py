@@ -15,6 +15,7 @@ accurate for smooth decaying states on a periodic grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .errors import (
 )
 
 _NORM_TOL = 1e-8
+# Grid cells per block of leading rows in the blockwise kernels (moments, the
+# mass sums and both coupling branches): a block's intermediates (2**14
+# complex values are 256 KiB) stay in cache from one operation to the next.
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -134,13 +139,14 @@ def _check_coverage(grid: Grid, stds, means) -> None:
 class PointerWavefunction:
     """Complex position-space amplitudes over a grid.
 
-    The constructor copies the caller's array, so later writes to it never
-    reach the state; the kernels hand over arrays they have just built through
+    The constructor copies the caller's array in C order, so later writes to
+    it never reach the state and blocks of leading rows are contiguous; the
+    kernels hand over C-ordered arrays they have just built through
     :meth:`_adopt` instead.  ``amplitudes`` is read-only either way.
     """
 
     def __init__(self, grid: Grid, amplitudes: np.ndarray):
-        self._wrap(grid, np.array(amplitudes, dtype=complex))
+        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"))
 
     @classmethod
     def _adopt(cls, grid: Grid, amps: np.ndarray) -> PointerWavefunction:
@@ -174,12 +180,55 @@ def _sum_abs2(amps: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
+def _block_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of one block of leading grid rows: ``_BLOCK_CELLS`` cells, at
+    least one row, at most the whole grid."""
+    rows = min(shape[0], max(1, _BLOCK_CELLS // math.prod(shape[1:])))
+    return (rows,) + tuple(shape[1:])
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """Slices of leading grid rows, one per block.  Grid sizes are powers of
+    two, so every block has :func:`_block_shape`."""
+    rows = _block_shape(shape)[0]
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
+
+
+def _block_rows(axis_values: np.ndarray, blk: slice) -> np.ndarray:
+    """The part of an ``axis_array`` that broadcasts against rows ``blk``."""
+    return axis_values[blk] if axis_values.shape[0] > 1 else axis_values
+
+
+def _block_sums(shape: tuple[int, ...], block_parts) -> np.ndarray:
+    """``np.sum`` of whole grid arrays, assembled from blocks of leading rows.
+
+    ``block_parts(blk)`` returns one ``np.sum`` per quantity over rows
+    ``blk`` of a C-ordered array.  On a contiguous array of 2**k values numpy
+    sums pairwise: it halves the array down to leaves of at most 128 values
+    (64 complex ones).  A block of 2**14 cells or of the whole array is
+    therefore one subtree, and adding the block sums in the same balanced
+    binary tree reproduces every bit of the whole-array ``np.sum``.
+    """
+    parts = np.array([block_parts(blk) for blk in _row_blocks(shape)])
+    while len(parts) > 1:
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
+
+
+def _mass(amps: np.ndarray, vol: float) -> float:
+    """``np.sum(np.abs(amps) ** 2) * vol``, bit for bit, for a C-ordered grid
+    array; one real block buffer holds the squared moduli."""
+    sq = np.empty(_block_shape(amps.shape))
+    return _block_sums(amps.shape, lambda blk: [
+        np.sum(np.square(np.abs(amps[blk], out=sq), out=sq))])[0] * vol
+
+
 def _normalized(grid: Grid, amps: np.ndarray, mass: float | None = None) -> PointerWavefunction:
     """Divide ``amps`` in place by its norm and adopt it, so ``amps`` must be a
-    fresh complex array nothing else references.  ``mass`` is
+    fresh C-ordered complex array nothing else references.  ``mass`` is
     ``sum |amps|^2 * dvol`` when the caller has already computed it."""
     if mass is None:
-        mass = np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims)
+        mass = _mass(amps, grid.cell_volume(("position",) * grid.dims))
     norm = np.sqrt(mass)
     if norm == 0.0 or not np.isfinite(norm):
         raise NormalizationError("cannot normalize: zero or non-finite norm")
@@ -323,59 +372,76 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     same-axis products from the mixed representations would need 3*D; that
     waits on ROADMAP item 1, which re-baselines the traced FFT counts.  The
     transforms all write into one complex scratch array the size of the state.
+    Densities, products and their partial sums are formed one block of leading
+    rows at a time, so the other scratch is four block buffers: about one
+    pointer plus blocks in all.  :func:`_block_sums` adds the block sums in
+    numpy's pairwise order, so every mean and covariance keeps the bits of the
+    whole-array ``np.sum``.
     """
     grid = phi.grid
     d = grid.dims
+    shape = grid.shape
     psi_q = phi.amplitudes
     dvol_q = grid.cell_volume(("position",) * d)
-    rho_q = _density(psi_q, dvol_q)
-    if not abs(float(np.sum(rho_q)) - 1.0) <= _NORM_TOL:
+    qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
+    ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
+    rho, w, prod = (np.empty(_block_shape(shape)) for _ in range(3))
+    conj = np.empty(_block_shape(shape), dtype=complex)
+
+    def mass_mean_cov(amps, vol, xs):
+        # Per block: sum rho, then for each i sum w = rho * x_i and, for
+        # j >= i, sum w * x_j, so rho * x_i * x_j evaluates as (rho * x_i) * x_j.
+        def parts(blk):
+            row = [np.sum(_density(amps[blk], vol, out=rho))]
+            for i in range(d):
+                row.append(np.sum(np.multiply(rho, _block_rows(xs[i], blk), out=w)))
+                row += [np.sum(np.multiply(w, _block_rows(xs[j], blk), out=prod))
+                        for j in range(i, d)]
+            return row
+        # An invalid product needs a non-finite density, which fails the mass
+        # check right after this pass, so it need not warn first.
+        with np.errstate(invalid="ignore"):
+            sums = iter(_block_sums(shape, parts))
+        norm, mean, raw = float(next(sums)), np.zeros(d), np.zeros((d, d))
+        for i in range(d):
+            mean[i] = next(sums)
+            for j in range(i, d):
+                raw[i, j] = raw[j, i] = next(sums)
+        return norm, mean, raw - np.outer(mean, mean)
+
+    norm_q, mean_q, cov_qq = mass_mean_cov(psi_q, dvol_q, qs)
+    if not abs(norm_q - 1.0) <= _NORM_TOL:
         raise NormalizationError("moments need a normalized wavefunction")
     scratch = _axis_transform(psi_q, grid, 0, out=np.empty_like(psi_q))
     for axis in range(1, d):
         scratch = _axis_transform(scratch, grid, axis, out=scratch)
-    rho_p = _density(scratch, grid.cell_volume(("momentum",) * d))
-    norm_p = float(np.sum(rho_p))
+    norm_p, mean_p, cov_pp = mass_mean_cov(scratch, grid.cell_volume(("momentum",) * d), ps)
     if not abs(norm_p - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
-    qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
-    ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
-    w, prod = np.empty_like(rho_q), np.empty_like(rho_q)
-
-    def mean_and_cov(rho, xs):
-        # w = rho * x_i gives the mean of x_i and row i of the covariance:
-        # rho * x_i * x_j evaluates as (rho * x_i) * x_j.
-        mean, raw = np.zeros(d), np.zeros((d, d))
-        for i in range(d):
-            mean[i] = float(np.sum(np.multiply(rho, xs[i], out=w)))
-            for j in range(i, d):
-                raw[i, j] = raw[j, i] = float(np.sum(np.multiply(w, xs[j], out=prod)))
-        return mean, raw - np.outer(mean, mean)
-
-    mean_p, cov_pp = mean_and_cov(rho_p, ps)
-    del rho_p
-    mean_q, cov_qq = mean_and_cov(rho_q, qs)
 
     cov_qp = np.zeros((d, d))
     for m in range(d):
         # Mixed representation: axis m in momentum, the rest in position.
         reps = ["position"] * d
         reps[m] = "momentum"
-        rho_mix = _density(_axis_transform(psi_q, grid, m, out=scratch),
-                           grid.cell_volume(tuple(reps)), out=rho_q)
-        for q_axis in range(d):
-            if q_axis == m:
-                continue
-            np.multiply(rho_mix, qs[q_axis], out=prod)
-            raw = float(np.sum(np.multiply(prod, ps[m], out=prod)))
-            cov_qp[q_axis, m] = raw - mean_q[q_axis] * mean_p[m]
-    del rho_q, rho_mix, w, prod
-    conj_q = np.empty_like(psi_q)
+        mixed = _axis_transform(psi_q, grid, m, out=scratch)
+        vol = grid.cell_volume(tuple(reps))
+        q_axes = [j for j in range(d) if j != m]
+
+        def mixed_parts(blk):
+            _density(mixed[blk], vol, out=rho)
+            return [np.sum(np.multiply(np.multiply(rho, _block_rows(qs[j], blk), out=prod),
+                                       _block_rows(ps[m], blk), out=prod)) for j in q_axes]
+        for j, raw in zip(q_axes, _block_sums(shape, mixed_parts)):
+            cov_qp[j, m] = raw - mean_q[j] * mean_p[m]
     for j in range(d):
         # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
         p_psi = _apply_momentum(psi_q, grid, j, out=scratch)
-        np.multiply(np.conjugate(psi_q, out=conj_q), qs[j], out=conj_q)
-        raw = complex(np.sum(np.multiply(conj_q, p_psi, out=p_psi)) * dvol_q)
+
+        def same_axis_parts(blk):
+            np.multiply(np.conjugate(psi_q[blk], out=conj), _block_rows(qs[j], blk), out=conj)
+            return [np.sum(np.multiply(conj, p_psi[blk], out=conj))]
+        raw = complex(_block_sums(shape, same_axis_parts)[0] * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
 
     for arr in (mean_q, mean_p, cov_qq, cov_qp, cov_pp):

@@ -230,12 +230,12 @@ def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     for name, (cfg, report) in corpus.items():
         pre, post, _obs, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
-        fo_pointer = first_order_pointer(
+        # No binding holds the pointers, so each is freed once its moments are taken.
+        m_fo = moments(first_order_pointer(
             pre, post, specs, build_pointer(cfg)[1],
             readout_axis=cfg.readout_axis0,
             readout_eigenvalue=a_l,
-        )
-        m_fo = moments(fo_pointer)
+        ))
         dist = float(max(np.max(np.abs(report.final_mean_q - m_fo.mean_q)),
                          np.max(np.abs(report.final_mean_p - m_fo.mean_p))))
         lam_tot = sum(abs(c.strength) for c in cfg.couplings)

@@ -1,9 +1,18 @@
-"""Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path."""
+"""Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
+a whole-array reference for the blockwise moments, and a traced-peak probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pointersim.pointer import Grid, PointerWavefunction
+from pointersim.pointer import (
+    Grid,
+    MomentSet,
+    PointerWavefunction,
+    _apply_momentum,
+    _axis_transform,
+)
 
 
 def dense_axis_transform(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -31,6 +40,57 @@ def oracle_mixed_moment(phi: PointerWavefunction, q_axis: int, p_axis: int) -> f
     return float(np.sum(rho * qv * pv)) - mean_q * mean_p
 
 
+def reference_moments(phi: PointerWavefunction) -> MomentSet:
+    """Whole-array moments: every density, product and sum is formed over the
+    full grid, with the operations and operand order of :func:`moments`.  The
+    blockwise ``moments`` must match it bit for bit, which holds as long as
+    numpy's ``np.sum`` keeps its pairwise order."""
+    grid, d = phi.grid, phi.grid.dims
+    psi_q = phi.amplitudes
+    dvol_q = grid.cell_volume(("position",) * d)
+    qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
+    ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
+
+    def mean_and_cov(rho, xs):
+        mean, raw = np.zeros(d), np.zeros((d, d))
+        for i in range(d):
+            w = rho * xs[i]
+            mean[i] = float(np.sum(w))
+            for j in range(i, d):
+                raw[i, j] = raw[j, i] = float(np.sum(w * xs[j]))
+        return mean, raw - np.outer(mean, mean)
+
+    psi_p = psi_q
+    for axis in range(d):
+        psi_p = _axis_transform(psi_p, grid, axis)
+    mean_p, cov_pp = mean_and_cov(np.abs(psi_p) ** 2 * grid.cell_volume(("momentum",) * d), ps)
+    mean_q, cov_qq = mean_and_cov(np.abs(psi_q) ** 2 * dvol_q, qs)
+    cov_qp = np.zeros((d, d))
+    for m in range(d):
+        reps = ["position"] * d
+        reps[m] = "momentum"
+        rho = np.abs(_axis_transform(psi_q, grid, m)) ** 2 * grid.cell_volume(tuple(reps))
+        for j in range(d):
+            if j != m:
+                cov_qp[j, m] = float(np.sum((rho * qs[j]) * ps[m])) - mean_q[j] * mean_p[m]
+    for j in range(d):
+        raw = complex(np.sum(np.multiply(np.conjugate(psi_q) * qs[j],
+                                         _apply_momentum(psi_q, grid, j))) * dvol_q)
+        cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
+    return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the peak bytes ``tracemalloc`` traces while ``fn()``
+    runs.  What was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -50,4 +110,6 @@ __all__ = [
     "oracle_mixed_moment",
     "random_hermitian",
     "random_state_vector",
+    "reference_moments",
+    "traced_peak",
 ]

@@ -177,20 +177,34 @@ SEQUENTIAL_QP = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.2),
                  CouplingSpec(Observable(PAULI_X), 1, "p", 0.15)]
 SIMULTANEOUS_PAIR = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.4),
                      CouplingSpec(Observable(PAULI_X), 1, "q", 0.3)]
+SEQUENTIAL_3D = [CouplingSpec(Observable(PAULI_Z), 2, "p", 0.2),
+                 CouplingSpec(Observable(PAULI_X), 0, "p", 0.15),
+                 CouplingSpec(Observable(PAULI_X), 1, "q", 0.1)]
+SIMULTANEOUS_P_PAIR = [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.4),
+                       CouplingSpec(Observable(PAULI_X), 1, "p", 0.3)]
 
 
 class TestEvolve:
-    @pytest.mark.parametrize("specs, simultaneous", [
-        (SEQUENTIAL_QP, False),
-        (SIMULTANEOUS_PAIR, True),
-        ([], False),
-        ([], True),
-    ], ids=["sequential_q_p", "simultaneous_pair", "empty", "empty_simultaneous"])
+    # evolve writes every step into one joint buffer; the explicit chain's
+    # public calls each allocate a fresh array.  The cases reach both
+    # coupling branches in q and in p, and transforms along every axis of a
+    # 3-axis grid.
+    @pytest.mark.parametrize("specs, simultaneous, points", [
+        (SEQUENTIAL_QP, False, (64, 64)),
+        (SIMULTANEOUS_PAIR, True, (64, 64)),
+        ([], False, (64, 64)),
+        ([], True, (64, 64)),
+        (SEQUENTIAL_3D, False, (32, 32, 32)),
+        (SIMULTANEOUS_P_PAIR, True, (64, 64)),
+    ], ids=["sequential_q_p", "simultaneous_pair", "empty", "empty_simultaneous",
+            "sequential_3d", "simultaneous_p_pair"])
     @pytest.mark.parametrize("readout", [None, READOUT], ids=["direct", "readout"])
-    def test_equals_the_explicit_chain_bit_for_bit(self, specs, simultaneous, readout):
+    def test_equals_the_explicit_chain_bit_for_bit(self, specs, simultaneous, points, readout):
         pre = make_state([1, 2j])
-        phi = gaussian_pointer(Grid((64, 64), (8.0, 8.0)), np.array([[1.0, 0.3], [0.3, 1.0]]),
-                               theta=np.array([[0.0, 0.2], [0.2, 0.0]]))
+        dims = len(points)
+        sigma = np.full((dims, dims), 0.3) + 0.7 * np.eye(dims)
+        theta = np.full((dims, dims), 0.2) - 0.2 * np.eye(dims)
+        phi = gaussian_pointer(Grid(points, (8.0,) * dims), sigma, theta=theta)
         pointer, prob = evolve(pre, phi, specs, POST, simultaneous=simultaneous,
                                readout=readout)
         ref, ref_prob = explicit_chain(pre, phi, specs, POST, simultaneous, readout)

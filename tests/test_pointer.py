@@ -1,7 +1,5 @@
 """Grids, transforms, Gaussian and vortex states, moment functionals."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from pointersim import (
     moments,
 )
 from pointersim.pointer import _apply_momentum, _axis_transform
-from conftest import dense_axis_transform, oracle_mixed_moment
+from conftest import dense_axis_transform, oracle_mixed_moment, traced_peak
 
 
 def grid2(points=128, extent=8.0):
@@ -210,12 +208,8 @@ class TestDisplacement:
         # would peak at two and a half.
         g = Grid((64, 64, 64), (8.0, 8.0, 8.0))
         phi = gaussian_pointer(g, np.eye(3))
-        tracemalloc.start()
-        try:
-            out = displace_momentum(phi, [3 * g.dp(0), -2 * g.dp(1), 5 * g.dp(2)])
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(
+            lambda: displace_momentum(phi, [3 * g.dp(0), -2 * g.dp(1), 5 * g.dp(2)]))
         assert peak <= 1.6 * phi.amplitudes.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
         assert out.amplitudes.shape == g.shape
 
@@ -265,6 +259,15 @@ class TestMoments:
         assert m.cov_qq[0, 1] == pytest.approx(0.0, abs=1e-9)
         assert m.cov_qp[0, 1] == pytest.approx(0.0, abs=1e-9)
         assert m.cov_pp[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_traced_scratch_stays_within_one_and_a_half_pointers(self):
+        # The transforms share one pointer-sized scratch array; densities and
+        # products live in block buffers.  Whole-array densities, products
+        # and a conjugate copy took three pointer sizes.
+        g = Grid((64, 64, 64), (8.0, 8.0, 8.0))
+        phi = gaussian_pointer(g, np.eye(3))
+        _m, peak = traced_peak(lambda: moments(phi))
+        assert peak <= 1.5 * phi.amplitudes.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_symmetry_and_variance_diagonals(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])

@@ -1,6 +1,8 @@
 """Property tests: the axis transform is unitary, the grid moments of a
-correlated Gaussian reproduce its covariance parameters, and the blockwise
-single-observable coupling equals the full-array rotation bit for bit.
+correlated Gaussian reproduce its covariance parameters, the blockwise
+single-observable coupling equals the full-array rotation bit for bit, the
+blockwise moments equal the whole-array reference bit for bit, and the exact
+pipeline conserves probability over a complete postselection basis.
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as deterministic as the rest of the suite.
@@ -10,10 +12,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointersim.dynamics import CouplingSpec, JointState, apply_couplings
-from pointersim.pointer import Grid, _axis_transform, gaussian_pointer, moments
-from pointersim.quantum import Observable, eigendecompose
-from conftest import random_hermitian
+from pointersim.dynamics import CouplingSpec, JointState, apply_couplings, evolve
+from pointersim.pointer import (
+    _BLOCK_CELLS,
+    Grid,
+    PointerWavefunction,
+    _axis_transform,
+    gaussian_pointer,
+    moments,
+)
+from pointersim.quantum import Observable, SystemState, eigendecompose
+from conftest import random_hermitian, random_state_vector, reference_moments
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -112,3 +121,38 @@ def test_single_coupling_matches_full_array_rotation(points, d, quadrature, stre
     assert out.reps == state.reps
     assert out.amplitudes.tobytes() == full_array_coupling(state, spec).tobytes()
     assert abs(out.norm_squared() - state.norm_squared()) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(points=st.sampled_from(((256, 256), (64, 64, 64), (32, 64, 64), (2 * _BLOCK_CELLS,))),
+       seed=st.integers(0, 2**32 - 1))
+def test_blockwise_moments_equal_the_whole_array_sums(points, seed):
+    # Every grid here spans several blocks of _BLOCK_CELLS cells.  This fails
+    # by name if a numpy release changes the pairwise order of np.sum.
+    grid = Grid(points, (8.0,) * len(points))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=points) + 1j * rng.normal(size=points)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims))
+    phi = PointerWavefunction(grid, amps)
+    got, ref = moments(phi), reference_moments(phi)
+    for field in ("mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+@PROPERTY_SETTINGS
+@given(d=st.integers(2, 4), quadrature=st.sampled_from(("q", "p")),
+       strengths=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=2),
+       simultaneous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_exact_pipeline_conserves_probability(d, quadrature, strengths, simultaneous, seed):
+    # Unitary evolution, then a complete orthonormal postselection basis:
+    # the branch probabilities sum to the joint state's norm, 1.
+    rng = np.random.default_rng(seed)
+    grid = Grid((32, 32), (7.0, 7.0))
+    phi = gaussian_pointer(grid, np.array([[1.0, 0.3], [0.3, 0.8]]))
+    pre = SystemState(random_state_vector(rng, d))
+    specs = [CouplingSpec(Observable(random_hermitian(rng, d)), axis, quadrature, lam)
+             for axis, lam in enumerate(strengths)]
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    total = sum(evolve(pre, phi, specs, SystemState(basis[:, k]), simultaneous=simultaneous)[1]
+                for k in range(d))
+    assert abs(total - 1.0) <= 1e-12

@@ -2,7 +2,6 @@
 
 import json
 import os
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from pointersim.scenarios import (
     run_scenario,
     run_sweep,
 )
+from conftest import traced_peak
 
 
 def minimal_document():
@@ -192,19 +192,25 @@ class TestRunScenario:
         assert len(lines) == 1 + 2 * 2  # header + axes x quadratures
         assert lines[1].startswith("jozsa_baseline,1,q,")
 
-    def test_traced_peak_stays_within_two_and_a_half_joint_states(self):
+    def test_traced_peak_stays_within_one_point_six_joint_states(self):
         # The 64^3 joint state is 8 MiB.  A run whose stages copied it, or
         # kept the initial pointer alive through the couplings, would peak at
-        # about 40 MiB; handing fresh arrays over keeps it near 17 MiB.
+        # about 40 MiB.  Every pipeline step writes into the one joint buffer,
+        # so the peak is make_joint's: the pointer plus the joint state.
         cfg = load_bundled("seq_corr_full")
         joint_bytes = 2 * 64**3 * np.dtype(complex).itemsize
-        tracemalloc.start()
-        try:
-            run_scenario(cfg)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+        _report, peak = traced_peak(lambda: run_scenario(cfg))
+        assert peak <= 1.6 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_simultaneous_branch_peaks_within_six_joint_states(self):
+        # lg_probe's 256^2 joint state is 2 MiB.  Its d x d generator and
+        # eigenvectors are two joint states each and must coexist in eigh;
+        # conjugating the eigenvectors blockwise and building the generator
+        # from unbroadcast axis terms keeps everything else to blocks.
+        cfg = load_bundled("lg_probe")
+        joint_bytes = 2 * 256**2 * np.dtype(complex).itemsize
+        _report, peak = traced_peak(lambda: run_scenario(cfg))
+        assert peak <= 6 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_json_shape(self):
         report = run_scenario(load_bundled("jozsa_baseline"))
