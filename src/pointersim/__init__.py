@@ -57,7 +57,6 @@ from .shifts import (
     FROZEN_CONVENTION,
     ShiftPrediction,
     SignConvention,
-    calibrate_sign_convention,
     lg_compatibility,
     predict_general,
     predict_lg,

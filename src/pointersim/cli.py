@@ -12,20 +12,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .entanglement import (
-    TwoModeGaussianParams,
-    WeakProbeConfig,
-    c_matrix_direct,
-    c_matrix_from_shifts,
-    is_entangled,
-    two_mode_gaussian,
-)
+from .entanglement import TwoModeGaussianParams, is_entangled, probe_c_matrices
 from .errors import ConfigError, PointersimError
 from .fouriercorr import appendix_a_check
-from .pointer import auto_grid
-from .quantum import PAULI_Z, Observable, make_state
 from .scenarios import (
     json_text,
     load_config,
@@ -99,17 +88,8 @@ def _cmd_lg_check(args) -> int:
 
 
 def _cmd_entangle(args) -> int:
-    params = TwoModeGaussianParams(args.alpha, args.beta, args.gamma)
-    grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
-    phi = two_mode_gaussian(grid, params)
-    probe = WeakProbeConfig(
-        observable=Observable(PAULI_Z),
-        pre=make_state([1, 1]),
-        post=make_state([1, 1j]),
-        strength=args.strength,
-    )
-    direct = c_matrix_direct(phi)
-    recon = c_matrix_from_shifts(phi, probe)
+    direct, recon = probe_c_matrices(TwoModeGaussianParams(args.alpha, args.beta, args.gamma),
+                                     args.strength)
     obj = {
         "alpha": args.alpha,
         "beta": args.beta,

@@ -133,6 +133,12 @@ def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
     return grid.axis_array(axis, vals)
 
 
+def check_shared_quadrature(specs) -> None:
+    """Raise RepresentationError unless all ``specs`` share one quadrature."""
+    if len({s.quadrature for s in specs}) > 1:
+        raise RepresentationError("simultaneous couplings must share one quadrature")
+
+
 def apply_couplings(state: JointState, specs: list[CouplingSpec],
                     out: np.ndarray | None = None) -> JointState:
     """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)``.
@@ -155,9 +161,7 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     """
     if not specs:
         return state
-    quads = {s.quadrature for s in specs}
-    if len(quads) > 1:
-        raise RepresentationError("couplings in one application must share a quadrature")
+    check_shared_quadrature(specs)
     d = state.system_dim
     for s in specs:
         if s.observable.dim != d:

@@ -19,8 +19,9 @@ import numpy as np
 
 from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams, UnusableProbe
-from .pointer import Grid, MomentSet, PointerWavefunction, _check_coverage, _normalized, moments
-from .quantum import Observable, SystemState, weak_value
+from .pointer import (Grid, MomentSet, PointerWavefunction, _check_coverage, _normalized,
+                      auto_grid, moments)
+from .quantum import PAULI_Z, Observable, SystemState, make_state, weak_value
 from .shifts import FROZEN_CONVENTION, SignConvention
 
 DET_TOLERANCE = 1e-6
@@ -45,6 +46,12 @@ class TwoModeGaussianParams:
         """Covariance of |psi|^2: one quarter of the inverse coefficient matrix."""
         mat = np.array([[self.alpha, self.gamma], [self.gamma, self.beta]])
         return 0.25 * np.linalg.inv(mat)
+
+    def spreads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Marginal position and momentum standard deviations.  The momentum
+        covariance is the coefficient matrix itself, so its diagonal is
+        ``(alpha, beta)``."""
+        return np.sqrt(np.diag(self.position_covariance())), np.sqrt([self.alpha, self.beta])
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ def two_mode_gaussian(grid: Grid, params: TwoModeGaussianParams) -> PointerWavef
     """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on the grid."""
     if grid.dims != 2:
         raise DimensionError("two-mode Gaussian needs a 2-axis grid")
-    _check_coverage(grid, np.sqrt(np.diag(params.position_covariance())), (0.0, 0.0))
+    _check_coverage(grid, *params.spreads())
     q1 = grid.axis_array(0, grid.positions(0))
     q2 = grid.axis_array(1, grid.positions(1))
     exponent = -(params.alpha * q1**2 + params.beta * q2**2 + 2.0 * params.gamma * q1 * q2)
@@ -143,6 +150,16 @@ def c_matrix_from_shifts(
     row_q = _measured_row(phi, base, probe, "q", denom)
     row_p = _measured_row(phi, base, probe, "p", denom)
     return CMatrix(entries=np.array([row_q, row_p]))
+
+
+def probe_c_matrices(params: TwoModeGaussianParams, strength: float) -> tuple[CMatrix, CMatrix]:
+    """``(direct, reconstructed)`` C of the two-mode Gaussian ``params`` on
+    its default grid (:func:`~pointersim.pointer.auto_grid`), the second from
+    a Z probe between |+> and (|0> + i|1>)/sqrt(2) at ``strength``."""
+    probe = WeakProbeConfig(Observable(PAULI_Z), make_state([1, 1]), make_state([1, 1j]),
+                            strength)
+    phi = two_mode_gaussian(auto_grid(params.spreads()[0]), params)
+    return c_matrix_direct(phi), c_matrix_from_shifts(phi, probe)
 
 
 def is_entangled(c: CMatrix, det_tolerance: float = DET_TOLERANCE) -> bool:

@@ -45,12 +45,15 @@ class DensityGrid:
         object.__setattr__(self, "values", vals)
 
 
+def _check_form(sigma1: float, sigma2: float, c12: float) -> None:
+    """Raise InvalidParams unless (sigma1^2, sigma2^2, c12) is a positive-definite form."""
+    if sigma1 <= 0 or sigma2 <= 0 or sigma1**2 * sigma2**2 <= c12**2:
+        raise InvalidParams("exponent coefficients must define a positive-definite form")
+
+
 def gaussian_density(grid: Grid, sigma1: float, sigma2: float, c12: float) -> DensityGrid:
     """Density with precision-matrix coefficients (sigma1^2, sigma2^2, c12)."""
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise InvalidParams("sigma1 and sigma2 must be positive")
-    if sigma1**2 * sigma2**2 <= c12**2:
-        raise InvalidParams("exponent is not positive definite: need s1^2 s2^2 > c12^2")
+    _check_form(sigma1, sigma2, c12)
     q1 = grid.axis_array(0, grid.positions(0))
     q2 = grid.axis_array(1, grid.positions(1))
     vals = np.exp(-0.5 * sigma1**2 * q1**2 - 0.5 * sigma2**2 * q2**2 - c12 * q1 * q2)
@@ -96,8 +99,7 @@ def appendix_a_check(
     is exact for sigma1 == sigma2 and the residual reports the mismatch
     honestly otherwise.
     """
-    if sigma1 <= 0 or sigma2 <= 0 or sigma1**2 * sigma2**2 <= c12**2:
-        raise InvalidParams("exponent coefficients must define a positive-definite form")
+    _check_form(sigma1, sigma2, c12)
     prec = np.array([[sigma1**2, c12], [c12, sigma2**2]])
     cov = np.linalg.inv(prec)
     extent = 8.0 * float(np.sqrt(np.max(np.diag(cov))))

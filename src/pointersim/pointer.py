@@ -24,6 +24,7 @@ from .errors import (
     DimensionError,
     GridCoverage,
     InvalidCovariance,
+    InvalidParams,
     NormalizationError,
 )
 
@@ -126,14 +127,18 @@ def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int,
     return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False, out=out)
 
 
-def _check_coverage(grid: Grid, stds, means) -> None:
-    """Raise GridCoverage unless every axis holds 6 standard deviations around its mean."""
+def _check_coverage(grid: Grid, std_q, std_p, mean_q=None, mean_p=None) -> None:
+    """Raise GridCoverage unless each axis holds 6 marginal standard deviations
+    around the mean in position (``extent - |q0_j| >= 6 sd_q``) and in momentum
+    (``pi/dq - |p0_j| >= 6 sd_p``), where the periodic grid would wrap the state
+    around.  Builders pass their closed-form spreads; means default to zero."""
     for j in range(grid.dims):
-        if grid.extent[j] - abs(means[j]) < 6.0 * stds[j]:
-            raise GridCoverage(
-                f"axis {j}: extent {grid.extent[j]} covers fewer than 6 marginal "
-                f"standard deviations around the mean"
-            )
+        for space, half_width, std, mean in (("position", grid.extent[j], std_q, mean_q),
+                                             ("momentum", np.pi / grid.dq(j), std_p, mean_p)):
+            offset = 0.0 if mean is None else abs(mean[j])
+            if half_width - offset < 6.0 * std[j]:
+                raise GridCoverage(f"axis {j}: {space} half-width {half_width:.6g} covers fewer "
+                                   f"than 6 marginal standard deviations ({std[j]:.6g})")
 
 
 class PointerWavefunction:
@@ -265,6 +270,23 @@ def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) ->
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
 
 
+def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal position and momentum standard deviations of :func:`gaussian_pointer`:
+    roots of the diagonals of ``sigma`` and of ``sigma^-1 / 4 + theta sigma theta``."""
+    sig = np.asarray(sigma, dtype=float)
+    th = np.zeros_like(sig) if theta is None else np.asarray(theta, dtype=float)
+    return np.sqrt(np.diag(sig)), np.sqrt(np.diag(0.25 * np.linalg.inv(sig) + th @ sig @ th))
+
+
+def lg_spreads(l: int, sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Marginal position and momentum standard deviations of :func:`lg_mode` on
+    each axis, ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for ``sigma > 0``."""
+    if not sigma > 0:
+        raise InvalidParams("sigma must be positive")
+    std_q, std_p = sigma * np.sqrt(1.0 + abs(l)), np.sqrt(1.0 + abs(l)) / (2.0 * sigma)
+    return (std_q, std_q), (std_p, std_p)
+
+
 def gaussian_pointer(
     grid: Grid,
     sigma: np.ndarray,
@@ -293,7 +315,7 @@ def gaussian_pointer(
     if mu.shape != (d,) or p0.shape != (d,):
         raise DimensionError("mean_q/mean_p must be length-D vectors")
     check_gaussian_params(sig, th)
-    _check_coverage(grid, np.sqrt(np.diag(sig)), mu)
+    _check_coverage(grid, *gaussian_spreads(sig, th), mu, p0)
     sig_inv = np.linalg.inv(sig)
     centered = [grid.axis_array(j, grid.positions(j) - mu[j]) for j in range(d)]
     exponent = np.zeros(grid.shape, dtype=complex)
@@ -312,15 +334,12 @@ def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
     """Two-axis optical vortex mode with orbital angular momentum ``l``.
 
     Amplitude proportional to ``(x + i sgn(l) y)^|l| exp[-(x^2+y^2)/4 sigma^2]``,
-    normalized on the grid.  The marginal position variance is
-    ``sigma^2 (1 + |l|)``, which fixes the coverage requirement.
+    normalized on the grid.  Its marginal spreads (:func:`lg_spreads`) fix the
+    coverage requirement.
     """
     if grid.dims != 2:
         raise DimensionError(f"vortex modes need a 2-axis grid, got {grid.dims}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    std = sigma * np.sqrt(1.0 + abs(l))
-    _check_coverage(grid, (std, std), (0.0, 0.0))
+    _check_coverage(grid, *lg_spreads(l, sigma))
     x = grid.axis_array(0, grid.positions(0))
     y = grid.axis_array(1, grid.positions(1))
     envelope = np.exp(-(x**2 + y**2) / (4.0 * sigma**2))

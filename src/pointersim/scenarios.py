@@ -16,20 +16,23 @@ import csv
 import io
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
-from .dynamics import CouplingSpec, evolve
+from .dynamics import CouplingSpec, check_shared_quadrature, evolve
 from .entanglement import TwoModeGaussianParams, two_mode_gaussian
-from .errors import ConfigError, DimensionError, InvalidCovariance, InvalidObservable
+from .errors import ConfigError, PointersimError
 from .pointer import (
     Grid,
     auto_grid,
     check_gaussian_params,
     gaussian_pointer,
+    gaussian_spreads,
     lg_mode,
+    lg_spreads,
     moments,
 )
 from .quantum import (
@@ -37,6 +40,7 @@ from .quantum import (
     PAULI_Y,
     PAULI_Z,
     Observable,
+    SystemState,
     eigendecompose,
     expectation,
     make_state,
@@ -56,6 +60,19 @@ _POINTER_KINDS = ("gaussian", "lg", "two_mode_gaussian")
 
 def _fail(msg: str, path: str):
     raise ConfigError(msg, path)
+
+
+@contextmanager
+def _at(path: str):
+    """Report an input rule broken inside the block as a ConfigError at
+    document ``path``.  Each rule lives once, in the domain constructor or
+    builder that needs it; a ConfigError from the block keeps its own path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (PointersimError, ValueError) as exc:
+        raise ConfigError(str(exc), path) from None
 
 
 def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -115,19 +132,28 @@ def _parse_real_matrix(obj, path: str, dim: int) -> np.ndarray:
 
 @dataclass
 class ScenarioConfig:
+    """A parsed scenario: its states, observables, pointer parameters and grid
+    (the document's, or ``auto_grid`` of the pointer's spread) are built and
+    checked.  The grid's coverage of the pointer (:func:`build_pointer`) and an
+    explicit post state's eigenvector check (:func:`resolve_system`) wait for
+    the run."""
+
     scenario_id: str
-    pre_amplitudes: np.ndarray
-    post_amplitudes: np.ndarray | None
+    pre: SystemState
+    # None when the post state is an eigenvalue_index into the readout spectrum.
+    post: SystemState | None
     post_eigenvalue_index: int | None
     pointer_kind: str
+    # Keyword arguments of the kind's builder (gaussian_pointer, lg_mode or
+    # two_mode_gaussian) after its grid.
     pointer_params: dict
-    grid: Grid | None
+    grid: Grid
     couplings: tuple[CouplingSpec, ...]
     interaction: str
     # None for direct projection.
     readout_axis0: int | None
     # None for direct projection, and for the post_projector readout, which
-    # resolve_system builds from the normalized post state.
+    # resolve_system builds from the post state.
     readout_observable: Observable | None
     sweep: tuple[float, ...] | None
 
@@ -148,14 +174,13 @@ def _parse_observable(doc, dim: int, path: str,
             matrix[0, 0] = 1.0
             return Observable(matrix)
         return Observable({"pauli_x": PAULI_X, "pauli_y": PAULI_Y, "pauli_z": PAULI_Z}[doc])
-    try:
+    with _at(path):
         return Observable(_parse_complex_matrix(doc, path, dim))
-    except InvalidObservable as exc:
-        raise ConfigError(str(exc), path) from None
 
 
 def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
-    """Validate a scenario document; reject unknown keys; raise ConfigError with path."""
+    """Validate a scenario document and build its states, observables, pointer
+    parameters and grid; reject unknown keys; raise ConfigError with path."""
     _check_keys(document, source,
                 required=("schema_version", "scenario_id", "system", "pointer",
                           "couplings", "readout"),
@@ -171,16 +196,18 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     dim = _as_int(system["dimension"], "system.dimension")
     if not 2 <= dim <= MAX_SYSTEM_DIM:
         _fail(f"dimension must be in 2..{MAX_SYSTEM_DIM}", "system.dimension")
-    pre = _parse_complex_vector(system["pre_state"], "system.pre_state", dim)
+    with _at("system.pre_state"):
+        pre = make_state(_parse_complex_vector(system["pre_state"], "system.pre_state", dim))
     post_doc = system["post_state"]
     if not isinstance(post_doc, dict) or len(post_doc) != 1:
         _fail("post_state must contain exactly one of 'amplitudes'/'eigenvalue_index'",
               "system.post_state")
-    post_amps = None
+    post = None
     post_index = None
     if "amplitudes" in post_doc:
-        post_amps = _parse_complex_vector(post_doc["amplitudes"],
-                                          "system.post_state.amplitudes", dim)
+        with _at("system.post_state.amplitudes"):
+            post = make_state(_parse_complex_vector(post_doc["amplitudes"],
+                                                    "system.post_state.amplitudes", dim))
     elif "eigenvalue_index" in post_doc:
         post_index = _as_int(post_doc["eigenvalue_index"], "system.post_state.eigenvalue_index")
         if not 0 <= post_index < dim:
@@ -208,31 +235,29 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         for key in ("mean_q", "mean_p"):
             if key in pointer:
                 params[key] = _parse_real_vector(pointer[key], f"pointer.{key}", pdims)
-        try:
+        with _at("pointer.sigma"):
             check_gaussian_params(params["sigma"])
-        except InvalidCovariance as exc:
-            raise ConfigError(str(exc), "pointer.sigma") from None
         if "theta" in pointer:
             params["theta"] = _parse_real_matrix(pointer["theta"], "pointer.theta", pdims)
-            try:
+            with _at("pointer.theta"):
                 check_gaussian_params(params["sigma"], params["theta"])
-            except InvalidCovariance as exc:
-                raise ConfigError(str(exc), "pointer.theta") from None
+        std_q = gaussian_spreads(params["sigma"])[0]
     elif kind == "lg":
         _check_keys(pointer, "pointer", required=("kind", "l", "sigma"), optional=("grid",))
         params["l"] = _as_int(pointer["l"], "pointer.l")
         params["sigma"] = _as_number(pointer["sigma"], "pointer.sigma")
-        if params["sigma"] <= 0:
-            _fail("sigma must be positive", "pointer.sigma")
+        with _at("pointer.sigma"):
+            std_q = lg_spreads(params["l"], params["sigma"])[0]
         pdims = 2
     else:
         _check_keys(pointer, "pointer", required=("kind", "alpha", "beta", "gamma"),
                     optional=("grid",))
-        for key in ("alpha", "beta", "gamma"):
-            params[key] = _as_number(pointer[key], f"pointer.{key}")
+        with _at("pointer"):
+            params["params"] = TwoModeGaussianParams(
+                *(_as_number(pointer[key], f"pointer.{key}") for key in ("alpha", "beta", "gamma")))
+        std_q = params["params"].spreads()[0]
         pdims = 2
 
-    grid = None
     if "grid" in pointer:
         gdoc = pointer["grid"]
         _check_keys(gdoc, "pointer.grid", required=("points_per_axis", "extent"))
@@ -244,10 +269,9 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             _fail(f"extent must list {pdims} entries", "pointer.grid.extent")
         pts_t = tuple(_as_int(v, f"pointer.grid.points_per_axis[{k}]") for k, v in enumerate(pts))
         ext_t = tuple(_as_number(v, f"pointer.grid.extent[{k}]") for k, v in enumerate(ext))
-        try:
-            grid = Grid(points_per_axis=pts_t, extent=ext_t)
-        except DimensionError as exc:
-            raise ConfigError(str(exc), "pointer.grid") from None
+    with _at("pointer.grid"):
+        grid = (Grid(points_per_axis=pts_t, extent=ext_t) if "grid" in pointer
+                else auto_grid(std_q, params.get("mean_q")))
 
     couplings_doc = document["couplings"]
     if not isinstance(couplings_doc, list):
@@ -260,17 +284,16 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         axis = _as_int(cdoc["axis"], f"{cpath}.axis")
         if not 1 <= axis <= pdims:
             _fail(f"axis must be in 1..{pdims}", f"{cpath}.axis")
-        strength = _as_number(cdoc["strength"], f"{cpath}.strength")
-        try:
-            couplings.append(CouplingSpec(observable, axis - 1, cdoc["quadrature"], strength))
-        except ValueError as exc:
-            raise ConfigError(str(exc), cpath) from None
+        with _at(cpath):
+            couplings.append(CouplingSpec(observable, axis - 1, cdoc["quadrature"],
+                                          _as_number(cdoc["strength"], f"{cpath}.strength")))
 
     interaction = document.get("interaction", "sequential")
     if interaction not in ("sequential", "simultaneous"):
         _fail("interaction must be 'sequential' or 'simultaneous'", "interaction")
-    if interaction == "simultaneous" and len({c.quadrature for c in couplings}) > 1:
-        _fail("simultaneous couplings must share one quadrature", "couplings")
+    if interaction == "simultaneous":
+        with _at("couplings"):
+            check_shared_quadrature(couplings)
 
     readout = document["readout"]
     if not isinstance(readout, dict):
@@ -290,7 +313,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         r_axis0 = raxis - 1
         r_obs_doc = readout["observable"]
         r_obs = _parse_observable(r_obs_doc, dim, "readout.observable", allow_post_projector=True)
-        if r_obs_doc == "post_projector" and post_amps is None:
+        if r_obs_doc == "post_projector" and post is None:
             _fail("post_projector readout needs explicit post_state amplitudes",
                   "readout.observable")
         if post_index is not None and r_obs_doc == "post_projector":
@@ -306,8 +329,8 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario_id=sid,
-        pre_amplitudes=pre,
-        post_amplitudes=post_amps,
+        pre=pre,
+        post=post,
         post_eigenvalue_index=post_index,
         pointer_kind=kind,
         pointer_params=params,
@@ -335,45 +358,28 @@ def load_config(path) -> ScenarioConfig:
 # Builders
 
 def build_pointer(cfg: ScenarioConfig):
-    """Construct the grid and initial pointer state for a scenario."""
-    params = cfg.pointer_params
-    if cfg.grid is not None:
-        grid = cfg.grid
-    elif cfg.pointer_kind == "gaussian":
-        stds = np.sqrt(np.diag(params["sigma"]))
-        grid = auto_grid(stds, params.get("mean_q"))
-    elif cfg.pointer_kind == "lg":
-        std = params["sigma"] * np.sqrt(1.0 + abs(params["l"]))
-        grid = auto_grid([std, std])
-    else:
-        tm = TwoModeGaussianParams(params["alpha"], params["beta"], params["gamma"])
-        grid = auto_grid(np.sqrt(np.diag(tm.position_covariance())))
-    if cfg.pointer_kind == "gaussian":
-        phi = gaussian_pointer(grid, params["sigma"], params.get("mean_q"),
-                               params.get("mean_p"), params.get("theta"))
-    elif cfg.pointer_kind == "lg":
-        phi = lg_mode(grid, params["l"], params["sigma"])
-    else:
-        phi = two_mode_gaussian(grid, TwoModeGaussianParams(
-            params["alpha"], params["beta"], params["gamma"]))
-    return grid, phi
+    """The scenario's grid and initial pointer state.  The builder checks
+    that the grid covers the state in position and momentum; a grid that
+    does not is a ConfigError at ``pointer.grid``."""
+    build = {"gaussian": gaussian_pointer, "lg": lg_mode,
+             "two_mode_gaussian": two_mode_gaussian}[cfg.pointer_kind]
+    with _at("pointer.grid"):
+        return cfg.grid, build(cfg.grid, **cfg.pointer_params)
 
 
 def resolve_system(cfg: ScenarioConfig):
     """Resolve (pre, post, readout observable, readout eigenvalue) for a scenario."""
-    pre = make_state(cfg.pre_amplitudes)
+    pre, post = cfg.pre, cfg.post
     if cfg.readout_axis0 is None:
-        return pre, make_state(cfg.post_amplitudes), None, 0.0
+        return pre, post, None, 0.0
     obs = cfg.readout_observable
     if obs is None:
-        post = make_state(cfg.post_amplitudes)
         obs = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
         return pre, post, obs, 1.0
     if cfg.post_eigenvalue_index is not None:
         spec = eigendecompose(obs)
         idx = cfg.post_eigenvalue_index
         return pre, make_state(spec.eigenvectors[:, idx]), obs, float(spec.eigenvalues[idx])
-    post = make_state(cfg.post_amplitudes)
     a_l = expectation(obs, post)
     drift = np.linalg.norm(obs.matrix @ post.amplitudes - a_l * post.amplitudes)
     if drift > 1e-10:

@@ -3,9 +3,9 @@
 Sign handling: the published shift formulas this module encodes are not
 internally consistent about signs, so every prediction routes through a
 :class:`SignConvention` fixed once against the exact evolution oracle
-(:func:`calibrate_sign_convention`) and frozen as :data:`FROZEN_CONVENTION`.
-Under the uniform ``exp(-i lambda A (x) xi)`` evolution used everywhere in
-this package the calibration yields
+(``calibrate_sign_convention`` in the test suite) and frozen as
+:data:`FROZEN_CONVENTION`.  Under the uniform ``exp(-i lambda A (x) xi)``
+evolution used everywhere in this package the calibration yields
 
 * ``orientation = +1``: every ``2 lambda Im(w) corr`` term enters with +.
 * ``re_orientation = -1``: ``lambda Re(w)`` momentum terms enter with -, and
@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError
-from .pointer import Grid, MomentSet, gaussian_pointer, lg_mode, moments
-from .quantum import PAULI_Z, Observable, make_state
+from .pointer import Grid, MomentSet, lg_mode, lg_spreads, moments
 
 
 @dataclass(frozen=True)
@@ -139,45 +137,8 @@ def lg_compatibility(m: MomentSet, l: int) -> float:
 def lg_check(l: int, sigma: float = 1.0, points: int = 256) -> tuple[MomentSet, float]:
     """Moments of the order-``l`` vortex mode on a ``points``^2 grid of half-width
     8 sigma sqrt(1 + |l|), and their :func:`lg_compatibility` residual."""
-    ext = 8.0 * sigma * np.sqrt(1.0 + abs(l))
+    ext = 8.0 * lg_spreads(l, sigma)[0][0]
     grid = Grid(points_per_axis=(points, points), extent=(ext, ext))
     m = moments(lg_mode(grid, l, sigma))
     return m, lg_compatibility(m, l)
 
-
-def calibrate_sign_convention(points: int = 128) -> SignConvention:
-    """Fix the two orientation flags against the exact evolution oracle.
-
-    Leg A (designated scenario): qubit, purely imaginary weak value i,
-    uncorrelated Gaussian pointer, strong readout -- the sign of the measured
-    q1 shift fixes ``orientation`` and the readout momentum offset must agree
-    with ``re_orientation``.  Leg B: the same system with a real weak value
-    fixes ``re_orientation`` from the p1 shift (a purely imaginary weak value
-    cannot, which is why a companion run is needed).
-    """
-    grid = Grid(points_per_axis=(points, points), extent=(8.0, 8.0))
-    phi = gaussian_pointer(grid, np.eye(2))
-    pre = make_state([1, 1])
-    z = Observable(PAULI_Z)
-    lam = 0.1
-
-    # Leg A: (Z)_w = i for post = (|0> + i|1>)/sqrt(2).
-    post_a = make_state([1, 1j])
-    proj = Observable(np.outer(post_a.amplitudes, post_a.amplitudes.conj()))
-    specs = [CouplingSpec(z, 0, "q", lam)]
-    final = moments(evolve(pre, phi, specs, post_a, readout=(proj, 1))[0])
-    base = moments(phi)
-    orientation = 1 if final.mean_q[0] - base.mean_q[0] > 0 else -1
-    offset_sign = 1 if final.mean_p[1] - base.mean_p[1] > 0 else -1
-
-    # Leg B: (Z)_w = 1 for post = |0>.
-    post_b = make_state([1, 0])
-    final_b = moments(evolve(pre, phi, specs, post_b)[0])
-    re_orientation = 1 if final_b.mean_p[0] - base.mean_p[0] > 0 else -1
-
-    if offset_sign != re_orientation:
-        raise RuntimeError(
-            "readout offset orientation disagrees with the weak Re orientation; "
-            "the evolution convention is inconsistent"
-        )
-    return SignConvention(orientation=orientation, re_orientation=re_orientation)

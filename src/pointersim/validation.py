@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    TwoModeGaussianParams,
-    WeakProbeConfig,
-    c_matrix_direct,
-    c_matrix_from_shifts,
-    two_mode_gaussian,
-)
+from .entanglement import TwoModeGaussianParams, probe_c_matrices
 from .fouriercorr import appendix_a_check
-from .pointer import Grid, auto_grid, displace_momentum, gaussian_pointer, lg_mode, moments
-from .quantum import PAULI_Z, Observable, make_state
+from .pointer import Grid, displace_momentum, gaussian_pointer, lg_mode, moments
 from .scenarios import (
     _g17,
     bundled_scenario_names,
@@ -179,21 +172,11 @@ def criterion_6_displacement_invariance(corpus) -> CriterionResult:
 def criterion_7_entanglement_protocol(corpus) -> CriterionResult:
     """Shift-reconstructed C agrees with the direct C and the det sign matches."""
     t0 = time.perf_counter()
-    probe = WeakProbeConfig(
-        observable=Observable(PAULI_Z),
-        pre=make_state([1, 1]),
-        post=make_state([1, 1j]),
-        strength=0.05,
-    )
     worst_rel = 0.0
     dets_ok = True
     worst_zero_det = 0.0
     for gamma in (0.0, 0.05, -0.05, 0.1, -0.1):
-        params = TwoModeGaussianParams(0.25, 0.25, gamma)
-        grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
-        phi = two_mode_gaussian(grid, params)
-        direct = c_matrix_direct(phi)
-        recon = c_matrix_from_shifts(phi, probe)
+        direct, recon = probe_c_matrices(TwoModeGaussianParams(0.25, 0.25, gamma), 0.05)
         for i in range(2):
             for j in range(2):
                 ref = direct.entries[i, j]

@@ -1,0 +1,38 @@
+"""Every document the benchmark generates passes the input rules.
+
+``perfbench/generate.py`` varies bundled templates to make the documents the
+``run_3d`` and ``sweep_2d`` workloads run.  A document that an input rule
+rejects would count as a failed operation there; here it fails the test
+suite instead.  The test imports ``perfbench/generate.py`` as it is and
+changes nothing there.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pointersim import scenarios
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCENARIOS = Path(scenarios.__file__).resolve().parent / "scenarios"
+DOCUMENTS_PER_TEMPLATE = 4
+
+
+@pytest.fixture(scope="module")
+def generate():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import generate
+        yield generate
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["RUN_3D_TEMPLATES", "SWEEP_2D_TEMPLATES"])
+def test_generated_documents_parse_and_build(generate, workload, seed):
+    templates = generate.load_templates(SCENARIOS, getattr(generate, workload))
+    for name, template in templates.items():
+        for index in range(DOCUMENTS_PER_TEMPLATE):
+            cfg = scenarios.parse_config(generate.document(template, seed, index),
+                                         source=f"{name}:{seed}:{index}")
+            grid, _phi = scenarios.build_pointer(cfg)
+            assert grid is cfg.grid

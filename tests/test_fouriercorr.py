@@ -92,6 +92,16 @@ class TestAppendixCheck:
         assert analytic.imag == pytest.approx(0.2)
         assert residual == pytest.approx(0.15, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma1, sigma2, c12", [
+        (1.0, 1.3, 0.2), (0.8, 1.25, 0.1), (1.5, 0.7, -0.15), (1.2, 0.9, 0.3),
+    ])
+    def test_general_closed_form_is_i_c12_over_sigma2_squared(self, sigma1, sigma2, c12):
+        # The functional depends on sigma2 alone; the quoted identity's
+        # sigma1 holds only at equal sigmas, which criterion 8 checks.
+        numeric, analytic, residual = appendix_a_check(sigma1, sigma2, c12)
+        assert abs(numeric - 1j * c12 / sigma2**2) <= 1e-12
+        assert residual == pytest.approx(abs(c12 / sigma2**2 - c12 / sigma1**2), abs=1e-12)
+
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidParams):
             appendix_a_check(0.5, 0.5, 0.3)

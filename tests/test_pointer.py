@@ -10,12 +10,14 @@ from pointersim import (
     InvalidCovariance,
     NormalizationError,
     PointerWavefunction,
+    TwoModeGaussianParams,
     displace_momentum,
     gaussian_pointer,
     lg_mode,
     moments,
+    two_mode_gaussian,
 )
-from pointersim.pointer import _apply_momentum, _axis_transform
+from pointersim.pointer import _apply_momentum, _axis_transform, gaussian_spreads, lg_spreads
 from conftest import dense_axis_transform, oracle_mixed_moment, traced_peak
 
 
@@ -170,6 +172,63 @@ class TestLgMode:
     def test_requires_coverage(self):
         with pytest.raises(GridCoverage):
             lg_mode(Grid((64, 64), (6.0, 6.0)), 2, 1.0)
+
+
+class TestCoverage:
+    """The coverage rule compares each builder's closed-form spreads with the
+    grid; the grid moments pin those closed forms."""
+
+    def test_gaussian_spreads_match_the_moments(self):
+        sigma = np.array([[1.0, 0.4], [0.4, 0.8]])
+        theta = np.array([[0.3, 0.1], [0.1, -0.2]])
+        m = moments(gaussian_pointer(grid2(256), sigma, theta=theta))
+        expected_pp = 0.25 * np.linalg.inv(sigma) + theta @ sigma @ theta
+        np.testing.assert_allclose(m.cov_pp, expected_pp, rtol=0, atol=1e-9)
+        std_q, std_p = gaussian_spreads(sigma, theta)
+        np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
+
+    def test_vortex_spreads_match_the_moments(self):
+        l, sigma = 2, 0.8
+        std_q, std_p = lg_spreads(l, sigma)
+        ext = 8.0 * std_q[0]
+        m = moments(lg_mode(Grid((256, 256), (ext, ext)), l, sigma))
+        np.testing.assert_allclose(np.diag(m.cov_pp), [(1 + l) / (4 * sigma**2)] * 2,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.square(std_p), np.diag(m.cov_pp), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.square(std_q), np.diag(m.cov_qq), rtol=0, atol=1e-9)
+
+    def test_two_mode_spreads_match_the_moments(self):
+        params = TwoModeGaussianParams(0.25, 0.3, 0.125)
+        m = moments(two_mode_gaussian(grid2(256, 10.0), params))
+        np.testing.assert_allclose(m.cov_pp, [[0.25, 0.125], [0.125, 0.3]], rtol=0, atol=1e-9)
+        std_q, std_p = params.spreads()
+        np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("t", [10.0, 12.0])
+    def test_chirp_past_the_momentum_edge_rejected(self, t):
+        # 256 points over [-8, 8) reach p = 50.3: 5.0 and 4.2 momentum sd.
+        with pytest.raises(GridCoverage, match="axis 0: momentum"):
+            gaussian_pointer(grid2(256), np.eye(2), theta=np.diag([t, 0.0]))
+
+    def test_chirp_within_the_momentum_edge_builds(self):
+        # t = 8 leaves 6.3 momentum sd.
+        gaussian_pointer(grid2(256), np.eye(2), theta=np.diag([8.0, 0.0]))
+
+    def test_momentum_mean_counts_against_the_edge(self):
+        # sd_p = 0.5 and the samples reach p = 50.3: a mean of 44 leaves 12.5 sd, 48 only 4.5.
+        gaussian_pointer(grid2(256), np.eye(2), mean_p=np.array([0.0, -44.0]))
+        with pytest.raises(GridCoverage, match="axis 1: momentum"):
+            gaussian_pointer(grid2(256), np.eye(2), mean_p=np.array([0.0, -48.0]))
+
+    def test_coarse_grid_rejected_for_each_builder(self):
+        # Position is covered each time; the momentum samples stop short.
+        with pytest.raises(GridCoverage, match="momentum"):
+            lg_mode(Grid((32, 32), (12.0, 12.0)), 2, 1.0)
+        with pytest.raises(GridCoverage, match="momentum"):
+            two_mode_gaussian(Grid((32, 32), (40.0, 40.0)),
+                              TwoModeGaussianParams(0.25, 0.25, 0.125))
 
 
 class TestDisplacement:

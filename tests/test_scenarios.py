@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointersim import ConfigError, scenarios
+from pointersim import ConfigError, Grid, scenarios
 from pointersim.cli import main
 from pointersim.scenarios import (
     bundled_scenario_names,
@@ -142,6 +142,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message) as info:
             parse_config(doc)
         assert info.value.path == f"pointer.{key}"
+
+    def test_simultaneous_couplings_must_share_a_quadrature(self):
+        doc = minimal_document()
+        doc["interaction"] = "simultaneous"
+        doc["couplings"].append(
+            {"observable": "pauli_x", "axis": 2, "quadrature": "p", "strength": 0.05})
+        with pytest.raises(ConfigError, match="share one quadrature") as info:
+            parse_config(doc)
+        assert info.value.path == "couplings"
+
+    def test_grid_derived_from_the_pointer_spread_at_parse(self):
+        doc = minimal_document()
+        del doc["pointer"]["grid"]
+        assert parse_config(doc).grid == Grid((256, 256), (8.0, 8.0))
+
+    def test_parse_builds_no_pointer_and_no_spectrum(self, monkeypatch):
+        for name in ("eigendecompose", "build_pointer", "moments"):
+            monkeypatch.setattr(scenarios, name,
+                                lambda *args, name=name: pytest.fail(f"parse called {name}"))
+        for name in bundled_scenario_names():
+            load_bundled(name)
 
     def test_coupling_mode_key_rejected(self):
         # Schema change: couplings take exactly observable, axis, quadrature
@@ -346,6 +367,34 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "pointer.sigma: sigma is not positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, key, value, path", [
+        ("two_mode_entangle", "gamma", 0.5, "pointer"),
+        ("two_mode_entangle", "alpha", -0.25, "pointer"),
+        ("jozsa_baseline", "pre_state", [[0, 0], [0, 0]], "system.pre_state"),
+        ("jozsa_baseline", "post_state", {"amplitudes": [[0, 0], [0, 0]]},
+         "system.post_state.amplitudes"),
+        ("jozsa_baseline", "grid", {"points_per_axis": [256, 256], "extent": [4.0, 4.0]},
+         "pointer.grid"),
+        ("two_mode_entangle", "grid", {"points_per_axis": [256, 256], "extent": [5.0, 5.0]},
+         "pointer.grid"),
+        ("lg_probe", "l", 40, "pointer.grid"),
+        ("theta_qp_gaussian", "theta", [[10, 0], [0, 0]], "pointer.grid"),
+        ("theta_qp_gaussian", "theta", [[12, 0], [0, 0]], "pointer.grid"),
+    ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
+            "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
+            "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
+            "chirp-12-aliases-in-momentum"])
+    def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, key,
+                                                 value, path):
+        doc = json.loads((Path(scenarios.__file__).parent / "scenarios"
+                          / f"{template}.json").read_text(encoding="utf-8"))
+        doc["system" if key in ("pre_state", "post_state") else "pointer"][key] = value
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path):
         doc = minimal_document()

@@ -5,13 +5,17 @@ import pytest
 
 from pointersim import (
     FROZEN_CONVENTION,
+    PAULI_Z,
+    CouplingSpec,
     Grid,
     MomentSet,
+    Observable,
     SignConvention,
-    calibrate_sign_convention,
+    evolve,
     gaussian_pointer,
     lg_compatibility,
     lg_mode,
+    make_state,
     moments,
     predict_general,
     predict_lg,
@@ -41,6 +45,44 @@ def single_prediction(m, lam, aw, a2l, conv=FROZEN_CONVENTION):
     projection)."""
     return predict_general(m, [(0, "q", lam, aw)],
                            readout_axis=1, readout_eigenvalue=a2l, conv=conv)
+
+
+def calibrate_sign_convention(points: int = 128) -> SignConvention:
+    """Fix the two orientation flags against the exact evolution oracle.
+
+    Leg A (designated scenario): qubit, purely imaginary weak value i,
+    uncorrelated Gaussian pointer, strong readout -- the sign of the measured
+    q1 shift fixes ``orientation`` and the readout momentum offset must agree
+    with ``re_orientation``.  Leg B: the same system with a real weak value
+    fixes ``re_orientation`` from the p1 shift (a purely imaginary weak value
+    cannot, which is why a companion run is needed).
+    """
+    grid = Grid(points_per_axis=(points, points), extent=(8.0, 8.0))
+    phi = gaussian_pointer(grid, np.eye(2))
+    pre = make_state([1, 1])
+    z = Observable(PAULI_Z)
+    lam = 0.1
+
+    # Leg A: (Z)_w = i for post = (|0> + i|1>)/sqrt(2).
+    post_a = make_state([1, 1j])
+    proj = Observable(np.outer(post_a.amplitudes, post_a.amplitudes.conj()))
+    specs = [CouplingSpec(z, 0, "q", lam)]
+    final = moments(evolve(pre, phi, specs, post_a, readout=(proj, 1))[0])
+    base = moments(phi)
+    orientation = 1 if final.mean_q[0] - base.mean_q[0] > 0 else -1
+    offset_sign = 1 if final.mean_p[1] - base.mean_p[1] > 0 else -1
+
+    # Leg B: (Z)_w = 1 for post = |0>.
+    post_b = make_state([1, 0])
+    final_b = moments(evolve(pre, phi, specs, post_b)[0])
+    re_orientation = 1 if final_b.mean_p[0] - base.mean_p[0] > 0 else -1
+
+    if offset_sign != re_orientation:
+        raise RuntimeError(
+            "readout offset orientation disagrees with the weak Re orientation; "
+            "the evolution convention is inconsistent"
+        )
+    return SignConvention(orientation=orientation, re_orientation=re_orientation)
 
 
 def test_frozen_convention_matches_oracle_calibration():
