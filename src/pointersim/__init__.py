@@ -70,12 +70,7 @@ from .entanglement import (
     is_entangled,
     two_mode_gaussian,
 )
-from .fouriercorr import (
-    DensityGrid,
-    appendix_a_check,
-    gaussian_density,
-    partial_fourier,
-)
+from .fouriercorr import appendix_a_check
 from .scenarios import (
     ScenarioConfig,
     ShiftReport,

@@ -19,10 +19,10 @@ import numpy as np
 
 from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams, UnusableProbe
-from .pointer import (Grid, MomentSet, PointerWavefunction, _check_coverage, _normalized,
-                      auto_grid, moments)
+from .pointer import (Grid, MomentSet, PointerWavefunction, auto_grid, gaussian_pointer,
+                      gaussian_spreads, moments)
 from .quantum import PAULI_Z, Observable, SystemState, make_state, weak_value
-from .shifts import FROZEN_CONVENTION, SignConvention
+from .shifts import FROZEN_CONVENTION
 
 DET_TOLERANCE = 1e-6
 IM_WEAK_FLOOR = 1e-6
@@ -46,12 +46,6 @@ class TwoModeGaussianParams:
         """Covariance of |psi|^2: one quarter of the inverse coefficient matrix."""
         mat = np.array([[self.alpha, self.gamma], [self.gamma, self.beta]])
         return 0.25 * np.linalg.inv(mat)
-
-    def spreads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Marginal position and momentum standard deviations.  The momentum
-        covariance is the coefficient matrix itself, so its diagonal is
-        ``(alpha, beta)``."""
-        return np.sqrt(np.diag(self.position_covariance())), np.sqrt([self.alpha, self.beta])
 
 
 @dataclass(frozen=True)
@@ -87,14 +81,12 @@ class WeakProbeConfig:
 
 
 def two_mode_gaussian(grid: Grid, params: TwoModeGaussianParams) -> PointerWavefunction:
-    """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on the grid."""
-    if grid.dims != 2:
-        raise DimensionError("two-mode Gaussian needs a 2-axis grid")
-    _check_coverage(grid, *params.spreads())
-    q1 = grid.axis_array(0, grid.positions(0))
-    q2 = grid.axis_array(1, grid.positions(1))
-    exponent = -(params.alpha * q1**2 + params.beta * q2**2 + 2.0 * params.gamma * q1 * q2)
-    return _normalized(grid, np.exp(exponent).astype(complex))
+    """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on a 2-axis grid.
+
+    The exponent is ``-1/4 q^T Sigma^-1 q`` with ``Sigma`` the position
+    covariance, so this is :func:`~pointersim.pointer.gaussian_pointer` of it.
+    """
+    return gaussian_pointer(grid, params.position_covariance())
 
 
 def c_matrix_direct(phi: PointerWavefunction) -> CMatrix:
@@ -124,11 +116,7 @@ def _measured_row(
     )
 
 
-def c_matrix_from_shifts(
-    phi: PointerWavefunction,
-    probe: WeakProbeConfig,
-    conv: SignConvention = FROZEN_CONVENTION,
-) -> CMatrix:
+def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CMatrix:
     """Reconstruct C from four simulated weak-measurement experiments.
 
     Coupling to q1 and reading the axis-2 shifts yields the first row; the
@@ -136,7 +124,7 @@ def c_matrix_from_shifts(
     structurally identical first-order shift algebra.  Postselection is a
     direct projection onto the probe's post state, so no readout offset needs
     subtracting.  Each measured shift is divided by
-    ``orientation * 2 * lambda * Im(w)``.
+    ``orientation * 2 * lambda * Im(w)`` in the frozen sign convention.
     """
     if phi.grid.dims != 2:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")
@@ -145,7 +133,7 @@ def c_matrix_from_shifts(
         raise UnusableProbe(
             f"Im(weak value) = {w.imag:.2e}: correlation terms are unobservable"
         )
-    denom = conv.orientation * 2.0 * probe.strength * w.imag
+    denom = FROZEN_CONVENTION.orientation * 2.0 * probe.strength * w.imag
     base = moments(phi)
     row_q = _measured_row(phi, base, probe, "q", denom)
     row_p = _measured_row(phi, base, probe, "p", denom)
@@ -158,10 +146,11 @@ def probe_c_matrices(params: TwoModeGaussianParams, strength: float) -> tuple[CM
     a Z probe between |+> and (|0> + i|1>)/sqrt(2) at ``strength``."""
     probe = WeakProbeConfig(Observable(PAULI_Z), make_state([1, 1]), make_state([1, 1j]),
                             strength)
-    phi = two_mode_gaussian(auto_grid(params.spreads()[0]), params)
+    std_q, std_p = gaussian_spreads(params.position_covariance())
+    phi = two_mode_gaussian(auto_grid(std_q, std_p, None, None), params)
     return c_matrix_direct(phi), c_matrix_from_shifts(phi, probe)
 
 
-def is_entangled(c: CMatrix, det_tolerance: float = DET_TOLERANCE) -> bool:
-    """True iff det(C) is negative beyond the quadrature noise floor."""
-    return c.det < -det_tolerance
+def is_entangled(c: CMatrix) -> bool:
+    """True iff det(C) is negative beyond the quadrature noise floor ``DET_TOLERANCE``."""
+    return c.det < -DET_TOLERANCE

@@ -468,15 +468,26 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
 
 
-def auto_grid(stds, means=None) -> Grid:
-    """Default grid for a state with the given per-axis spreads and means.
+def auto_grid(std_q, std_p, mean_q, mean_p) -> Grid:
+    """Default grid for a state with the given per-axis spreads and means
+    (None for zero means).
 
-    1- and 2-axis grids get 256 points per axis, 3-axis grids 64; the common
-    extent is 8 * max(std) + max(|mean|).
+    The common extent is 8 * max(std_q) + max(|mean_q|).  1- and 2-axis grids
+    start at 256 points per axis, 3-axis grids at 64, and the count doubles
+    until every axis holds 6 momentum standard deviations around its mean
+    (the momentum rule of :func:`_check_coverage`), up to 1024 points per axis
+    (128 on 3 axes).  A state that needs more gets the capped grid, which the
+    builder then rejects.
     """
-    stds = np.atleast_1d(np.asarray(stds, dtype=float))
-    dims = len(stds)
-    mu = np.zeros(dims) if means is None else np.abs(np.asarray(means, dtype=float))
-    points = 256 if dims <= 2 else 64
-    L = 8.0 * float(np.max(stds)) + float(np.max(mu))
-    return Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)
+    std_q = np.atleast_1d(np.asarray(std_q, dtype=float))
+    dims = len(std_q)
+    mu = np.zeros(dims) if mean_q is None else np.abs(np.asarray(mean_q, dtype=float))
+    p0 = np.zeros(dims) if mean_p is None else np.abs(np.asarray(mean_p, dtype=float))
+    std_p = np.atleast_1d(np.asarray(std_p, dtype=float))
+    points, cap = (256, 1024) if dims <= 2 else (64, 128)
+    L = 8.0 * float(np.max(std_q)) + float(np.max(mu))
+    grid = Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)
+    while points < cap and any(np.pi / grid.dq(j) - p0[j] < 6.0 * std_p[j] for j in range(dims)):
+        points *= 2
+        grid = Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)
+    return grid

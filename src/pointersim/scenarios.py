@@ -133,7 +133,7 @@ def _parse_real_matrix(obj, path: str, dim: int) -> np.ndarray:
 @dataclass
 class ScenarioConfig:
     """A parsed scenario: its states, observables, pointer parameters and grid
-    (the document's, or ``auto_grid`` of the pointer's spread) are built and
+    (the document's, or ``auto_grid`` of the pointer's spreads) are built and
     checked.  The grid's coverage of the pointer (:func:`build_pointer`) and an
     explicit post state's eigenvector check (:func:`resolve_system`) wait for
     the run."""
@@ -241,13 +241,13 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             params["theta"] = _parse_real_matrix(pointer["theta"], "pointer.theta", pdims)
             with _at("pointer.theta"):
                 check_gaussian_params(params["sigma"], params["theta"])
-        std_q = gaussian_spreads(params["sigma"])[0]
+        std_q, std_p = gaussian_spreads(params["sigma"], params.get("theta"))
     elif kind == "lg":
         _check_keys(pointer, "pointer", required=("kind", "l", "sigma"), optional=("grid",))
         params["l"] = _as_int(pointer["l"], "pointer.l")
         params["sigma"] = _as_number(pointer["sigma"], "pointer.sigma")
         with _at("pointer.sigma"):
-            std_q = lg_spreads(params["l"], params["sigma"])[0]
+            std_q, std_p = lg_spreads(params["l"], params["sigma"])
         pdims = 2
     else:
         _check_keys(pointer, "pointer", required=("kind", "alpha", "beta", "gamma"),
@@ -255,7 +255,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         with _at("pointer"):
             params["params"] = TwoModeGaussianParams(
                 *(_as_number(pointer[key], f"pointer.{key}") for key in ("alpha", "beta", "gamma")))
-        std_q = params["params"].spreads()[0]
+        std_q, std_p = gaussian_spreads(params["params"].position_covariance())
         pdims = 2
 
     if "grid" in pointer:
@@ -271,7 +271,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         ext_t = tuple(_as_number(v, f"pointer.grid.extent[{k}]") for k, v in enumerate(ext))
     with _at("pointer.grid"):
         grid = (Grid(points_per_axis=pts_t, extent=ext_t) if "grid" in pointer
-                else auto_grid(std_q, params.get("mean_q")))
+                else auto_grid(std_q, std_p, params.get("mean_q"), params.get("mean_p")))
 
     couplings_doc = document["couplings"]
     if not isinstance(couplings_doc, list):

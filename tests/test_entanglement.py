@@ -23,6 +23,7 @@ from pointersim import (
     moments,
     two_mode_gaussian,
 )
+from pointersim.pointer import gaussian_spreads
 
 
 def reference_params():
@@ -31,7 +32,7 @@ def reference_params():
 
 def reference_pointer(params=None):
     params = params or reference_params()
-    grid = auto_grid(np.sqrt(np.diag(params.position_covariance())))
+    grid = auto_grid(*gaussian_spreads(params.position_covariance()), None, None)
     return two_mode_gaussian(grid, params)
 
 

@@ -1,35 +1,29 @@
-"""Partial Fourier transform of correlated densities and the induced
+"""The pointer's axis transform on correlated densities and the induced
 p1-q2 correlation identity."""
 
 import numpy as np
 import pytest
 
-from pointersim import (
-    Grid,
-    InvalidParams,
-    appendix_a_check,
-    gaussian_density,
-    partial_fourier,
-)
-from pointersim.fouriercorr import DensityGrid
+from pointersim import Grid, InvalidParams, appendix_a_check
+from pointersim.pointer import _axis_transform
 
 
 def grid2(points=128, extent=10.0):
     return Grid((points, points), (extent, extent))
 
 
-class TestDensity:
-    def test_rejects_unnormalized(self):
-        g = grid2()
-        with pytest.raises(Exception):
-            DensityGrid(grid=g, values=np.ones(g.shape))
+def density(grid, s1, s2, c):
+    """Unnormalized ``exp[-s1^2 q1^2 / 2 - s2^2 q2^2 / 2 - c q1 q2]``, the
+    density ``appendix_a_check`` transforms."""
+    q1 = grid.axis_array(0, grid.positions(0))
+    q2 = grid.axis_array(1, grid.positions(1))
+    return np.exp(-0.5 * s1**2 * q1**2 - 0.5 * s2**2 * q2**2 - c * q1 * q2)
 
 
 class TestPartialFourier:
     def test_separable_density_stays_separable(self):
         g = grid2()
-        f = gaussian_density(g, 1.0, 2.0, 0.0)
-        transformed = partial_fourier(f, axis=0)
+        transformed = _axis_transform(density(g, 1.0, 2.0, 0.0), g, 0)
         # Rank-1 check: all columns are proportional (scale taken at p1 = 0).
         col0 = transformed[:, g.points_per_axis[1] // 2]
         for k in (10, 40, 90):
@@ -39,14 +33,15 @@ class TestPartialFourier:
 
     def test_matches_closed_form_pointwise(self):
         # The partially transformed correlated Gaussian has the closed form
-        # N' exp[-(s2^2 - c^2/s1^2) q2^2 / 2 - p1^2/(2 s1^2) + i (c/s1^2) p1 q2].
+        # N' exp[-(s2^2 - c^2/s1^2) q2^2 / 2 - p1^2/(2 s1^2) + i (c/s1^2) p1 q2],
+        # where N' = 1/s1: sqrt(2 pi)/s1 from the q1 integral times the
+        # unitary kernel's 1/sqrt(2 pi).
         s1, s2, c = 1.0, 1.2, 0.3
         g = grid2(256, 12.0)
-        f = gaussian_density(g, s1, s2, c)
-        transformed = partial_fourier(f, axis=0)
+        transformed = _axis_transform(density(g, s1, s2, c), g, 0)
         p1 = g.axis_array(0, g.momenta(0))
         q2 = g.axis_array(1, g.positions(1))
-        prefactor = np.sqrt(s1**2 * s2**2 - c**2) / (2 * np.pi) * np.sqrt(2 * np.pi) / s1
+        prefactor = 1.0 / s1
         expected = prefactor * np.exp(
             -0.5 * (s2**2 - c**2 / s1**2) * q2**2
             - p1**2 / (2 * s1**2)
@@ -56,8 +51,7 @@ class TestPartialFourier:
 
     def test_even_uncorrelated_transform_is_real(self):
         g = grid2()
-        f = gaussian_density(g, 1.0, 1.0, 0.0)
-        transformed = partial_fourier(f, axis=0)
+        transformed = _axis_transform(density(g, 1.0, 1.0, 0.0), g, 0)
         assert np.max(np.abs(transformed.imag)) <= 1e-12
 
 

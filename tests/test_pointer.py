@@ -1,5 +1,8 @@
 """Grids, transforms, Gaussian and vortex states, moment functionals."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from pointersim import (
     NormalizationError,
     PointerWavefunction,
     TwoModeGaussianParams,
+    auto_grid,
     displace_momentum,
     gaussian_pointer,
     lg_mode,
@@ -41,7 +45,48 @@ class TestGrid:
             Grid((32, 32, 32, 32), (4.0, 4.0, 4.0, 4.0))
 
 
+def numpy_fft_sites() -> set[tuple[str, str, str]]:
+    """``(module, enclosing function, name)`` of every ``*.fft.<name>``
+    attribute other than ``fftfreq`` and every import from ``numpy.fft`` in
+    the pointersim sources."""
+    sites = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Attribute(self, node):
+            if (isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+                    and node.attr != "fftfreq"):
+                sites.add((self.module, self.scope[-1], node.attr))
+            self.generic_visit(node)
+
+        def visit_Import(self, node):
+            for alias in node.names:
+                if alias.name.startswith("numpy.fft"):
+                    sites.add((self.module, self.scope[-1], "import"))
+
+        def visit_ImportFrom(self, node):
+            if (node.module or "").startswith("numpy.fft"):
+                sites.add((self.module, self.scope[-1], "import"))
+
+    import pointersim
+    for path in sorted(Path(pointersim.__file__).parent.glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return sites
+
+
 class TestTransforms:
+    def test_fft_is_called_only_in_the_axis_transform(self):
+        # One q <-> p transform: every other module goes through it.
+        assert numpy_fft_sites() == {("pointer", "_axis_transform", "fft"),
+                                     ("pointer", "_axis_transform", "ifft")}
+
     def test_gaussian_momentum_variance(self):
         # Fourier pair: position variance s^2 maps to momentum variance 1/(4 s^2).
         for s2 in (0.5, 1.0, 2.0):
@@ -202,9 +247,27 @@ class TestCoverage:
         params = TwoModeGaussianParams(0.25, 0.3, 0.125)
         m = moments(two_mode_gaussian(grid2(256, 10.0), params))
         np.testing.assert_allclose(m.cov_pp, [[0.25, 0.125], [0.125, 0.3]], rtol=0, atol=1e-9)
-        std_q, std_p = params.spreads()
+        std_q, std_p = gaussian_spreads(params.position_covariance())
         np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
         np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
+
+    def test_auto_grid_keeps_the_default_when_momentum_is_covered(self):
+        assert auto_grid([1.0, 1.0], [0.5, 0.5], None, None) == grid2(256)
+        assert auto_grid([1.0] * 3, [0.5] * 3, None, None) == Grid((64,) * 3, (8.0,) * 3)
+
+    def test_auto_grid_doubles_the_points_for_momentum(self):
+        # 256 points over [-8, 8) reach p = 50.3; a mean of 48 leaves 4.5 sd.
+        assert auto_grid([1.0, 1.0], [0.5, 0.5], None, [0.0, -48.0]) == grid2(512)
+        # sd_p 3.04 on 64 points over [-8, 8) (p = 12.6) needs 128.
+        assert auto_grid([1.0] * 3, [3.04, 0.5, 0.5], None, None).shape == (128,) * 3
+
+    def test_auto_grid_stops_at_the_cap_and_the_builder_rejects(self):
+        std_q, std_p = gaussian_spreads(np.eye(2), np.diag([40.0, 0.0]))
+        grid = auto_grid(std_q, std_p, None, None)
+        assert grid.shape == (1024, 1024)
+        with pytest.raises(GridCoverage, match="axis 0: momentum"):
+            gaussian_pointer(grid, np.eye(2), theta=np.diag([40.0, 0.0]))
+        assert auto_grid([1.0] * 3, [6.0, 0.5, 0.5], None, None).shape == (128,) * 3
 
     @pytest.mark.parametrize("t", [10.0, 12.0])
     def test_chirp_past_the_momentum_edge_rejected(self, t):

@@ -1,8 +1,9 @@
 """Property tests: the axis transform is unitary, the grid moments of a
 correlated Gaussian reproduce its covariance parameters, the blockwise
 single-observable coupling equals the full-array rotation bit for bit, the
-blockwise moments equal the whole-array reference bit for bit, and the exact
-pipeline conserves probability over a complete postselection basis.
+blockwise moments equal the whole-array reference bit for bit, the exact
+pipeline conserves probability over a complete postselection basis, and an
+on-grid momentum displacement leaves every covariance block alone.
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as deterministic as the rest of the suite.
@@ -18,6 +19,7 @@ from pointersim.pointer import (
     Grid,
     PointerWavefunction,
     _axis_transform,
+    displace_momentum,
     gaussian_pointer,
     moments,
 )
@@ -52,11 +54,11 @@ def test_axis_transform_round_trips_and_preserves_norm(grid, leading, seed, data
 
 
 @st.composite
-def gaussian_params(draw):
+def gaussian_params(draw, dims=st.integers(1, 3)):
     """A D-axis SPD ``sigma`` with eigenvalues in [0.25, 1] and a symmetric
     ``theta`` with entries in [-0.2, 0.2]: every marginal spread, in
     position and in momentum, fits the grid of ``covering_grid``."""
-    dims = draw(st.integers(1, 3))
+    dims = draw(dims)
     eig = np.array([draw(st.floats(0.25, 1.0)) for _ in range(dims)])
     raw = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(dims)] for _ in range(dims)])
     rotation, _ = np.linalg.qr(raw + 3.0 * np.eye(dims))
@@ -83,6 +85,25 @@ def test_gaussian_moments_match_sigma_and_theta(params):
     m = moments(gaussian_pointer(covering_grid(len(sigma)), sigma, theta=theta))
     np.testing.assert_allclose(m.cov_qq, sigma, rtol=0, atol=1e-9)
     np.testing.assert_allclose(m.cov_qp, sigma @ theta, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(params=gaussian_params(dims=st.integers(2, 3)), data=st.data())
+def test_on_grid_momentum_displacement_keeps_every_covariance(params, data):
+    # 64 points over [-7, 7) reach p = 14.4, 12 sd of the widest momentum
+    # marginal; a shift of at most 8 cells (dp = pi/7) still leaves 9 sd.
+    sigma, theta = params
+    dims = len(sigma)
+    grid = Grid((64,) * dims, (7.0,) * dims)
+    cells = np.array([data.draw(st.integers(-8, 8)) for _ in range(dims)])
+    shifts = cells * np.array([grid.dp(j) for j in range(dims)])
+    phi = gaussian_pointer(grid, sigma, theta=theta)
+    before, after = moments(phi), moments(displace_momentum(phi, shifts))
+    for block in ("cov_qq", "cov_qp", "cov_pp"):
+        np.testing.assert_allclose(getattr(after, block), getattr(before, block),
+                                   rtol=0, atol=1e-9, err_msg=block)
+    np.testing.assert_allclose(after.mean_q, before.mean_q, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(after.mean_p, before.mean_p + shifts, rtol=0, atol=1e-9)
 
 
 def full_array_coupling(state: JointState, spec: CouplingSpec) -> np.ndarray:

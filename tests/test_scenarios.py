@@ -10,6 +10,7 @@ import pytest
 from pointersim import ConfigError, Grid, scenarios
 from pointersim.cli import main
 from pointersim.scenarios import (
+    build_pointer,
     bundled_scenario_names,
     load_bundled,
     load_config,
@@ -41,6 +42,11 @@ def minimal_document():
         ],
         "readout": {"axis": 2, "observable": "post_projector"},
     }
+
+
+def bundled_document(name):
+    return json.loads((Path(scenarios.__file__).parent / "scenarios"
+                       / f"{name}.json").read_text(encoding="utf-8"))
 
 
 class TestParsing:
@@ -156,6 +162,26 @@ class TestParsing:
         doc = minimal_document()
         del doc["pointer"]["grid"]
         assert parse_config(doc).grid == Grid((256, 256), (8.0, 8.0))
+
+    @pytest.mark.parametrize("template, key, value, points, extent", [
+        ("lg_probe", "l", 16, 512, 8.0 * np.sqrt(17.0)),
+        ("lg_probe", "l", 20, 512, 8.0 * np.sqrt(21.0)),
+        ("lg_probe", "l", 40, 1024, 8.0 * np.sqrt(41.0)),
+        ("theta_qp_gaussian", "theta", [[10, 0], [0, 0]], 512, 8.0),
+        ("theta_qp_gaussian", "theta", [[8, 0], [0, 0]], 256, 8.0),
+    ], ids=["vortex-l16", "vortex-l20", "vortex-l40", "chirp-10", "chirp-8-keeps-256"])
+    def test_derived_grid_covers_the_momentum_spread(self, template, key, value, points,
+                                                     extent):
+        # The extent still comes from the position spread; the points double
+        # until pi/dq holds 6 momentum sd.  Each document exited 2 at
+        # pointer.grid when the derived grid ignored momentum (chirp 8 aside).
+        doc = bundled_document(template)
+        del doc["pointer"]["grid"]
+        doc["pointer"][key] = value
+        cfg = parse_config(doc)
+        assert cfg.grid.points_per_axis == (points, points)
+        assert cfg.grid.extent == pytest.approx((extent, extent), rel=1e-15)
+        build_pointer(cfg)
 
     def test_parse_builds_no_pointer_and_no_spectrum(self, monkeypatch):
         for name in ("eigendecompose", "build_pointer", "moments"):
@@ -360,8 +386,7 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     def test_non_positive_definite_sigma_exits_2(self, tmp_path, capsys):
-        doc = json.loads((Path(scenarios.__file__).parent / "scenarios"
-                          / "jozsa_baseline.json").read_text(encoding="utf-8"))
+        doc = bundled_document("jozsa_baseline")
         doc["pointer"]["sigma"] = [[1.0, 1.2], [1.2, 1.0]]
         path = tmp_path / "bad_sigma.json"
         path.write_text(json.dumps(doc))
@@ -387,13 +412,23 @@ class TestCli:
             "chirp-12-aliases-in-momentum"])
     def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, key,
                                                  value, path):
-        doc = json.loads((Path(scenarios.__file__).parent / "scenarios"
-                          / f"{template}.json").read_text(encoding="utf-8"))
+        doc = bundled_document(template)
         doc["system" if key in ("pre_state", "post_state") else "pointer"][key] = value
         doc_path = tmp_path / "bad.json"
         doc_path.write_text(json.dumps(doc))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_derived_grid_past_the_cap_exits_2(self, tmp_path, capsys):
+        # l = 70 needs 1085 points per axis; the derived grid stops at 1024.
+        doc = bundled_document("lg_probe")
+        del doc["pointer"]["grid"]
+        doc["pointer"]["l"] = 70
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: pointer.grid: axis 0: momentum" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path):
