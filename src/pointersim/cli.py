@@ -147,43 +147,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weak-measurement simulations with correlated pointer states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default="out", help="output directory")
 
-    p = sub.add_parser("run", help="run one scenario file")
+    p = sub.add_parser("run", parents=[common], help="run one scenario file")
     p.add_argument("scenario", help="path to a scenario JSON document")
-    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="run a scenario over strength multipliers")
+    p = sub.add_parser("sweep", parents=[common], help="run a scenario over strength multipliers")
     p.add_argument("scenario")
     p.add_argument("--multipliers", type=float, nargs="+",
                    help="defaults to the scenario's own sweep list")
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lg-check", help="measure the vortex-mode correlation law")
+    p = sub.add_parser("lg-check", parents=[common], help="measure the vortex-mode correlation law")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--points", type=int, default=256)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_lg_check)
 
-    p = sub.add_parser("entangle", help="direct vs shift-reconstructed C matrix")
+    p = sub.add_parser("entangle", parents=[common], help="direct vs shift-reconstructed C matrix")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--strength", type=float, default=0.05)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_entangle)
 
-    p = sub.add_parser("appendix-a", help="partial-transform correlation identity")
+    p = sub.add_parser("appendix-a", parents=[common],
+                       help="partial-transform correlation identity")
     p.add_argument("--sigma1", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--c12", type=float, required=True)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_appendix_a)
 
-    p = sub.add_parser("validate", help="run the full verification suite")
-    p.add_argument("--out", default="out")
+    p = sub.add_parser("validate", parents=[common], help="run the full verification suite")
     p.set_defaults(func=_cmd_validate)
     return parser
 

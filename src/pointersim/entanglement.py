@@ -37,6 +37,9 @@ class TwoModeGaussianParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParams("alpha and beta must be positive")
         if self.alpha * self.beta <= self.gamma**2:

@@ -31,6 +31,9 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     is exact for sigma1 == sigma2 and the residual reports the mismatch
     honestly otherwise.
     """
+    for name, value in (("sigma1", sigma1), ("sigma2", sigma2), ("c12", c12)):
+        if not np.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
     if sigma1 <= 0 or sigma2 <= 0 or sigma1**2 * sigma2**2 <= c12**2:
         raise InvalidParams("exponent coefficients must define a positive-definite form")
     prec = np.array([[sigma1**2, c12], [c12, sigma2**2]])

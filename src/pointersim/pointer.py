@@ -279,10 +279,10 @@ def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lg_spreads(l: int, sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Marginal position and momentum standard deviations of :func:`lg_mode` on
-    each axis, ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for ``sigma > 0``."""
-    if not sigma > 0:
-        raise InvalidParams("sigma must be positive")
+    """Per-axis marginal position and momentum standard deviations of :func:`lg_mode`,
+    ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for finite ``sigma > 0``."""
+    if not 0 < sigma < np.inf:
+        raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
     std_q, std_p = sigma * np.sqrt(1.0 + abs(l)), np.sqrt(1.0 + abs(l)) / (2.0 * sigma)
     return (std_q, std_q), (std_p, std_p)
 

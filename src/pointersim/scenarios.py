@@ -100,34 +100,19 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _parse_complex_vector(obj, path: str, length: int) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != length:
-        _fail(f"expected a list of {length} [re, im] pairs", path)
-    out = np.empty(length, dtype=complex)
-    for k, entry in enumerate(obj):
-        if not isinstance(entry, list) or len(entry) != 2:
-            _fail("expected an [re, im] pair", f"{path}[{k}]")
-        out[k] = complex(_as_number(entry[0], f"{path}[{k}][0]"),
-                         _as_number(entry[1], f"{path}[{k}][1]"))
-    return out
-
-
-def _parse_complex_matrix(obj, path: str, dim: int) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        _fail(f"expected a {dim}x{dim} matrix of [re, im] pairs", path)
-    return np.stack([_parse_complex_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(obj)])
-
-
-def _parse_real_vector(obj, path: str, length: int) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != length:
-        _fail(f"expected a list of {length} numbers", path)
-    return np.array([_as_number(v, f"{path}[{k}]") for k, v in enumerate(obj)])
-
-
-def _parse_real_matrix(obj, path: str, dim: int) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        _fail(f"expected a {dim}x{dim} matrix", path)
-    return np.stack([_parse_real_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(obj)])
+def _parse_array(obj, path: str, shape: tuple[int, ...], pairs: bool = False):
+    """The array of ``shape`` at document ``path``: nested lists whose leaves
+    are numbers, or ``[re, im]`` pairs when ``pairs`` is set."""
+    if shape:
+        if not isinstance(obj, list) or len(obj) != shape[0]:
+            _fail(f"expected a list of {shape[0]} entries", path)
+        return np.array([_parse_array(v, f"{path}[{k}]", shape[1:], pairs)
+                         for k, v in enumerate(obj)])
+    if not pairs:
+        return _as_number(obj, path)
+    if not isinstance(obj, list) or len(obj) != 2:
+        _fail("expected an [re, im] pair", path)
+    return complex(_as_number(obj[0], f"{path}[0]"), _as_number(obj[1], f"{path}[1]"))
 
 
 @dataclass
@@ -175,7 +160,7 @@ def _parse_observable(doc, dim: int, path: str,
             return Observable(matrix)
         return Observable({"pauli_x": PAULI_X, "pauli_y": PAULI_Y, "pauli_z": PAULI_Z}[doc])
     with _at(path):
-        return Observable(_parse_complex_matrix(doc, path, dim))
+        return Observable(_parse_array(doc, path, (dim, dim), pairs=True))
 
 
 def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
@@ -197,7 +182,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     if not 2 <= dim <= MAX_SYSTEM_DIM:
         _fail(f"dimension must be in 2..{MAX_SYSTEM_DIM}", "system.dimension")
     with _at("system.pre_state"):
-        pre = make_state(_parse_complex_vector(system["pre_state"], "system.pre_state", dim))
+        pre = make_state(_parse_array(system["pre_state"], "system.pre_state", (dim,), pairs=True))
     post_doc = system["post_state"]
     if not isinstance(post_doc, dict) or len(post_doc) != 1:
         _fail("post_state must contain exactly one of 'amplitudes'/'eigenvalue_index'",
@@ -206,8 +191,8 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     post_index = None
     if "amplitudes" in post_doc:
         with _at("system.post_state.amplitudes"):
-            post = make_state(_parse_complex_vector(post_doc["amplitudes"],
-                                                    "system.post_state.amplitudes", dim))
+            post = make_state(_parse_array(post_doc["amplitudes"], "system.post_state.amplitudes",
+                                           (dim,), pairs=True))
     elif "eigenvalue_index" in post_doc:
         post_index = _as_int(post_doc["eigenvalue_index"], "system.post_state.eigenvalue_index")
         if not 0 <= post_index < dim:
@@ -231,14 +216,14 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         pdims = len(sigma_doc)
         if not 1 <= pdims <= 3:
             _fail("gaussian pointers support 1-3 axes", "pointer.sigma")
-        params["sigma"] = _parse_real_matrix(sigma_doc, "pointer.sigma", pdims)
+        params["sigma"] = _parse_array(sigma_doc, "pointer.sigma", (pdims, pdims))
         for key in ("mean_q", "mean_p"):
             if key in pointer:
-                params[key] = _parse_real_vector(pointer[key], f"pointer.{key}", pdims)
+                params[key] = _parse_array(pointer[key], f"pointer.{key}", (pdims,))
         with _at("pointer.sigma"):
             check_gaussian_params(params["sigma"])
         if "theta" in pointer:
-            params["theta"] = _parse_real_matrix(pointer["theta"], "pointer.theta", pdims)
+            params["theta"] = _parse_array(pointer["theta"], "pointer.theta", (pdims, pdims))
             with _at("pointer.theta"):
                 check_gaussian_params(params["sigma"], params["theta"])
         std_q, std_p = gaussian_spreads(params["sigma"], params.get("theta"))
@@ -262,13 +247,10 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         gdoc = pointer["grid"]
         _check_keys(gdoc, "pointer.grid", required=("points_per_axis", "extent"))
         pts = gdoc["points_per_axis"]
-        ext = gdoc["extent"]
         if not isinstance(pts, list) or len(pts) != pdims:
             _fail(f"points_per_axis must list {pdims} entries", "pointer.grid.points_per_axis")
-        if not isinstance(ext, list) or len(ext) != pdims:
-            _fail(f"extent must list {pdims} entries", "pointer.grid.extent")
         pts_t = tuple(_as_int(v, f"pointer.grid.points_per_axis[{k}]") for k, v in enumerate(pts))
-        ext_t = tuple(_as_number(v, f"pointer.grid.extent[{k}]") for k, v in enumerate(ext))
+        ext_t = tuple(_parse_array(gdoc["extent"], "pointer.grid.extent", (pdims,)).tolist())
     with _at("pointer.grid"):
         grid = (Grid(points_per_axis=pts_t, extent=ext_t) if "grid" in pointer
                 else auto_grid(std_q, std_p, params.get("mean_q"), params.get("mean_p")))
@@ -316,9 +298,6 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         if r_obs_doc == "post_projector" and post is None:
             _fail("post_projector readout needs explicit post_state amplitudes",
                   "readout.observable")
-        if post_index is not None and r_obs_doc == "post_projector":
-            _fail("eigenvalue_index cannot be combined with post_projector",
-                  "system.post_state.eigenvalue_index")
 
     sweep = None
     if "sweep" in document:

@@ -154,17 +154,15 @@ def criterion_6_displacement_invariance(corpus) -> CriterionResult:
     grid3 = Grid(points_per_axis=(64, 64, 64), extent=(8.0, 8.0, 8.0))
     sigma = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
     theta = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.15], [0.1, 0.15, 0.0]])
-    phi = gaussian_pointer(grid3, sigma, theta=theta)
-    shifts = np.array([3 * grid3.dp(0), -2 * grid3.dp(1), 5 * grid3.dp(2)])
-    before, after = moments(phi), moments(displace_momentum(phi, shifts))
-    for blk in ("cov_qq", "cov_qp", "cov_pp"):
-        worst = max(worst, float(np.max(np.abs(getattr(after, blk) - getattr(before, blk)))))
     grid2 = Grid(points_per_axis=(256, 256), extent=(12.0, 12.0))
-    phi = lg_mode(grid2, 1, 1.0)
-    shifts = np.array([2 * grid2.dp(0), 3 * grid2.dp(1)])
-    before, after = moments(phi), moments(displace_momentum(phi, shifts))
-    for blk in ("cov_qq", "cov_qp", "cov_pp"):
-        worst = max(worst, float(np.max(np.abs(getattr(after, blk) - getattr(before, blk)))))
+    # Each state is built in its own turn, so the other is not held while it is measured.
+    for build, cells in ((lambda: gaussian_pointer(grid3, sigma, theta=theta), (3, -2, 5)),
+                         (lambda: lg_mode(grid2, 1, 1.0), (2, 3))):
+        phi = build()
+        shifts = np.array([n * phi.grid.dp(j) for j, n in enumerate(cells)])
+        before, after = moments(phi), moments(displace_momentum(phi, shifts))
+        for blk in ("cov_qq", "cov_qp", "cov_pp"):
+            worst = max(worst, float(np.max(np.abs(getattr(after, blk) - getattr(before, blk)))))
     return CriterionResult(6, "displacement_invariance", worst <= 1e-9, worst, 1e-9,
                            "max covariance-entry change, Gaussian and vortex states")
 
@@ -248,11 +246,9 @@ def _suite_pass() -> tuple[list[CriterionResult], dict]:
     return [fn(corpus) for fn in _CRITERIA_1_9], corpus
 
 
-def _deterministic_pass_bytes(suite_pass=None) -> bytes:
-    """Everything the suite serializes: criteria summary plus corpus reports.
-    ``suite_pass`` is ``(results, corpus)`` from a pass already run; None
-    runs a fresh one."""
-    results, corpus = suite_pass if suite_pass is not None else _suite_pass()
+def _deterministic_pass_bytes(results, corpus) -> bytes:
+    """Everything one suite pass serializes: the criteria summary of
+    ``results`` plus the reports of ``corpus``."""
     parts = [summary_json_text(results).encode()]
     for _cfg, report in corpus.values():
         parts.append(report_json_text(report).encode())
@@ -260,12 +256,12 @@ def _deterministic_pass_bytes(suite_pass=None) -> bytes:
     return b"".join(parts)
 
 
-def criterion_10_determinism(suite_pass=None) -> CriterionResult:
+def criterion_10_determinism(suite_pass) -> CriterionResult:
     """Two back-to-back full passes serialize to byte-identical reports.  The
-    first pass reuses ``suite_pass``, ``(results, corpus)`` as ``run_all``
-    just ran them; the second builds its own corpus."""
-    first = _deterministic_pass_bytes(suite_pass)
-    second = _deterministic_pass_bytes()
+    first pass is ``suite_pass``, ``(results, corpus)`` as ``run_all`` just
+    ran them; the second builds its own corpus."""
+    first = _deterministic_pass_bytes(*suite_pass)
+    second = _deterministic_pass_bytes(*_suite_pass())
     identical = first == second
     return CriterionResult(10, "determinism", identical, 0.0 if identical else 1.0, 0.0,
                            f"{len(first)} bytes compared across two passes")
@@ -282,14 +278,6 @@ _CRITERIA_1_9 = (
     criterion_8_appendix_a_identity,
     criterion_9_oracle_crosscheck,
 )
-
-
-def run_criterion(number: int) -> CriterionResult:
-    if number == 10:
-        return criterion_10_determinism()
-    if not 1 <= number <= 9:
-        raise ValueError(f"no criterion number {number}")
-    return _CRITERIA_1_9[number - 1](_bundled_corpus())
 
 
 def run_all() -> list[CriterionResult]:

@@ -22,6 +22,8 @@ from pointersim.scenarios import (
 )
 from conftest import traced_peak
 
+NAN, INF = float("nan"), float("inf")
+
 
 def minimal_document():
     return {
@@ -393,27 +395,84 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "pointer.sigma: sigma is not positive definite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("template, key, value, path", [
-        ("two_mode_entangle", "gamma", 0.5, "pointer"),
-        ("two_mode_entangle", "alpha", -0.25, "pointer"),
-        ("jozsa_baseline", "pre_state", [[0, 0], [0, 0]], "system.pre_state"),
-        ("jozsa_baseline", "post_state", {"amplitudes": [[0, 0], [0, 0]]},
+    @pytest.mark.parametrize("template, keys, value, path", [
+        ("two_mode_entangle", ("pointer", "gamma"), 0.5, "pointer"),
+        ("two_mode_entangle", ("pointer", "alpha"), -0.25, "pointer"),
+        ("jozsa_baseline", ("system", "pre_state"), [[0, 0], [0, 0]], "system.pre_state"),
+        ("jozsa_baseline", ("system", "post_state"), {"amplitudes": [[0, 0], [0, 0]]},
          "system.post_state.amplitudes"),
-        ("jozsa_baseline", "grid", {"points_per_axis": [256, 256], "extent": [4.0, 4.0]},
-         "pointer.grid"),
-        ("two_mode_entangle", "grid", {"points_per_axis": [256, 256], "extent": [5.0, 5.0]},
-         "pointer.grid"),
-        ("lg_probe", "l", 40, "pointer.grid"),
-        ("theta_qp_gaussian", "theta", [[10, 0], [0, 0]], "pointer.grid"),
-        ("theta_qp_gaussian", "theta", [[12, 0], [0, 0]], "pointer.grid"),
+        ("jozsa_baseline", ("pointer", "grid"),
+         {"points_per_axis": [256, 256], "extent": [4.0, 4.0]}, "pointer.grid"),
+        ("two_mode_entangle", ("pointer", "grid"),
+         {"points_per_axis": [256, 256], "extent": [5.0, 5.0]}, "pointer.grid"),
+        ("lg_probe", ("pointer", "l"), 40, "pointer.grid"),
+        ("theta_qp_gaussian", ("pointer", "theta"), [[10, 0], [0, 0]], "pointer.grid"),
+        ("theta_qp_gaussian", ("pointer", "theta"), [[12, 0], [0, 0]], "pointer.grid"),
+        # Every document array: a non-list, a wrong length, a bad [re, im]
+        # pair where pairs apply, a boolean and a non-finite leaf.
+        ("jozsa_baseline", ("system", "pre_state"), "x", "system.pre_state"),
+        ("jozsa_baseline", ("system", "pre_state"), [[1, 0]], "system.pre_state"),
+        ("jozsa_baseline", ("system", "pre_state"), [[1, 0], [1]], "system.pre_state[1]"),
+        ("jozsa_baseline", ("system", "pre_state"), [[1, 0], [True, 0]],
+         "system.pre_state[1][0]"),
+        ("jozsa_baseline", ("system", "pre_state"), [[1, 0], [1, NAN]],
+         "system.pre_state[1][1]"),
+        ("jozsa_baseline", ("system", "post_state", "amplitudes"), 3,
+         "system.post_state.amplitudes"),
+        ("jozsa_baseline", ("system", "post_state", "amplitudes"), [[1, 0], [0, 1], [0, 0]],
+         "system.post_state.amplitudes"),
+        ("jozsa_baseline", ("system", "post_state", "amplitudes"), [[1, 0], 1],
+         "system.post_state.amplitudes[1]"),
+        ("jozsa_baseline", ("system", "post_state", "amplitudes"), [[False, 0], [0, 1]],
+         "system.post_state.amplitudes[0][0]"),
+        ("jozsa_baseline", ("system", "post_state", "amplitudes"), [[1, 0], [INF, 1]],
+         "system.post_state.amplitudes[1][0]"),
+        ("jozsa_baseline", ("couplings", 0, "observable"), 1.0, "couplings[0].observable"),
+        ("jozsa_baseline", ("couplings", 0, "observable"), [[[1, 0], [0, 0]], [[0, 0]]],
+         "couplings[0].observable[1]"),
+        ("jozsa_baseline", ("couplings", 0, "observable"), [[[1, 0], [0, 0]], [[0, 0], [1]]],
+         "couplings[0].observable[1][1]"),
+        ("jozsa_baseline", ("couplings", 0, "observable"),
+         [[[1, 0], [0, 0]], [[0, 0], [True, 0]]], "couplings[0].observable[1][1][0]"),
+        ("jozsa_baseline", ("couplings", 0, "observable"),
+         [[[1, 0], [0, 0]], [[0, 0], [1, NAN]]], "couplings[0].observable[1][1][1]"),
+        ("jozsa_baseline", ("pointer", "sigma"), "s", "pointer.sigma"),
+        ("jozsa_baseline", ("pointer", "sigma"), [[1, 0], [0]], "pointer.sigma[1]"),
+        ("jozsa_baseline", ("pointer", "sigma"), [[1, 0], [0, True]], "pointer.sigma[1][1]"),
+        ("jozsa_baseline", ("pointer", "sigma"), [[1, 0], [0, NAN]], "pointer.sigma[1][1]"),
+        ("jozsa_baseline", ("pointer", "mean_q"), 0.5, "pointer.mean_q"),
+        ("jozsa_baseline", ("pointer", "mean_q"), [0.1, 0.2, 0.3], "pointer.mean_q"),
+        ("jozsa_baseline", ("pointer", "mean_q"), [True, 0], "pointer.mean_q[0]"),
+        ("jozsa_baseline", ("pointer", "mean_q"), [0, -INF], "pointer.mean_q[1]"),
+        ("theta_qp_gaussian", ("pointer", "theta"), "t", "pointer.theta"),
+        ("theta_qp_gaussian", ("pointer", "theta"), [[0, 0.3]], "pointer.theta"),
+        ("theta_qp_gaussian", ("pointer", "theta"), [[0, 0.3], [0.3, False]],
+         "pointer.theta[1][1]"),
+        ("theta_qp_gaussian", ("pointer", "theta"), [[0, NAN], [0.3, 0]], "pointer.theta[0][1]"),
+        ("jozsa_baseline", ("pointer", "grid", "extent"), [8.0], "pointer.grid.extent"),
+        ("jozsa_baseline", ("pointer", "grid", "extent"), [8.0, True], "pointer.grid.extent[1]"),
     ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
             "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
             "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
-            "chirp-12-aliases-in-momentum"])
-    def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, key,
+            "chirp-12-aliases-in-momentum",
+            "pre-state-not-a-list", "pre-state-wrong-length", "pre-state-bad-pair",
+            "pre-state-boolean", "pre-state-nan",
+            "post-state-not-a-list", "post-state-wrong-length", "post-state-bad-pair",
+            "post-state-boolean", "post-state-inf",
+            "observable-not-a-list", "observable-wrong-length", "observable-bad-pair",
+            "observable-boolean", "observable-nan",
+            "sigma-not-a-list", "sigma-wrong-length", "sigma-boolean", "sigma-nan",
+            "mean-q-not-a-list", "mean-q-wrong-length", "mean-q-boolean", "mean-q-inf",
+            "theta-not-a-list", "theta-wrong-length", "theta-boolean", "theta-nan",
+            "extent-wrong-length", "extent-boolean"])
+    def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, keys,
                                                  value, path):
         doc = bundled_document(template)
-        doc["system" if key in ("pre_state", "post_state") else "pointer"][key] = value
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
         doc_path = tmp_path / "bad.json"
         doc_path.write_text(json.dumps(doc))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
@@ -463,6 +522,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: probe strength must be finite and nonzero")
         assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["entangle", "--alpha", "inf", "--beta", "0.25", "--gamma", "0.125"], "alpha"),
+        (["entangle", "--alpha", "0.25", "--beta", "inf", "--gamma", "0.125"], "beta"),
+        (["entangle", "--alpha", "nan", "--beta", "0.25", "--gamma", "0.125"], "alpha"),
+        (["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "nan"], "gamma"),
+        (["appendix-a", "--sigma1", "inf", "--sigma2", "1", "--c12", "0.2"], "sigma1"),
+        (["appendix-a", "--sigma1", "1", "--sigma2", "nan", "--c12", "0.2"], "sigma2"),
+        (["appendix-a", "--sigma1", "1", "--sigma2", "1", "--c12", "nan"], "c12"),
+        (["lg-check", "--l", "1", "--sigma", "inf"], "sigma"),
+    ])
+    def test_non_finite_parameter_exits_1_naming_it(self, tmp_path, capsys, argv, name):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ")
+        assert "finite" in err and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_appendix_a_command(self, tmp_path):

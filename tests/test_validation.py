@@ -81,22 +81,6 @@ def test_determinism_fails_when_a_rerun_result_differs(stub_suite):
     assert results[-1].value == 1.0
 
 
-@pytest.mark.parametrize("number", range(1, 10))
-def test_run_criterion_dispatches_to_its_criterion(stub_suite, number):
-    result = validation.run_criterion(number)
-    assert result.number == number
-    assert stub_suite.calls == [1 if n == number else 0 for n in range(1, 10)]
-    assert len(stub_suite.built) == 1 and len(stub_suite.received) == 1
-    got_number, got_corpus = stub_suite.received[0]
-    assert got_number == number and got_corpus is stub_suite.built[0]
-
-
-def test_criterion_10_alone_makes_two_fresh_passes(stub_suite):
-    assert validation.run_criterion(10).passed
-    assert stub_suite.calls == [2] * 9
-    assert len(stub_suite.built) == 2
-
-
 def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tmp_path):
     def summaries(results):
         return validation.summary_json_text(results), validation.summary_csv_text(results)

@@ -1,0 +1,60 @@
+"""Print the SHA-256 of every file the CLI writes for a fixed command set.
+
+Runs, through ``pointersim.cli.main`` only, each bundled scenario with
+``run`` and with ``sweep --multipliers 2 1.5 1 0.75 0.5``, ``lg-check`` for
+l = 0, 1, 2, the golden ``entangle`` and ``appendix-a`` commands, and
+``validate``, into a temporary directory.  Prints ``sha256  filename`` per
+output file, sorted by name.  Two checkouts write the same bytes when the
+output of
+
+    PYTHONPATH=src python tools/output_digest.py
+
+is the same on both (``diff`` of the two listings is empty).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from pointersim import cli
+
+COMMANDS = [
+    ["lg-check", "--l", "0"],
+    ["lg-check", "--l", "1"],
+    ["lg-check", "--l", "2"],
+    ["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125"],
+    ["appendix-a", "--sigma1", "1", "--sigma2", "1.3", "--c12", "0.2"],
+    ["validate"],
+]
+
+
+def scenario_commands() -> list[list[str]]:
+    root = resources.files("pointersim").joinpath("scenarios")
+    paths = sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
+    return ([["run", path] for path in paths]
+            + [["sweep", path, "--multipliers", "2", "1.5", "1", "0.75", "0.5"]
+               for path in paths])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for argv in scenario_commands() + COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", str(out)])
+            if code != 0:
+                print(f"{' '.join(argv)} exited {code}", file=sys.stderr)
+                return 1
+        for path in sorted(out.iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
