@@ -81,6 +81,26 @@ def test_determinism_fails_when_a_rerun_result_differs(stub_suite):
     assert results[-1].value == 1.0
 
 
+@pytest.mark.parametrize("number", range(1, 10))
+def test_run_criterion_dispatches_to_its_criterion(stub_suite, number):
+    """One suite pass runs criterion ``number`` once, at its own place, on
+    the one corpus the pass built."""
+    results, corpus = validation._suite_pass()
+    assert results[number - 1].number == number
+    assert stub_suite.calls[number - 1] == 1
+    assert len(stub_suite.built) == 1 and corpus is stub_suite.built[0]
+    got_number, got_corpus = stub_suite.received[number - 1]
+    assert got_number == number and got_corpus is corpus
+
+
+def test_criterion_10_alone_makes_two_fresh_passes(stub_suite):
+    """Criterion 10 handed one pass builds exactly one more of its own."""
+    assert validation.criterion_10_determinism(validation._suite_pass()).passed
+    assert stub_suite.calls == [2] * 9
+    assert len(stub_suite.built) == 2
+    assert stub_suite.built[0] is not stub_suite.built[1]
+
+
 def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tmp_path):
     def summaries(results):
         return validation.summary_json_text(results), validation.summary_csv_text(results)
