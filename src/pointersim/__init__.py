@@ -41,6 +41,7 @@ from .pointer import (
     displace_momentum,
     gaussian_pointer,
     lg_mode,
+    means,
     moments,
 )
 from .dynamics import (

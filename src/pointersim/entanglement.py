@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams, UnusableProbe
-from .pointer import (Grid, MomentSet, PointerWavefunction, auto_grid, gaussian_pointer,
-                      gaussian_spreads, moments)
+from .pointer import (Grid, PointerWavefunction, auto_grid, gaussian_pointer, gaussian_spreads,
+                      means, moments)
 from .quantum import PAULI_Z, Observable, SystemState, make_state, weak_value
 from .shifts import FROZEN_CONVENTION
 
@@ -105,18 +105,16 @@ def c_matrix_direct(phi: PointerWavefunction) -> CMatrix:
 
 def _measured_row(
     phi: PointerWavefunction,
-    base: MomentSet,
+    base: tuple[np.ndarray, np.ndarray],
     probe: WeakProbeConfig,
     quadrature: str,
     denom: float,
 ) -> tuple[float, float]:
+    """Axis-2 mean shifts from ``base``, the ``(mean_q, mean_p)`` of ``phi``."""
     spec = CouplingSpec(probe.observable, axis=0, quadrature=quadrature,
                         strength=probe.strength)
-    final = moments(evolve(probe.pre, phi, [spec], probe.post)[0])
-    return (
-        (final.mean_q[1] - base.mean_q[1]) / denom,
-        (final.mean_p[1] - base.mean_p[1]) / denom,
-    )
+    final_q, final_p = means(evolve(probe.pre, phi, [spec], probe.post)[0])
+    return (final_q[1] - base[0][1]) / denom, (final_p[1] - base[1][1]) / denom
 
 
 def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CMatrix:
@@ -137,7 +135,7 @@ def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CM
             f"Im(weak value) = {w.imag:.2e}: correlation terms are unobservable"
         )
     denom = FROZEN_CONVENTION.orientation * 2.0 * probe.strength * w.imag
-    base = moments(phi)
+    base = means(phi)
     row_q = _measured_row(phi, base, probe, "q", denom)
     row_p = _measured_row(phi, base, probe, "p", denom)
     return CMatrix(entries=np.array([row_q, row_p]))

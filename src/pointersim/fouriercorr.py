@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .pointer import Grid, _axis_transform
+from .pointer import Grid, _axis_transform, check_width
 
 
 def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex, complex, float]:
@@ -31,10 +31,11 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     is exact for sigma1 == sigma2 and the residual reports the mismatch
     honestly otherwise.
     """
-    for name, value in (("sigma1", sigma1), ("sigma2", sigma2), ("c12", c12)):
-        if not np.isfinite(value):
-            raise InvalidParams(f"{name} must be finite, got {value}")
-    if sigma1 <= 0 or sigma2 <= 0 or sigma1**2 * sigma2**2 <= c12**2:
+    check_width("sigma1", sigma1)
+    check_width("sigma2", sigma2)
+    if not np.isfinite(c12):
+        raise InvalidParams(f"c12 must be finite, got {c12}")
+    if sigma1**2 * sigma2**2 <= c12 * c12:
         raise InvalidParams("exponent coefficients must define a positive-definite form")
     prec = np.array([[sigma1**2, c12], [c12, sigma2**2]])
     cov = np.linalg.inv(prec)

@@ -199,9 +199,19 @@ def _row_blocks(shape: tuple[int, ...]) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 
-def _block_rows(axis_values: np.ndarray, blk: slice) -> np.ndarray:
-    """The part of an ``axis_array`` that broadcasts against rows ``blk``."""
-    return axis_values[blk] if axis_values.shape[0] > 1 else axis_values
+def _block_coordinates(grid: Grid, samples):
+    """``coords(j, blk)``: the axis-``j`` samples ``samples(j)`` (e.g.
+    ``grid.positions``) over grid rows ``blk``, shaped to multiply a block
+    buffer.  Axis 0 is a slice of its ``axis_array``.  Axes 1..D-1 vary the
+    same way inside every block, so each is one contiguous array of
+    :func:`_block_shape`, built once: a multiply by it runs as one flat loop
+    over two contiguous operands instead of a short broadcast inner loop, and
+    forms the same products."""
+    block = _block_shape(grid.shape)
+    first = grid.axis_array(0, samples(0))
+    rest = [np.ascontiguousarray(np.broadcast_to(grid.axis_array(j, samples(j)), block))
+            for j in range(1, grid.dims)]
+    return lambda j, blk: rest[j - 1] if j else first[blk]
 
 
 def _block_sums(shape: tuple[int, ...], block_parts) -> np.ndarray:
@@ -278,11 +288,21 @@ def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.diag(sig)), np.sqrt(np.diag(0.25 * np.linalg.inv(sig) + th @ sig @ th))
 
 
+def check_width(name: str, width: float) -> None:
+    """Raise InvalidParams naming ``name`` unless ``width`` is positive and its
+    square a finite, nonzero float.  (``width**2`` of a Python float raises
+    OverflowError past about 1.3e154, and underflows to 0 below 1e-162.)"""
+    w = float(width)
+    if not (w > 0 and 0.0 < w * w < math.inf):
+        raise InvalidParams(f"{name} must be positive and finite, with a finite nonzero "
+                            f"square, got {width}")
+
+
 def lg_spreads(l: int, sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-axis marginal position and momentum standard deviations of :func:`lg_mode`,
-    ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for finite ``sigma > 0``."""
-    if not 0 < sigma < np.inf:
-        raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
+    ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for a ``sigma``
+    that passes :func:`check_width`."""
+    check_width("sigma", sigma)
     std_q, std_p = sigma * np.sqrt(1.0 + abs(l)), np.sqrt(1.0 + abs(l)) / (2.0 * sigma)
     return (std_q, std_q), (std_p, std_p)
 
@@ -378,13 +398,83 @@ def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.
     return np.multiply(rho, vol, out=rho)
 
 
+def _mass_mean_cov(amps: np.ndarray, vol: float, xs, cov: bool):
+    """``(mass, mean, covariance)`` of the density ``|amps|^2 * vol`` over the
+    block coordinates ``xs`` (:func:`_block_coordinates`); the covariance is
+    None unless ``cov``.
+
+    Per block: sum rho, then for each axis i sum w = rho * x_i and, when
+    ``cov``, for j >= i sum w * x_j, so rho * x_i * x_j evaluates as
+    (rho * x_i) * x_j.  ``np.add.reduce(x, axis=None)`` is the reduction
+    ``np.sum`` calls, without its wrapper.  :func:`_block_sums` combines each
+    quantity's block sums on its own, so the mass and means keep their bits
+    without the covariance sums.
+    """
+    shape = amps.shape
+    d = len(shape)
+    rho, w, prod = (np.empty(_block_shape(shape)) for _ in range(3))
+
+    def parts(blk):
+        row = [np.add.reduce(_density(amps[blk], vol, out=rho), axis=None)]
+        for i in range(d):
+            row.append(np.add.reduce(np.multiply(rho, xs(i, blk), out=w), axis=None))
+            if cov:
+                row += [np.add.reduce(np.multiply(w, xs(j, blk), out=prod), axis=None)
+                        for j in range(i, d)]
+        return row
+    # An invalid product needs a non-finite density, which fails the mass
+    # check right after this pass, so it need not warn first.
+    with np.errstate(invalid="ignore"):
+        sums = iter(_block_sums(shape, parts))
+    mass, mean, raw = float(next(sums)), np.zeros(d), np.zeros((d, d))
+    for i in range(d):
+        mean[i] = next(sums)
+        if cov:
+            for j in range(i, d):
+                raw[i, j] = raw[j, i] = next(sums)
+    return mass, mean, (raw - np.outer(mean, mean) if cov else None)
+
+
+def _diagonal_moments(phi: PointerWavefunction, qs, ps, cov: bool):
+    """The position and momentum passes shared by :func:`moments` and
+    :func:`means`: ``(mean_q, mean_p, cov_qq, cov_pp, psi_p)``, the
+    covariances None unless ``cov``.  ``psi_p``, the momentum amplitudes from
+    D axis transforms, is a fresh array the caller may reuse as scratch.
+    Both densities must integrate to 1."""
+    grid, d = phi.grid, phi.grid.dims
+    psi_q = phi.amplitudes
+    norm_q, mean_q, cov_qq = _mass_mean_cov(psi_q, grid.cell_volume(("position",) * d), qs, cov)
+    if not abs(norm_q - 1.0) <= _NORM_TOL:
+        raise NormalizationError("moments need a normalized wavefunction")
+    psi_p = _axis_transform(psi_q, grid, 0, out=np.empty_like(psi_q))
+    for axis in range(1, d):
+        psi_p = _axis_transform(psi_p, grid, axis, out=psi_p)
+    norm_p, mean_p, cov_pp = _mass_mean_cov(psi_p, grid.cell_volume(("momentum",) * d), ps, cov)
+    if not abs(norm_p - 1.0) <= _NORM_TOL:
+        raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
+    return mean_q, mean_p, cov_qq, cov_pp, psi_p
+
+
+def means(phi: PointerWavefunction) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean_q, mean_p)`` of a normalized pointer state, bit for bit those
+    of :func:`moments`, from D axis transforms instead of 4*D: the position
+    and momentum passes without the covariance products.  For callers that
+    read only the mean shifts."""
+    grid = phi.grid
+    mean_q, mean_p, *_ = _diagonal_moments(phi, _block_coordinates(grid, grid.positions),
+                                           _block_coordinates(grid, grid.momenta), cov=False)
+    mean_q.flags.writeable = mean_p.flags.writeable = False
+    return mean_q, mean_p
+
+
 def moments(phi: PointerWavefunction) -> MomentSet:
     """Means and all covariance blocks of a normalized pointer state.
 
     mean_q / cov_qq come from position-space quadrature, mean_p / cov_pp from
     momentum space, the cov_qp off-diagonals from the mixed representation
     where both operators are diagonal, and the cov_qp diagonal from the
-    symmetrized same-axis product.
+    symmetrized same-axis product.  :func:`means` runs the first two passes
+    alone.
 
     Budget: 4*D axis transforms per call (D for momentum space, D for the
     mixed representations, 2*D for the same-axis products).  Taking the
@@ -392,51 +482,23 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     waits on ROADMAP item 1, which re-baselines the traced FFT counts.  The
     transforms all write into one complex scratch array the size of the state.
     Densities, products and their partial sums are formed one block of leading
-    rows at a time, so the other scratch is four block buffers: about one
-    pointer plus blocks in all.  :func:`_block_sums` adds the block sums in
-    numpy's pairwise order, so every mean and covariance keeps the bits of the
-    whole-array ``np.sum``.
+    rows at a time.  The coordinates of axes 1..D-1 are the same in every
+    block, so each is held as one contiguous block-sized array, built once per
+    call (:func:`_block_coordinates`); axis 0 is sliced per block.  So the
+    other scratch is a few block buffers and 2*(D-1) coordinate blocks: about
+    one pointer plus blocks in all.  :func:`_block_sums` adds the block sums
+    in numpy's pairwise order, so every mean and covariance keeps the bits of
+    the whole-array ``np.sum``.
     """
     grid = phi.grid
     d = grid.dims
     shape = grid.shape
     psi_q = phi.amplitudes
     dvol_q = grid.cell_volume(("position",) * d)
-    qs = [grid.axis_array(j, grid.positions(j)) for j in range(d)]
-    ps = [grid.axis_array(j, grid.momenta(j)) for j in range(d)]
-    rho, w, prod = (np.empty(_block_shape(shape)) for _ in range(3))
+    qs, ps = _block_coordinates(grid, grid.positions), _block_coordinates(grid, grid.momenta)
+    mean_q, mean_p, cov_qq, cov_pp, scratch = _diagonal_moments(phi, qs, ps, cov=True)
+    rho, prod = (np.empty(_block_shape(shape)) for _ in range(2))
     conj = np.empty(_block_shape(shape), dtype=complex)
-
-    def mass_mean_cov(amps, vol, xs):
-        # Per block: sum rho, then for each i sum w = rho * x_i and, for
-        # j >= i, sum w * x_j, so rho * x_i * x_j evaluates as (rho * x_i) * x_j.
-        def parts(blk):
-            row = [np.sum(_density(amps[blk], vol, out=rho))]
-            for i in range(d):
-                row.append(np.sum(np.multiply(rho, _block_rows(xs[i], blk), out=w)))
-                row += [np.sum(np.multiply(w, _block_rows(xs[j], blk), out=prod))
-                        for j in range(i, d)]
-            return row
-        # An invalid product needs a non-finite density, which fails the mass
-        # check right after this pass, so it need not warn first.
-        with np.errstate(invalid="ignore"):
-            sums = iter(_block_sums(shape, parts))
-        norm, mean, raw = float(next(sums)), np.zeros(d), np.zeros((d, d))
-        for i in range(d):
-            mean[i] = next(sums)
-            for j in range(i, d):
-                raw[i, j] = raw[j, i] = next(sums)
-        return norm, mean, raw - np.outer(mean, mean)
-
-    norm_q, mean_q, cov_qq = mass_mean_cov(psi_q, dvol_q, qs)
-    if not abs(norm_q - 1.0) <= _NORM_TOL:
-        raise NormalizationError("moments need a normalized wavefunction")
-    scratch = _axis_transform(psi_q, grid, 0, out=np.empty_like(psi_q))
-    for axis in range(1, d):
-        scratch = _axis_transform(scratch, grid, axis, out=scratch)
-    norm_p, mean_p, cov_pp = mass_mean_cov(scratch, grid.cell_volume(("momentum",) * d), ps)
-    if not abs(norm_p - 1.0) <= _NORM_TOL:
-        raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
 
     cov_qp = np.zeros((d, d))
     for m in range(d):
@@ -449,8 +511,9 @@ def moments(phi: PointerWavefunction) -> MomentSet:
 
         def mixed_parts(blk):
             _density(mixed[blk], vol, out=rho)
-            return [np.sum(np.multiply(np.multiply(rho, _block_rows(qs[j], blk), out=prod),
-                                       _block_rows(ps[m], blk), out=prod)) for j in q_axes]
+            return [np.add.reduce(np.multiply(np.multiply(rho, qs(j, blk), out=prod),
+                                              ps(m, blk), out=prod), axis=None)
+                    for j in q_axes]
         for j, raw in zip(q_axes, _block_sums(shape, mixed_parts)):
             cov_qp[j, m] = raw - mean_q[j] * mean_p[m]
     for j in range(d):
@@ -458,8 +521,8 @@ def moments(phi: PointerWavefunction) -> MomentSet:
         p_psi = _apply_momentum(psi_q, grid, j, out=scratch)
 
         def same_axis_parts(blk):
-            np.multiply(np.conjugate(psi_q[blk], out=conj), _block_rows(qs[j], blk), out=conj)
-            return [np.sum(np.multiply(conj, p_psi[blk], out=conj))]
+            np.multiply(np.conjugate(psi_q[blk], out=conj), qs(j, blk), out=conj)
+            return [np.add.reduce(np.multiply(conj, p_psi[blk], out=conj), axis=None)]
         raw = complex(_block_sums(shape, same_axis_parts)[0] * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
 

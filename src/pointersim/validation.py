@@ -18,7 +18,7 @@ import numpy as np
 
 from .entanglement import TwoModeGaussianParams, probe_c_matrices
 from .fouriercorr import appendix_a_check
-from .pointer import Grid, displace_momentum, gaussian_pointer, lg_mode, moments
+from .pointer import Grid, displace_momentum, gaussian_pointer, lg_mode, means, moments
 from .scenarios import (
     _g17,
     bundled_scenario_names,
@@ -155,12 +155,15 @@ def criterion_6_displacement_invariance(corpus) -> CriterionResult:
     sigma = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
     theta = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.15], [0.1, 0.15, 0.0]])
     grid2 = Grid(points_per_axis=(256, 256), extent=(12.0, 12.0))
-    # Each state is built in its own turn, so the other is not held while it is measured.
+    # Each state is built in its own turn, so the other is not held while it
+    # is measured, and the displaced state replaces the undisplaced one.
     for build, cells in ((lambda: gaussian_pointer(grid3, sigma, theta=theta), (3, -2, 5)),
                          (lambda: lg_mode(grid2, 1, 1.0), (2, 3))):
         phi = build()
         shifts = np.array([n * phi.grid.dp(j) for j, n in enumerate(cells)])
-        before, after = moments(phi), moments(displace_momentum(phi, shifts))
+        before = moments(phi)
+        phi = displace_momentum(phi, shifts)
+        after = moments(phi)
         for blk in ("cov_qq", "cov_qp", "cov_pp"):
             worst = max(worst, float(np.max(np.abs(getattr(after, blk) - getattr(before, blk)))))
     return CriterionResult(6, "displacement_invariance", worst <= 1e-9, worst, 1e-9,
@@ -211,14 +214,14 @@ def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     for name, (cfg, report) in corpus.items():
         pre, post, _obs, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
-        # No binding holds the pointers, so each is freed once its moments are taken.
-        m_fo = moments(first_order_pointer(
+        # No binding holds the pointers, so each is freed once its means are taken.
+        mean_q, mean_p = means(first_order_pointer(
             pre, post, specs, build_pointer(cfg)[1],
             readout_axis=cfg.readout_axis0,
             readout_eigenvalue=a_l,
         ))
-        dist = float(max(np.max(np.abs(report.final_mean_q - m_fo.mean_q)),
-                         np.max(np.abs(report.final_mean_p - m_fo.mean_p))))
+        dist = float(max(np.max(np.abs(report.final_mean_q - mean_q)),
+                         np.max(np.abs(report.final_mean_p - mean_p))))
         lam_tot = sum(abs(c.strength) for c in cfg.couplings)
         tol = max(3.0 * lam_tot**2, 1e-9)
         ok = dist <= tol

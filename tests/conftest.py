@@ -1,5 +1,6 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
-a whole-array reference for the blockwise moments, and a traced-peak probe."""
+a whole-array reference for the blockwise moments, a traced-peak probe and a
+call counter."""
 
 import tracemalloc
 
@@ -91,6 +92,20 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Wrap each one-argument function ``module.<name>`` so that it counts its
+    calls; returns ``{name: calls so far}``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(arg, name=name, original=original):
+            counts[name] += 1
+            return original(arg)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -106,6 +121,7 @@ def random_state_vector(rng, d: int) -> np.ndarray:
 
 
 __all__ = [
+    "count_calls",
     "dense_axis_transform",
     "oracle_mixed_moment",
     "random_hermitian",

@@ -23,7 +23,9 @@ from pointersim import (
     moments,
     two_mode_gaussian,
 )
+from pointersim import entanglement
 from pointersim.pointer import gaussian_spreads
+from conftest import count_calls
 
 
 def reference_params():
@@ -149,6 +151,13 @@ class TestReconstruction:
         direct = c_matrix_direct(phi)
         recon = c_matrix_from_shifts(phi, probe())
         assert is_entangled(direct) == is_entangled(recon) == (gamma != 0.0)
+
+    def test_probe_c_matrices_takes_means_where_it_reads_only_means(self, monkeypatch):
+        # The direct C needs the covariances; the base state and the two
+        # probed states are read for their mean shifts only.
+        counts = count_calls(monkeypatch, entanglement, "moments", "means")
+        entanglement.probe_c_matrices(TwoModeGaussianParams(0.25, 0.25, 0.125), 0.05)
+        assert counts == {"moments": 1, "means": 3}
 
     def test_real_weak_value_probe_rejected(self):
         # post = |0> gives (Z)_w = 1: no imaginary part, nothing to divide by.

@@ -99,3 +99,5 @@ class TestAppendixCheck:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidParams):
             appendix_a_check(0.5, 0.5, 0.3)
+        with pytest.raises(InvalidParams, match="positive-definite"):
+            appendix_a_check(1.0, 1.0, 1e200)  # c12**2 would overflow

@@ -18,6 +18,7 @@ from pointersim import (
     displace_momentum,
     gaussian_pointer,
     lg_mode,
+    means,
     moments,
     two_mode_gaussian,
 )
@@ -354,8 +355,9 @@ class TestMoments:
         phi = gaussian_pointer(grid2(), np.eye(2))
         for bad in (np.nan, np.inf):
             phi.amplitudes = np.full(phi.grid.shape, bad, dtype=complex)
-            with pytest.raises(NormalizationError, match="normalized"):
-                moments(phi)
+            for measure in (moments, means):
+                with pytest.raises(NormalizationError, match="normalized"):
+                    measure(phi)
 
     def test_moments_reject_nan_momentum_density(self, monkeypatch):
         phi = gaussian_pointer(grid2(), np.eye(2))
@@ -363,8 +365,9 @@ class TestMoments:
             monkeypatch.setattr("pointersim.pointer._axis_transform",
                                 lambda arr, grid, axis, forward=True, out=None:
                                 np.full_like(arr, bad))
-            with pytest.raises(NormalizationError, match="momentum density"):
-                moments(phi)
+            for measure in (moments, means):
+                with pytest.raises(NormalizationError, match="momentum density"):
+                    measure(phi)
 
     def test_rejects_momentum_density_off_unit_mass(self, monkeypatch):
         # The momentum density is checked too: a transform that lost

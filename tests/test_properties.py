@@ -23,6 +23,7 @@ from pointersim.pointer import (
     _axis_transform,
     displace_momentum,
     gaussian_pointer,
+    means,
     moments,
 )
 from pointersim.quantum import Observable, SystemState, eigendecompose
@@ -161,6 +162,9 @@ def test_blockwise_moments_equal_the_whole_array_sums(points, seed):
     got, ref = moments(phi), reference_moments(phi)
     for field in ("mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp"):
         assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+    mean_q, mean_p = means(phi)
+    assert mean_q.tobytes() == ref.mean_q.tobytes()
+    assert mean_p.tobytes() == ref.mean_p.tobytes()
 
 
 @PROPERTY_SETTINGS

@@ -490,6 +490,20 @@ class TestCli:
         assert "config error: pointer.grid: axis 0: momentum" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_vortex_width_with_unusable_square_exits_2(self, tmp_path, capsys, sigma):
+        # The width is checked where the document is parsed, before any grid.
+        doc = bundled_document("lg_probe")
+        del doc["pointer"]["grid"]
+        doc["pointer"]["sigma"] = sigma
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: pointer.sigma: sigma must be positive and finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_1(self, tmp_path):
         doc = minimal_document()
         doc["system"]["pre_state"] = [[1, 0], [0, 0]]
@@ -533,6 +547,11 @@ class TestCli:
         (["appendix-a", "--sigma1", "1", "--sigma2", "nan", "--c12", "0.2"], "sigma2"),
         (["appendix-a", "--sigma1", "1", "--sigma2", "1", "--c12", "nan"], "c12"),
         (["lg-check", "--l", "1", "--sigma", "inf"], "sigma"),
+        # Finite widths whose squares overflow or underflow.
+        (["lg-check", "--l", "1", "--sigma", "1e200"], "sigma"),
+        (["lg-check", "--l", "1", "--sigma", "1e-200"], "sigma"),
+        (["appendix-a", "--sigma1", "1e200", "--sigma2", "1", "--c12", "0"], "sigma1"),
+        (["appendix-a", "--sigma1", "1", "--sigma2", "1e-200", "--c12", "0"], "sigma2"),
     ])
     def test_non_finite_parameter_exits_1_naming_it(self, tmp_path, capsys, argv, name):
         assert main(argv + ["--out", str(tmp_path)]) == 1

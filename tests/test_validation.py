@@ -4,7 +4,9 @@ wall-clock budget fails ``pointersim validate`` without entering the
 serialized summaries.
 
 The stubs stand in for the real criteria so that only the scheduling is
-under test; the real criteria are covered by ``test_acceptance.py``.
+under test; the real criteria's verdicts are covered by
+``test_acceptance.py``.  The last tests run criteria 6 and 9 alone, for
+their memory peak and for which moment passes they call.
 """
 
 from types import SimpleNamespace
@@ -13,7 +15,9 @@ import pytest
 
 from pointersim import validation
 from pointersim.cli import main
+from pointersim.scenarios import load_bundled, run_scenario
 from pointersim.validation import CriterionResult
+from conftest import count_calls, traced_peak
 
 
 @pytest.fixture
@@ -119,3 +123,22 @@ def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tm
     for name in ("validate_summary.json", "validate_summary.csv"):
         assert ((tmp_path / "late" / name).read_bytes()
                 == (tmp_path / "on_time" / name).read_bytes())
+
+
+def test_criterion_6_holds_one_64_cubed_pointer_while_measuring():
+    # The displaced state replaces the undisplaced one before its moments are
+    # taken, so the 64^3 pass peaks at the state, the moments scratch and
+    # the displacement's buffers, not at two states plus scratch.
+    pointer_bytes = 64**3 * 16
+    result, peak = traced_peak(lambda: validation.criterion_6_displacement_invariance({}))
+    assert result.passed
+    assert peak <= 2.75 * pointer_bytes, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_criterion_9_takes_only_means(monkeypatch):
+    # It compares mean vectors, so it needs no covariance pass.
+    cfg = load_bundled("zero_coupling")
+    corpus = {"zero_coupling": (cfg, run_scenario(cfg))}
+    counts = count_calls(monkeypatch, validation, "moments", "means")
+    assert validation.criterion_9_oracle_crosscheck(corpus).passed
+    assert counts == {"moments": 0, "means": 1}

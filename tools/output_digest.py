@@ -7,9 +7,11 @@ l = 0, 1, 2, the golden ``entangle`` and ``appendix-a`` commands, and
 output file, sorted by name.  Two checkouts write the same bytes when the
 output of
 
-    PYTHONPATH=src python tools/output_digest.py
+    python tools/output_digest.py
 
-is the same on both (``diff`` of the two listings is empty).
+is the same on both (``diff`` of the two listings is empty).  It digests
+the checkout it sits in: its own ``../src`` goes first on ``sys.path``, and it
+exits 1 if ``pointersim`` is imported from anywhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from pointersim import cli
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import pointersim  # noqa: E402
+from pointersim import cli  # noqa: E402
 
 COMMANDS = [
     ["lg-check", "--l", "0"],
@@ -43,6 +49,10 @@ def scenario_commands() -> list[list[str]]:
 
 
 def main() -> int:
+    if Path(pointersim.__file__).resolve().parent != (SRC / "pointersim").resolve():
+        print(f"error: imported pointersim from {pointersim.__file__}, not {SRC}",
+              file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for argv in scenario_commands() + COMMANDS:
