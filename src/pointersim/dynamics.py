@@ -2,9 +2,9 @@
 
 Every evolution here is ``exp(-i * lambda * A (x) xi)`` with xi a position or
 momentum quadrature of one pointer axis.  The quadrature is diagonal in its
-own representation, so the evolution reduces to a pointwise d x d matrix
-exponential over grid points; with a single coupling the observable is
-diagonalized once and only phases touch the grid.
+own representation, so the evolution is a pointwise d x d matrix exponential
+over grid points: in one eigenbasis of all terms (always so for one coupling)
+only phases touch the grid, else each row block diagonalizes its generator.
 
 Every caller runs the exact pipeline through :func:`evolve`.  Its coupling,
 readout and transform steps write their results back into the one joint
@@ -19,6 +19,7 @@ values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .pointer import (
     _sum_abs2,
     displace_momentum,
 )
-from .quantum import Observable, SystemState, eigendecompose, weak_value
+from .quantum import Observable, SystemState, weak_value
 
 _POSTSELECT_FLOOR = 1e-12
 
@@ -143,21 +144,19 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
                     out: np.ndarray | None = None) -> JointState:
     """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)``.
 
-    All specs in one call must use the same quadrature kind; the listed terms
-    act simultaneously (they are summed in one exponent).  The axis
-    transforms and the evolved amplitudes are written into ``out``, a complex
-    array of the state's shape that may be the state's own ``_buffer``; the
-    returned state adopts it.  Without ``out`` the call allocates one, so the
-    input state is left alone.  With nothing to transform or couple it
-    returns ``state`` itself.
+    All specs must share one quadrature kind; the terms act simultaneously.
+    The axis transforms and the result go into ``out``, a complex array of
+    the state's shape (the state's own ``_buffer`` allowed), which the
+    returned state adopts; without it the call allocates one and leaves the
+    input alone.  With nothing to transform or couple it returns ``state``.
 
-    Both branches work one block of leading grid rows at a time
-    (``_BLOCK_CELLS`` cells): a block is rotated into the eigenbasis of the
-    generator, phased, and rotated back into ``out``.  Every cell sees the
-    same operations as a full-array rotation, so the result is bit-equal to
-    it, and a block is read before its rows of ``out`` are written.  With one
-    live term the observable is diagonalized once; with several, the
-    pointwise generator is.
+    Each block of leading grid rows (``_BLOCK_CELLS`` cells) is rotated into
+    an eigenbasis, phased by ``exp(-i w)`` and rotated back into ``out``, bit
+    for bit as a whole-array rotation and read before its rows are written.
+    ``w`` is the live terms' summed phases in one basis that diagonalizes
+    them all (``eigh`` of the observable, for one term), else the eigenvalues
+    of each block's pointwise generator, bit for bit a per-cell ``eigh``'s.
+    Commuting terms not all diagonal may differ from the latter in the last bits.
     """
     if not specs:
         return state
@@ -180,31 +179,30 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     if not live:
         return state
     grid, amps = state.grid, state.amplitudes
-    if len(live) == 1:
-        # Single observable: diagonalize once, apply pure phases per eigenline.
-        s = live[0]
-        spec_eig = eigendecompose(s.observable)
-        v = spec_eig.eigenvectors
-        v_conj = v.conj()
-        xi = _quadrature_values(grid, s.axis, quadrature)
-        eigcol = spec_eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
-        phase = np.exp(-1j * s.strength * eigcol * xi)
-        for blk in _row_blocks(grid.shape):
-            rotated = np.einsum("ij,i...->j...", v_conj, amps[:, blk])
-            np.multiply(rotated, phase[:, blk] if s.axis == 0 else phase, out=rotated)
-            np.einsum("ij,j...->i...", v, rotated, out=out[:, blk])
-        return JointState._adopt(grid, out, state.reps)
-    # General case: pointwise Hermitian generator, batched eigendecomposition.
-    gen = np.zeros(grid.shape + (d, d), dtype=complex)
-    for s in live:
-        xi = _quadrature_values(grid, s.axis, quadrature)
-        gen += s.strength * xi[..., None, None] * s.observable.matrix
-    w, v = np.linalg.eigh(gen)
-    del gen
+    mats = [s.observable.matrix for s in live]
+    xis = [(s.axis, _quadrature_values(grid, s.axis, quadrature)) for s in live]
+    # The eigenbasis of A_0 + sum_k (1 + k pi) A_k serves every term that it
+    # diagonalizes; commuting terms can make that sum degenerate.
+    w, v = np.linalg.eigh(sum(((1.0 + k * np.pi) * mat for k, mat in enumerate(mats[1:], 1)),
+                              start=mats[0]))
+    in_v = [v.conj().T @ mat @ v for mat in mats] if len(live) > 1 else []
+    shared = all(np.max(np.abs(r - np.diag(np.diag(r)))) <= 1e-12 * np.max(np.abs(mat))
+                 for r, mat in zip(in_v, mats))
+    spectra = [np.real(np.diag(r)) for r in in_v] or [w]
+    terms = [(axis, -1j * s.strength * a.reshape((d,) + (1,) * grid.dims) * xi)
+             for s, a, (axis, xi) in zip(live, spectra, xis)]
     for blk in _row_blocks(grid.shape):
-        rotated = np.einsum("...ij,...i->...j", v[blk].conj(), np.moveaxis(amps[:, blk], 0, -1))
-        np.multiply(rotated, np.exp(-1j * w[blk]), out=rotated)
-        np.einsum("...ij,...j->...i", v[blk], rotated, out=np.moveaxis(out[:, blk], 0, -1))
+        if shared:
+            vb, x = v, reduce(np.add, (t[:, blk] if axis == 0 else t for axis, t in terms))
+        else:
+            gen = np.zeros(amps[0, blk].shape + (d, d), dtype=complex)
+            for s, mat, (axis, xi) in zip(live, mats, xis):
+                gen += s.strength * (xi[blk] if axis == 0 else xi)[..., None, None] * mat
+            w, vb = np.linalg.eigh(gen)
+            x = -1j * np.moveaxis(w, -1, 0)
+        rotated = np.einsum("...ij,i...->j...", vb.conj(), amps[:, blk])
+        np.multiply(rotated, np.exp(x), out=rotated)
+        np.einsum("...ij,j...->i...", vb, rotated, out=out[:, blk])
     return JointState._adopt(grid, out, state.reps)
 
 

@@ -30,7 +30,7 @@ from .errors import (
 
 _NORM_TOL = 1e-8
 # Grid cells per block of leading rows in the blockwise kernels (moments, the
-# mass sums and both coupling branches): a block's intermediates (2**14
+# mass sums and the coupling kernel): a block's intermediates (2**14
 # complex values are 256 KiB) stay in cache from one operation to the next.
 _BLOCK_CELLS = 2**14
 
@@ -301,9 +301,12 @@ def check_width(name: str, width: float) -> None:
 def lg_spreads(l: int, sigma: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-axis marginal position and momentum standard deviations of :func:`lg_mode`,
     ``sigma sqrt(1 + |l|)`` and ``sqrt(1 + |l|) / (2 sigma)``, for a ``sigma``
-    that passes :func:`check_width`."""
+    that passes :func:`check_width` and whose 8-sd extent has a finite square."""
     check_width("sigma", sigma)
     std_q, std_p = sigma * np.sqrt(1.0 + abs(l)), np.sqrt(1.0 + abs(l)) / (2.0 * sigma)
+    extent = 8.0 * float(std_q)
+    if not extent * extent < math.inf:
+        raise InvalidParams(f"sigma = {sigma} is too wide for l = {l}: 8-sd extent squares to inf")
     return (std_q, std_q), (std_p, std_p)
 
 
@@ -354,19 +357,17 @@ def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
     """Two-axis optical vortex mode with orbital angular momentum ``l``.
 
     Amplitude proportional to ``(x + i sgn(l) y)^|l| exp[-(x^2+y^2)/4 sigma^2]``,
-    normalized on the grid.  Its marginal spreads (:func:`lg_spreads`) fix the
-    coverage requirement.
+    normalized on the grid.  It is built in units of ``sigma``, so its mass
+    stays finite and nonzero at any width.  Its marginal spreads
+    (:func:`lg_spreads`) fix the coverage requirement.
     """
     if grid.dims != 2:
         raise DimensionError(f"vortex modes need a 2-axis grid, got {grid.dims}")
     _check_coverage(grid, *lg_spreads(l, sigma))
-    x = grid.axis_array(0, grid.positions(0))
-    y = grid.axis_array(1, grid.positions(1))
-    envelope = np.exp(-(x**2 + y**2) / (4.0 * sigma**2))
-    if l == 0:
-        amps = envelope.astype(complex)
-    else:
-        amps = (x + 1j * np.sign(l) * y) ** abs(l) * envelope
+    x = grid.axis_array(0, grid.positions(0) / sigma)
+    y = grid.axis_array(1, grid.positions(1) / sigma)
+    envelope = np.exp(-(x**2 + y**2) / 4.0)
+    amps = (x + 1j * np.sign(l) * y) ** abs(l) * envelope
     return _normalized(grid, amps)
 
 

@@ -23,3 +23,21 @@ def test_reference_counts_match(monkeypatch):
         assert tracing.check_reference_counts(tracer) == []
     finally:
         tracer.uninstall()
+
+
+def test_lg_probe_diagonalizes_one_matrix(monkeypatch):
+    # lg_probe's pauli_z and proj0 couplings commute: one 2x2 eigh gives the
+    # basis that phases every grid cell, not one eigh per cell.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from pointersim.scenarios import load_bundled, run_scenario
+
+    cfg = load_bundled("lg_probe")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_scenario(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["numpy.linalg.eigh"] == 1
+    assert tracer.work["numpy.linalg.eigh.matrices"] == 1

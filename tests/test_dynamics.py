@@ -5,6 +5,7 @@ import pytest
 
 from pointersim import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     CouplingSpec,
     Grid,
@@ -24,6 +25,8 @@ from pointersim import (
     strong_readout,
     displace_momentum,
 )
+from pointersim.dynamics import _quadrature_values, _to_axis_rep
+from pointersim.scenarios import build_coupling_specs, build_pointer, load_bundled
 
 
 def plus():
@@ -76,6 +79,31 @@ class TestMakeJoint:
         np.testing.assert_allclose(pops, np.abs(pre.amplitudes) ** 2, atol=1e-12)
 
 
+def batched_eigh_couplings(state, specs):
+    """Reference for apply_couplings: the whole-grid pointwise generator
+    ``sum_k lambda_k xi_k A_k``, one batched ``eigh`` over every cell, and the
+    rotation into its eigenbasis and back, with the operations and operand
+    order of the former multi-term kernel."""
+    quadrature = specs[0].quadrature
+    rep = "position" if quadrature == "q" else "momentum"
+    for s in specs:
+        state = _to_axis_rep(state, s.axis, rep)
+    grid, amps, d = state.grid, state.amplitudes, state.system_dim
+    gen = np.zeros(grid.shape + (d, d), dtype=complex)
+    for s in specs:
+        xi = _quadrature_values(grid, s.axis, quadrature)
+        gen += s.strength * xi[..., None, None] * s.observable.matrix
+    w, v = np.linalg.eigh(gen)
+    rotated = np.einsum("...ij,...i->...j", v.conj(), np.moveaxis(amps, 0, -1))
+    np.multiply(rotated, np.exp(-1j * w), out=rotated)
+    return np.moveaxis(np.einsum("...ij,...j->...i", v, rotated), -1, 0)
+
+
+def hadamard_rotated(diagonal):
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return Observable(h @ np.diag(diagonal) @ h)
+
+
 class TestApplyCouplings:
     def test_zero_strength_is_identity(self):
         joint = make_joint(plus(), gauss1d())
@@ -113,13 +141,52 @@ class TestApplyCouplings:
         assert np.max(np.abs(both.amplitudes - both_swapped.amplitudes)) <= 1e-12
 
     def test_simultaneous_noncommuting_observables(self):
-        # Pointwise matrix exponential handles [A1, A2] != 0.
+        # No basis diagonalizes [A1, A2] != 0: each block's pointwise
+        # generator goes to eigh, which gives the whole-grid eigh's bits.
         joint = make_joint(plus(), gauss2d())
-        out = apply_couplings(joint, [
-            CouplingSpec(Observable(PAULI_Z), 0, "q", 0.4),
-            CouplingSpec(Observable(PAULI_X), 1, "q", 0.3),
-        ])
+        specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.4),
+                 CouplingSpec(Observable(PAULI_X), 1, "q", 0.3)]
+        out = apply_couplings(joint, specs)
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        assert out.amplitudes.tobytes() == batched_eigh_couplings(joint, specs).tobytes()
+
+    def test_noncommuting_triple_on_three_axes_matches_batched_eigh(self):
+        phi = gaussian_pointer(Grid((32, 32, 32), (8.0,) * 3), np.eye(3))
+        joint = make_joint(make_state([1, 2j]), phi)
+        specs = [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.4),
+                 CouplingSpec(Observable(PAULI_X), 1, "p", 0.3),
+                 CouplingSpec(Observable(PAULI_Y), 2, "p", 0.2)]
+        out = apply_couplings(joint, specs)
+        assert out.amplitudes.tobytes() == batched_eigh_couplings(joint, specs).tobytes()
+
+    def test_lg_probe_diagonal_pair_matches_batched_eigh(self):
+        # pauli_z and proj0 share the standard basis, so the pair is phased
+        # in it with one 2x2 eigh, and keeps the per-cell eigh's bits.
+        cfg = load_bundled("lg_probe")
+        joint = make_joint(cfg.pre, build_pointer(cfg)[1])
+        specs = build_coupling_specs(cfg)
+        out = apply_couplings(joint, specs)
+        assert out.amplitudes.tobytes() == batched_eigh_couplings(joint, specs).tobytes()
+
+    def test_degenerate_commuting_triple_matches_batched_eigh(self):
+        # The weighted sum A0 + (1+pi) A1 + (1+2pi) A2 of these commuting
+        # terms is a multiple of the identity, so its eigenbasis is arbitrary
+        # and need not diagonalize them: the diagonalization check must send
+        # the call to the per-block eigh.
+        joint = make_joint(make_state([1, 2j]), gauss2d(points=64))
+        specs = [CouplingSpec(hadamard_rotated([1.0, 0.0]), 0, "q", 0.4),
+                 CouplingSpec(hadamard_rotated([0.0, 2.0]), 1, "q", 0.3),
+                 CouplingSpec(hadamard_rotated([1.0, 0.0]), 0, "q", 0.2)]
+        out = apply_couplings(joint, specs)
+        assert np.max(np.abs(out.amplitudes - batched_eigh_couplings(joint, specs))) <= 1e-12
+
+    def test_rotated_commuting_pair_matches_batched_eigh(self):
+        # A shared non-standard basis phases in other bits than per-cell eigh.
+        joint = make_joint(make_state([1, 2j]), gauss2d(points=64))
+        specs = [CouplingSpec(hadamard_rotated([1.0, -1.0]), 0, "q", 0.4),
+                 CouplingSpec(hadamard_rotated([1.0, 0.0]), 1, "q", 0.3)]
+        out = apply_couplings(joint, specs)
+        assert np.max(np.abs(out.amplitudes - batched_eigh_couplings(joint, specs))) <= 1e-12
 
     def test_mixed_quadratures_rejected(self):
         joint = make_joint(plus(), gauss2d())
@@ -145,8 +212,7 @@ class TestApplyCouplings:
     def test_leaves_the_input_state_alone(self, specs):
         # The kernels multiply their own fresh arrays in place: the input
         # amplitudes keep their bits and share no memory with the output.
-        # The second call starts from the simultaneous branch's
-        # non-C-contiguous layout.
+        # The second call starts from the first call's output.
         state = make_joint(make_state([1, 1j]), gauss2d(points=64))
         for _ in range(2):
             before = state.amplitudes.tobytes()
@@ -186,9 +252,9 @@ SIMULTANEOUS_P_PAIR = [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.4),
 
 class TestEvolve:
     # evolve writes every step into one joint buffer; the explicit chain's
-    # public calls each allocate a fresh array.  The cases reach both
-    # coupling branches in q and in p, and transforms along every axis of a
-    # 3-axis grid.
+    # public calls each allocate a fresh array.  The cases reach the
+    # shared-basis and the per-block eigh kernels in q and in p, and
+    # transforms along every axis of a 3-axis grid.
     @pytest.mark.parametrize("specs, simultaneous, points", [
         (SEQUENTIAL_QP, False, (64, 64)),
         (SIMULTANEOUS_PAIR, True, (64, 64)),

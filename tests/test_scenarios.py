@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,15 +252,15 @@ class TestRunScenario:
         _report, peak = traced_peak(lambda: run_scenario(cfg))
         assert peak <= 1.6 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
-    def test_simultaneous_branch_peaks_within_six_joint_states(self):
-        # lg_probe's 256^2 joint state is 2 MiB.  Its d x d generator and
-        # eigenvectors are two joint states each and must coexist in eigh;
-        # conjugating the eigenvectors blockwise and building the generator
-        # from unbroadcast axis terms keeps everything else to blocks.
+    def test_lg_probe_peaks_within_two_and_a_half_joint_states(self):
+        # lg_probe's 256^2 joint state is 2 MiB.  Its commuting pair shares
+        # one eigenbasis, so the kernel holds no grid-sized generator or
+        # eigenvectors: besides the joint state and the initial pointer, only
+        # one block's rotated amplitudes and phases are alive at a time.
         cfg = load_bundled("lg_probe")
         joint_bytes = 2 * 256**2 * np.dtype(complex).itemsize
         _report, peak = traced_peak(lambda: run_scenario(cfg))
-        assert peak <= 6 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
+        assert peak <= 2.5 * joint_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_json_shape(self):
         report = run_scenario(load_bundled("jozsa_baseline"))
@@ -558,6 +559,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be ")
         assert "finite" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_vortex_extent_with_infinite_square_exits_1(self, tmp_path, capsys):
+        # sigma**2 is finite, but the grid half-width 8 sigma sqrt(2) squares
+        # to inf: rejected before any grid, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lg-check", "--l", "1", "--sigma", "1e154",
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma = 1e+154 is too wide for l = 1")
+        assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_appendix_a_command(self, tmp_path):

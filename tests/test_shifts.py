@@ -1,5 +1,7 @@
 """Closed-form shift predictions and the sign-convention calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from pointersim import (
     weak_value,
 )
 from pointersim.scenarios import load_bundled, resolve_system, run_scenario
+from pointersim.shifts import lg_check
 
 
 def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
@@ -188,6 +191,17 @@ class TestLgCompatibility:
     def test_nonzero_for_wrong_l(self):
         m = moments(lg_mode(Grid((256, 256), (12.0, 12.0)), 1, 1.0))
         assert lg_compatibility(m, 2) == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("l, sigma", [(8, 1e20), (8, 1e-20), (2, 1e80)])
+    def test_law_holds_at_widths_far_from_one(self, l, sigma):
+        # The mode is built in units of sigma, so (x + i y)^|l| and its mass
+        # stay finite and nonzero however wide or narrow the vortex is.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, _residual = lg_check(l, sigma)
+        assert abs(m.cov_qp[0, 1] - 0.5 * l) <= 1e-9
+        assert abs(m.cov_qp[1, 0] + 0.5 * l) <= 1e-9
+        assert abs(m.cov_qq[0, 1]) / sigma**2 <= 1e-9
 
 
 class TestProperties:
