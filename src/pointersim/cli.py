@@ -69,7 +69,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lg_check(args) -> int:
     l, sigma = args.l, args.sigma
-    m, residual = lg_check(l, sigma, args.points)
+    m, residual = lg_check(l, sigma)
     obj = {
         "l": l,
         "sigma": sigma,
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lg-check", parents=[common], help="measure the vortex-mode correlation law")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=256)
     p.set_defaults(func=_cmd_lg_check)
 
     p = sub.add_parser("entangle", parents=[common], help="direct vs shift-reconstructed C matrix")

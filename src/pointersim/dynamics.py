@@ -25,20 +25,18 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    NormalizationError,
     PostselectionFailed,
     RepresentationError,
 )
 from .pointer import (
-    _NORM_TOL,
     Grid,
     PointerWavefunction,
+    _GridState,
     _apply_momentum,
     _axis_transform,
     _mass,
     _normalized,
     _row_blocks,
-    _sum_abs2,
     displace_momentum,
 )
 from .quantum import Observable, SystemState, weak_value
@@ -62,51 +60,21 @@ class CouplingSpec:
             raise ValueError("coupling strength must be finite")
 
 
-class JointState:
-    """System tensor pointer amplitudes, shape (d, *grid.shape).
-
-    The constructor copies the caller's array in C order, so later writes to
-    it never reach the state and the pointer that :func:`postselect` projects
-    out is C-ordered; the kernels hand over C-ordered arrays they have just
-    built through :meth:`_adopt` instead.  ``amplitudes`` is a read-only view
-    either way.
-    The array under it, ``_buffer``, stays writeable: :func:`evolve` passes it
-    as ``out`` so that each step overwrites the state it has just read.
+class JointState(_GridState):
+    """System tensor pointer amplitudes, shape (d, *grid.shape), with pointer
+    axes in representations ``reps`` (:class:`_GridState`).  :func:`evolve`
+    passes ``_buffer`` as ``out``, so each step overwrites the state it has
+    just read.  Not a :class:`PointerWavefunction`: :func:`moments` takes none.
     """
 
+    _LEADING = 1
+
     def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...]):
-        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"), reps)
-
-    @classmethod
-    def _adopt(cls, grid: Grid, amps: np.ndarray, reps: tuple[str, ...]) -> JointState:
-        """Wrap ``amps`` without a copy: a fresh complex array nothing else
-        references, or the joint buffer of the pipeline step that wrote it."""
-        state = cls.__new__(cls)
-        state._wrap(grid, amps, reps)
-        return state
-
-    def _wrap(self, grid: Grid, amps: np.ndarray, reps: tuple[str, ...]) -> None:
-        if amps.ndim != grid.dims + 1 or amps.shape[1:] != grid.shape:
-            raise DimensionError(
-                f"joint amplitudes shape {amps.shape} incompatible with grid {grid.shape}"
-            )
-        if len(reps) != grid.dims:
-            raise DimensionError("one representation tag per pointer axis required")
-        self.grid = grid
-        self._buffer = amps
-        self.amplitudes = amps.view()
-        self.amplitudes.flags.writeable = False
-        self.reps = tuple(reps)
-        norm2 = self.norm_squared()
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise NormalizationError(f"joint state norm^2 = {norm2!r}, expected 1")
+        super().__init__(grid, amplitudes, reps)
 
     @property
     def system_dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def norm_squared(self) -> float:
-        return _sum_abs2(self.amplitudes) * self.grid.cell_volume(self.reps)
 
 
 def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:

@@ -141,38 +141,49 @@ def _check_coverage(grid: Grid, std_q, std_p, mean_q=None, mean_p=None) -> None:
                                    f"than 6 marginal standard deviations ({std[j]:.6g})")
 
 
-class PointerWavefunction:
-    """Complex position-space amplitudes over a grid.
-
-    The constructor copies the caller's array in C order, so later writes to
-    it never reach the state and blocks of leading rows are contiguous; the
-    kernels hand over C-ordered arrays they have just built through
-    :meth:`_adopt` instead.  ``amplitudes`` is read-only either way.
+class _GridState:
+    """Normalized complex amplitudes, shape ``(*leading, *grid.shape)`` with
+    ``_LEADING`` leading axes, and one representation tag per grid axis in
+    ``reps`` (all ``"position"`` by default).  The constructor copies the
+    caller's array in C order, so later writes to it never reach the state and
+    row blocks are contiguous; kernels hand over a fresh C-ordered array, or a
+    pipeline step the buffer it wrote, through :meth:`_adopt`.  ``amplitudes``
+    is a read-only view of ``_buffer``, which stays writeable for that step.
     """
 
-    def __init__(self, grid: Grid, amplitudes: np.ndarray):
-        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"))
+    _LEADING = 0
+
+    def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...] | None = None):
+        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"), reps)
 
     @classmethod
-    def _adopt(cls, grid: Grid, amps: np.ndarray) -> PointerWavefunction:
-        """Wrap ``amps``, a fresh complex array nothing else references, without a copy."""
+    def _adopt(cls, grid: Grid, amps: np.ndarray, reps: tuple[str, ...] | None = None):
         state = cls.__new__(cls)
-        state._wrap(grid, amps)
+        state._wrap(grid, amps, reps)
         return state
 
-    def _wrap(self, grid: Grid, amps: np.ndarray) -> None:
-        if amps.shape != grid.shape:
-            raise DimensionError(f"amplitudes shape {amps.shape} != grid shape {grid.shape}")
-        self.grid = grid
-        self.amplitudes = amps
+    def _wrap(self, grid: Grid, amps: np.ndarray, reps: tuple[str, ...] | None) -> None:
+        if amps.shape[self._LEADING:] != grid.shape:
+            raise DimensionError(f"amplitudes shape {amps.shape} does not fit grid {grid.shape}")
+        reps = ("position",) * grid.dims if reps is None else tuple(reps)
+        if len(reps) != grid.dims:
+            raise DimensionError("one representation tag per pointer axis required")
+        self.grid, self.reps, self._buffer = grid, reps, amps
+        self.amplitudes = amps.view()
         self.amplitudes.flags.writeable = False
         norm2 = self.norm_squared()
         if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise NormalizationError(f"|psi|^2 integrates to {norm2!r}, expected 1")
+            raise NormalizationError(f"norm^2 = {norm2!r}, expected 1")
 
     def norm_squared(self) -> float:
-        dvol = self.grid.cell_volume(("position",) * self.grid.dims)
-        return _sum_abs2(self.amplitudes) * dvol
+        return _sum_abs2(self.amplitudes) * self.grid.cell_volume(self.reps)
+
+
+class PointerWavefunction(_GridState):
+    """Complex position-space amplitudes over a grid (see :class:`_GridState`)."""
+
+    def __init__(self, grid: Grid, amplitudes: np.ndarray):
+        super().__init__(grid, amplitudes)
 
 
 def _sum_abs2(amps: np.ndarray) -> float:
@@ -222,9 +233,13 @@ def _block_sums(shape: tuple[int, ...], block_parts) -> np.ndarray:
     sums pairwise: it halves the array down to leaves of at most 128 values
     (64 complex ones).  A block of 2**14 cells or of the whole array is
     therefore one subtree, and adding the block sums in the same balanced
-    binary tree reproduces every bit of the whole-array ``np.sum``.
+    binary tree reproduces every bit of the whole-array ``np.sum``.  That
+    tree needs a power-of-two block count; any other raises DimensionError.
     """
-    parts = np.array([block_parts(blk) for blk in _row_blocks(shape)])
+    blocks = _row_blocks(shape)
+    if len(blocks) & (len(blocks) - 1):
+        raise DimensionError(f"{len(blocks)} row blocks of shape {shape}: not a power of two")
+    parts = np.array([block_parts(blk) for blk in blocks])
     while len(parts) > 1:
         parts = parts[0::2] + parts[1::2]
     return parts[0]

@@ -543,13 +543,18 @@ def report_csv_rows(report: ShiftReport) -> list[dict]:
     ]
 
 
-def reports_csv_text(reports: list[ShiftReport]) -> str:
+def csv_text(columns, rows) -> str:
+    """The one CSV dialect of every output: a header of ``columns``, then one
+    line per dict in ``rows``, each line ending in ``\\n``."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for report in reports:
-        writer.writerows(report_csv_rows(report))
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def reports_csv_text(reports: list[ShiftReport]) -> str:
+    return csv_text(CSV_COLUMNS, (row for report in reports for row in report_csv_rows(report)))
 
 
 def report_json_obj(report: ShiftReport) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .pointer import Grid, MomentSet, lg_mode, lg_spreads, moments
+from .pointer import MomentSet, auto_grid, lg_mode, lg_spreads, moments
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,10 @@ def predict_lg(l: int, g: float, aw: complex, bw: complex, sigma: float = 1.0) -
 
 
 def lg_compatibility(m: MomentSet, l: int) -> float:
-    """Residual of the vortex-mode correlation law on measured moments.
-
-    Zero (up to grid error) iff corr(x, p_y) = +l/2, corr(y, p_x) = -l/2 and
-    corr(x, y) = 0.
+    """Dimensionless residual of the vortex-mode correlation law on measured
+    moments: the largest of |corr(x, p_y) - l/2|, |corr(y, p_x) + l/2| and the
+    correlation coefficient |corr(x, y)| / (sd_x sd_y), so it does not scale
+    with the width.  Zero (up to grid error) iff the law holds.
     """
     if m.mean_q.size != 2:
         raise DimensionError("vortex compatibility check needs 2-axis moments")
@@ -130,15 +130,15 @@ def lg_compatibility(m: MomentSet, l: int) -> float:
     return float(max(
         abs(m.cov_qp[0, 1] - half),
         abs(m.cov_qp[1, 0] + half),
-        abs(m.cov_qq[0, 1]),
+        # Two roots: c00 * c11 overflows at widths near 1e80.
+        abs(m.cov_qq[0, 1]) / np.sqrt(m.cov_qq[0, 0]) / np.sqrt(m.cov_qq[1, 1]),
     ))
 
 
-def lg_check(l: int, sigma: float = 1.0, points: int = 256) -> tuple[MomentSet, float]:
-    """Moments of the order-``l`` vortex mode on a ``points``^2 grid of half-width
-    8 sigma sqrt(1 + |l|), and their :func:`lg_compatibility` residual."""
-    ext = 8.0 * lg_spreads(l, sigma)[0][0]
-    grid = Grid(points_per_axis=(points, points), extent=(ext, ext))
-    m = moments(lg_mode(grid, l, sigma))
+def lg_check(l: int, sigma: float = 1.0) -> tuple[MomentSet, float]:
+    """Moments of the order-``l`` vortex mode, and their :func:`lg_compatibility`
+    residual, on the grid :func:`auto_grid` derives from the mode's spreads as
+    for a document without a grid: half-width 8 sigma sqrt(1 + |l|), 256^2 up
+    to l = 14 at sigma = 1, and GridCoverage past the 1024^2 cap."""
+    m = moments(lg_mode(auto_grid(*lg_spreads(l, sigma), None, None), l, sigma))
     return m, lg_compatibility(m, l)
-

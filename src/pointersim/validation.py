@@ -24,6 +24,7 @@ from .scenarios import (
     bundled_scenario_names,
     build_coupling_specs,
     build_pointer,
+    csv_text,
     json_text,
     load_bundled,
     report_json_text,
@@ -306,10 +307,6 @@ def summary_json_text(results: list[CriterionResult]) -> str:
 
 
 def summary_csv_text(results: list[CriterionResult]) -> str:
-    lines = ["number,name,passed,value,threshold"]
-    for r in results:
-        lines.append(
-            f"{r.number},{r.name},{str(r.passed).lower()},"
-            f"{_g17(r.value)},{_g17(r.threshold)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(("number", "name", "passed", "value", "threshold"), (
+        {"number": r.number, "name": r.name, "passed": str(r.passed).lower(),
+         "value": _g17(r.value), "threshold": _g17(r.threshold)} for r in results))

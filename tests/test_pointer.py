@@ -22,7 +22,14 @@ from pointersim import (
     moments,
     two_mode_gaussian,
 )
-from pointersim.pointer import _apply_momentum, _axis_transform, gaussian_spreads, lg_spreads
+from pointersim.dynamics import JointState
+from pointersim.pointer import (
+    _apply_momentum,
+    _axis_transform,
+    _mass,
+    gaussian_spreads,
+    lg_spreads,
+)
 from conftest import dense_axis_transform, oracle_mixed_moment, traced_peak
 
 
@@ -415,6 +422,44 @@ class TestConstructorCopiesCallerArrays:
         assert not phi.amplitudes.flags.writeable
         with pytest.raises(ValueError):
             phi.amplitudes[0, 0] = 0.0
+
+
+class TestGridStateContainer:
+    """Pointer and joint states share one copy/adopt/validate/norm protocol;
+    they differ only in the system axis ahead of the grid axes."""
+
+    def test_shape_checks(self):
+        g = grid2(32)
+        amps = gaussian_pointer(g, np.eye(2)).amplitudes
+        joint_amps = np.stack([amps, 0 * amps])
+        with pytest.raises(DimensionError):
+            PointerWavefunction(g, joint_amps)
+        with pytest.raises(DimensionError):
+            JointState(g, amps, ("position", "position"))
+        with pytest.raises(DimensionError):
+            JointState(g, joint_amps, ("position",))
+        assert JointState(g, joint_amps, ("position", "position")).system_dim == 2
+
+    def test_pointer_is_position_space_view_over_its_buffer(self):
+        phi = gaussian_pointer(grid2(32), np.eye(2))
+        assert phi.reps == ("position", "position")
+        assert phi.amplitudes.base is phi._buffer
+        assert phi.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+    def test_joint_state_is_not_a_pointer(self):
+        g = grid2(32)
+        amps = gaussian_pointer(g, np.eye(2)).amplitudes
+        assert not isinstance(JointState(g, amps[None], ("position", "position")),
+                              PointerWavefunction)
+
+
+class TestBlockSums:
+    def test_block_count_must_be_a_power_of_two(self):
+        assert _mass(np.ones((128, 32, 32), complex), 1.0) == 131072.0
+        # 96 rows make 6 blocks of 16; the pairwise tree would broadcast the
+        # odd tail and count rows twice.
+        with pytest.raises(DimensionError):
+            _mass(np.ones((96, 32, 32), complex), 1.0)
 
 
 class TestKernelsLeaveInputsAlone:

@@ -516,11 +516,22 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 1
 
     def test_lg_check_command(self, tmp_path):
-        assert main(["lg-check", "--l", "1", "--points", "128",
-                     "--out", str(tmp_path)]) == 0
+        assert main(["lg-check", "--l", "1", "--out", str(tmp_path)]) == 0
         obj = json.loads((tmp_path / "lg_check_l1.json").read_text())
         assert obj["corr_x_py"] == pytest.approx(0.5, abs=1e-3)
         assert obj["corr_y_px"] == pytest.approx(-0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("l", [16, 20])
+    def test_lg_check_high_order_runs_on_the_derived_grid(self, tmp_path, l):
+        # 256^2 does not cover these modes' momentum spread; the derived grid
+        # doubles the points instead of failing on coverage.
+        assert main(["lg-check", "--l", str(l), "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / f"lg_check_l{l}.json").read_text())
+        assert obj["residual"] <= 1e-9
+
+    def test_lg_check_has_no_points_option(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["lg-check", "--l", "1", "--points", "128", "--out", str(tmp_path)])
 
     def test_entangle_command(self, tmp_path):
         assert main(["entangle", "--alpha", "0.25", "--beta", "0.25",

@@ -198,10 +198,12 @@ class TestLgCompatibility:
         # stay finite and nonzero however wide or narrow the vortex is.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m, _residual = lg_check(l, sigma)
+            m, residual = lg_check(l, sigma)
         assert abs(m.cov_qp[0, 1] - 0.5 * l) <= 1e-9
         assert abs(m.cov_qp[1, 0] + 0.5 * l) <= 1e-9
         assert abs(m.cov_qq[0, 1]) / sigma**2 <= 1e-9
+        # The residual is dimensionless: corr(x, y) enters as a coefficient.
+        assert residual <= 1e-9
 
 
 class TestProperties:

@@ -2,8 +2,9 @@
 
 Runs, through ``pointersim.cli.main`` only, each bundled scenario with
 ``run`` and with ``sweep --multipliers 2 1.5 1 0.75 0.5``, ``lg-check`` for
-l = 0, 1, 2, the golden ``entangle`` and ``appendix-a`` commands, and
-``validate``, into a temporary directory.  Prints ``sha256  filename`` per
+l = 0, 1, 2, for l = 16 (a 512^2 derived grid) and for l = 8 at sigma = 1e20,
+the golden ``entangle`` and ``appendix-a`` commands, and ``validate``, into a
+temporary directory.  Prints ``sha256  filename`` per
 output file, sorted by name.  Two checkouts write the same bytes when the
 output of
 
@@ -34,6 +35,8 @@ COMMANDS = [
     ["lg-check", "--l", "0"],
     ["lg-check", "--l", "1"],
     ["lg-check", "--l", "2"],
+    ["lg-check", "--l", "16"],
+    ["lg-check", "--l", "8", "--sigma", "1e20"],
     ["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125"],
     ["appendix-a", "--sigma1", "1", "--sigma2", "1.3", "--c12", "0.2"],
     ["validate"],
