@@ -392,19 +392,31 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     Realized as multiplication by ``exp(i sum_j shifts_j q_j)`` in position
     space; exact on-grid when each shift is an integer multiple of dp.  The
     position distribution is untouched.
+
+    One block of leading grid rows at a time, a real block buffer sums the
+    nonzero shifts' ``shifts_j q_j`` in axis order, and the output's rows hold
+    ``1j * phase``, its exp and the product (factor first, as numpy's
+    temporary elision ordered the former ``amps * np.exp(...)`` on grids of
+    256 KiB and more).  These are the whole-array operations in the same
+    order, so the result is bit for bit theirs, and the call holds one
+    pointer-sized output beside its input.
     """
+    grid = phi.grid
     sh = np.asarray(shifts, dtype=float)
-    if sh.shape != (phi.grid.dims,):
-        raise DimensionError(f"need {phi.grid.dims} shifts, got shape {sh.shape}")
-    phase = np.zeros(phi.grid.shape)
-    for j in range(phi.grid.dims):
-        if sh[j] != 0:
-            np.add(phase, sh[j] * phi.grid.axis_array(j, phi.grid.positions(j)), out=phase)
-    # One buffer holds 1j*phase, its exp and the product; factor first, as numpy's
-    # temporary elision ordered the former ``amps * np.exp(...)`` on grids >= 256 KiB.
-    factor = np.multiply(1j, phase, out=np.empty(phi.grid.shape, dtype=complex))
-    np.exp(factor, out=factor)
-    return PointerWavefunction._adopt(phi.grid, np.multiply(factor, phi.amplitudes, out=factor))
+    if sh.shape != (grid.dims,):
+        raise DimensionError(f"need {grid.dims} shifts, got shape {sh.shape}")
+    terms = [(j, sh[j] * grid.axis_array(j, grid.positions(j)))
+             for j in range(grid.dims) if sh[j] != 0]
+    phase = np.empty(_block_shape(grid.shape))
+    out = np.empty(grid.shape, dtype=complex)
+    for blk in _row_blocks(grid.shape):
+        phase.fill(0.0)
+        for j, term in terms:
+            np.add(phase, term[blk] if j == 0 else term, out=phase)
+        factor = np.multiply(1j, phase, out=out[blk])
+        np.exp(factor, out=factor)
+        np.multiply(factor, phi.amplitudes[blk], out=factor)
+    return PointerWavefunction._adopt(grid, out)
 
 
 def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.ndarray:

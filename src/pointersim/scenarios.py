@@ -163,6 +163,16 @@ def _parse_observable(doc, dim: int, path: str,
         return Observable(_parse_array(doc, path, (dim, dim), pairs=True))
 
 
+def _pointer_spreads(kind: str, params: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form per-axis marginal ``(std_q, std_p)`` of the pointer that
+    the builder of ``kind`` makes from ``params``."""
+    if kind == "gaussian":
+        return gaussian_spreads(params["sigma"], params.get("theta"))
+    if kind == "lg":
+        return lg_spreads(params["l"], params["sigma"])
+    return gaussian_spreads(params["params"].position_covariance())
+
+
 def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     """Validate a scenario document and build its states, observables, pointer
     parameters and grid; reject unknown keys; raise ConfigError with path."""
@@ -226,13 +236,10 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             params["theta"] = _parse_array(pointer["theta"], "pointer.theta", (pdims, pdims))
             with _at("pointer.theta"):
                 check_gaussian_params(params["sigma"], params["theta"])
-        std_q, std_p = gaussian_spreads(params["sigma"], params.get("theta"))
     elif kind == "lg":
         _check_keys(pointer, "pointer", required=("kind", "l", "sigma"), optional=("grid",))
         params["l"] = _as_int(pointer["l"], "pointer.l")
         params["sigma"] = _as_number(pointer["sigma"], "pointer.sigma")
-        with _at("pointer.sigma"):
-            std_q, std_p = lg_spreads(params["l"], params["sigma"])
         pdims = 2
     else:
         _check_keys(pointer, "pointer", required=("kind", "alpha", "beta", "gamma"),
@@ -240,8 +247,10 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         with _at("pointer"):
             params["params"] = TwoModeGaussianParams(
                 *(_as_number(pointer[key], f"pointer.{key}") for key in ("alpha", "beta", "gamma")))
-        std_q, std_p = gaussian_spreads(params["params"].position_covariance())
         pdims = 2
+    # Of the spreads, only lg_spreads rejects a parameter: the vortex width.
+    with _at("pointer.sigma"):
+        std_q, std_p = _pointer_spreads(kind, params)
 
     if "grid" in pointer:
         gdoc = pointer["grid"]
@@ -434,10 +443,54 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
                   post, simultaneous=cfg.interaction == "simultaneous", readout=readout)
 
 
+def _spectral_radius(observable: Observable) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(observable.matrix))))
+
+
+def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
+    """Raise ConfigError unless every branch of the pointer stays on the grid
+    with the couplings at ``multiplier`` times their strengths.
+
+    A q-coupling of strength lambda shifts an eigen-branch's momentum by
+    ``-lambda a_k``, a p-coupling its position, and the strong readout (a
+    unit q-coupling) its momentum by up to the readout's largest ``|a|`` (1
+    for ``post_projector``).  Summed over the terms of each axis j, these
+    kicks ``K`` must leave 6 marginal standard deviations inside the
+    periodic grid: ``pi/dq_j - |p0_j| - K_p,j >= 6 sd_p,j`` and
+    ``extent_j - |q0_j| - K_q,j >= 6 sd_q,j``.  Past that, the grid wraps
+    the branch around and the measured shift is wrong with no other sign.
+    A grid too small for the unkicked pointer is left to the builder's
+    coverage rule (:func:`build_pointer`).
+    """
+    grid, params = cfg.grid, cfg.pointer_params
+    std_q, std_p = _pointer_spreads(cfg.pointer_kind, params)
+    # Keyed by the coupled quadrature: a q-coupling kicks momentum.
+    kicks = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
+    for s in cfg.couplings:
+        kicks[s.quadrature][s.axis] += abs(multiplier * s.strength) * _spectral_radius(s.observable)
+    if cfg.readout_axis0 is not None:
+        obs = cfg.readout_observable
+        kicks["q"][cfg.readout_axis0] += 1.0 if obs is None else _spectral_radius(obs)
+    for j in range(grid.dims):
+        for space, half_width, std, mean, kick in (
+                ("momentum", np.pi / grid.dq(j), std_p, params.get("mean_p"), kicks["q"]),
+                ("position", grid.extent[j], std_q, params.get("mean_q"), kicks["p"])):
+            room = half_width - (0.0 if mean is None else abs(mean[j]))
+            # An unkicked pointer the grid does not cover is the builder's error.
+            if room - kick[j] < 6.0 * std[j] <= room:
+                _fail(f"axis {j + 1}: at strength multiplier {multiplier:g} a {space} kick of "
+                      f"up to {kick[j]:.6g} leaves {room - kick[j]:.6g} of the grid's half-width "
+                      f"{half_width:.6g}, less than 6 marginal standard deviations "
+                      f"({std[j]:.6g}); the periodic grid would wrap the pointer around",
+                      "couplings")
+
+
 def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftReport]:
-    """Predict, simulate and measure each strength multiplier in turn.  The
-    pointer, its initial moments and the system are built once for all of
-    them, so the first report's ``wall_time_seconds`` includes that build."""
+    """Predict, simulate and measure each strength multiplier in turn, after
+    :func:`check_kick_budget` at the largest ``|multiplier|``.  The pointer,
+    its initial moments and the system are built once for all of them, so
+    the first report's ``wall_time_seconds`` includes that build."""
+    check_kick_budget(cfg, max(abs(m) for m in multipliers))
     t0 = time.perf_counter()
     grid, phi = build_pointer(cfg)
     base = moments(phi)

@@ -1,6 +1,6 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
-a whole-array reference for the blockwise moments, a traced-peak probe and a
-call counter."""
+whole-array references for the blockwise moments and momentum displacement, a
+traced-peak probe and a call counter."""
 
 import tracemalloc
 
@@ -81,6 +81,20 @@ def reference_moments(phi: PointerWavefunction) -> MomentSet:
     return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
 
 
+def whole_array_displace_momentum(phi: PointerWavefunction, shifts) -> np.ndarray:
+    """The amplitudes of ``displace_momentum(phi, shifts)`` from whole-grid
+    arrays: the real phase, then one complex array for ``1j * phase``, its
+    exp and the product, factor first."""
+    grid = phi.grid
+    phase = np.zeros(grid.shape)
+    for j, shift in enumerate(np.asarray(shifts, dtype=float)):
+        if shift != 0:
+            np.add(phase, shift * grid.axis_array(j, grid.positions(j)), out=phase)
+    factor = np.multiply(1j, phase, out=np.empty(grid.shape, dtype=complex))
+    np.exp(factor, out=factor)
+    return np.multiply(factor, phi.amplitudes, out=factor)
+
+
 def traced_peak(fn):
     """``(fn(), peak)``: the peak bytes ``tracemalloc`` traces while ``fn()``
     runs.  What was allocated before the call does not count."""
@@ -128,4 +142,5 @@ __all__ = [
     "random_state_vector",
     "reference_moments",
     "traced_peak",
+    "whole_array_displace_momentum",
 ]

@@ -26,7 +26,16 @@ from pointersim import (
     displace_momentum,
 )
 from pointersim.dynamics import _quadrature_values, _to_axis_rep
-from pointersim.scenarios import build_coupling_specs, build_pointer, load_bundled
+from pointersim.pointer import _apply_momentum, _normalized
+from pointersim.quantum import weak_value
+from pointersim.scenarios import (
+    build_coupling_specs,
+    build_pointer,
+    bundled_scenario_names,
+    load_bundled,
+    resolve_system,
+)
+from conftest import whole_array_displace_momentum
 
 
 def plus():
@@ -346,7 +355,53 @@ class TestStrongReadout:
             assert moments(pointer).mean_p[1] == pytest.approx(-eig, abs=1e-9)
 
 
+def whole_array_first_order_pointer(pre, post, specs, phi, readout_axis=None,
+                                    readout_eigenvalue=0.0):
+    """``first_order_pointer`` with each q-term's ``xi * amps`` formed as a
+    whole-grid array, scaled in place and added into the sum."""
+    grid = phi.grid
+    amps = phi.amplitudes
+    if readout_axis is not None and readout_eigenvalue != 0.0:
+        shifts = np.zeros(grid.dims)
+        shifts[readout_axis] = -readout_eigenvalue
+        amps = whole_array_displace_momentum(phi, shifts)
+    delta = np.zeros_like(amps)
+    for s in specs:
+        if s.strength == 0.0:
+            continue
+        if s.quadrature == "q":
+            xi_amps = _quadrature_values(grid, s.axis, "q") * amps
+        else:
+            xi_amps = _apply_momentum(amps, grid, s.axis)
+        w = weak_value(s.observable, pre, post)
+        np.add(delta, np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta)
+    return _normalized(grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))
+
+
 class TestFirstOrderPointer:
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled_pointer_matches_the_whole_array_sum_bit_for_bit(self, name):
+        cfg = load_bundled(name)
+        pre, post, _obs, a_l = resolve_system(cfg)
+        specs = build_coupling_specs(cfg)
+        phi = build_pointer(cfg)[1]
+        args = (pre, post, specs, phi, cfg.readout_axis0, a_l)
+        assert (first_order_pointer(*args).amplitudes.tobytes()
+                == whole_array_first_order_pointer(*args).amplitudes.tobytes())
+
+    @pytest.mark.parametrize("shape", [(32,), (32, 32), (256, 256), (32, 32, 32),
+                                       (64, 32, 32)])
+    def test_q_and_p_terms_match_the_whole_array_sum_bit_for_bit(self, shape):
+        g = Grid(shape, (8.0,) * len(shape))
+        phi = gaussian_pointer(g, np.eye(len(shape)) * 0.8)
+        last = len(shape) - 1
+        specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.03),
+                 CouplingSpec(Observable(PAULI_X), last, "q", -0.05),
+                 CouplingSpec(Observable(PAULI_Y), last // 2, "p", 0.02)]
+        args = (plus(), make_state([1, 0.3 - 0.8j]), specs, phi, last, 0.7)
+        assert (first_order_pointer(*args).amplitudes.tobytes()
+                == whole_array_first_order_pointer(*args).amplitudes.tobytes())
+
     def test_zero_strength_gives_readout_shift_only(self):
         phi = gauss2d()
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.0)]

@@ -3,6 +3,7 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,27 @@ class TestRunScenario:
         assert set(obj["axes"][0]["q"]) == {"initial", "final", "shift", "predicted", "residual"}
 
 
+class TestKickBudget:
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled_scenarios_pass_at_twice_their_strengths(self, name):
+        scenarios.check_kick_budget(load_bundled(name), 2.0)
+
+    def test_readout_kick_counts_on_its_axis(self):
+        # seq_corr_full reads pauli_y (kick up to 1) out on axis 3.  Without
+        # its couplings, on an axis-3 grid whose momentum half-width is
+        # 6 sd_p + 0.5, the unkicked pointer fits and the readout breaks it.
+        cfg = load_bundled("seq_corr_full")
+        std_p = scenarios._pointer_spreads(cfg.pointer_kind, cfg.pointer_params)[1]
+        points = cfg.grid.points_per_axis
+        extent = np.pi * points[2] / (2.0 * (6.0 * std_p[2] + 0.5))
+        cfg = replace(cfg, couplings=(),
+                      grid=Grid(points, cfg.grid.extent[:2] + (extent,)))
+        scenarios.build_pointer(cfg)  # the builder's coverage rule holds
+        with pytest.raises(ConfigError, match="axis 3: .* momentum kick of up to 1 leaves") as info:
+            scenarios.check_kick_budget(cfg, 1.0)
+        assert info.value.path == "couplings"
+
+
 class TestRunSweep:
     def test_needs_three_multipliers(self):
         cfg = load_bundled("jozsa_baseline")
@@ -490,6 +512,38 @@ class TestCli:
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         assert "config error: pointer.grid: axis 0: momentum" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("template, strength, space", [
+        # Kick 40 against pi/dq = 12.57; unchecked, the run reports axis-1
+        # dp = +7.26 against a prediction of -28.3 and exits 0.
+        ("seq_corr_full", 40.0, "momentum"),
+        # A p-coupling shifts position: kick 4 against 10 - 6 sd_q = 1.51.
+        ("lg_probe", 4.0, "position"),
+    ], ids=["q-coupling-wraps-momentum", "p-coupling-wraps-position"])
+    def test_kick_past_the_grid_exits_2_naming_the_axis(self, tmp_path, capsys, template,
+                                                        strength, space):
+        doc = bundled_document(template)
+        doc["couplings"][0]["strength"] = strength
+        doc_path = tmp_path / "wraps.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: couplings: axis 1: at strength multiplier 1 ")
+        assert f"a {space} kick of up to {strength:g} leaves" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_whose_largest_multiplier_wraps_exits_2(self, tmp_path, capsys):
+        # At 400x the 0.04 coupling kicks momentum by 16 against pi/dq = 12.57;
+        # unchecked, the sweep fits a slope of 1.871 through the wrapped run.
+        doc_path = tmp_path / "seq_corr_full.json"
+        doc_path.write_text(json.dumps(bundled_document("seq_corr_full")))
+        assert main(["sweep", str(doc_path), "--multipliers", "1", "2", "400",
+                     "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: couplings: axis 1: at strength multiplier 400 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("sigma", [1e200, 1e-200])
     def test_vortex_width_with_unusable_square_exits_2(self, tmp_path, capsys, sigma):
