@@ -57,6 +57,11 @@ class Grid:
         for L in ext:
             if not (L > 0 and np.isfinite(L)):
                 raise DimensionError(f"extent must be positive and finite, got {L}")
+        for rep in ("position", "momentum"):
+            vol = self.cell_volume((rep,) * len(pts))
+            if not np.finfo(float).tiny <= vol < math.inf:
+                raise DimensionError(f"{rep} cell volume {vol:.3g} is not a finite float "
+                                     ">= 2.2e-308")
 
     @property
     def dims(self) -> int:
@@ -127,18 +132,22 @@ def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int,
     return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False, out=out)
 
 
-def _check_coverage(grid: Grid, std_q, std_p, mean_q=None, mean_p=None) -> None:
-    """Raise GridCoverage unless each axis holds 6 marginal standard deviations
-    around the mean in position (``extent - |q0_j| >= 6 sd_q``) and in momentum
-    (``pi/dq - |p0_j| >= 6 sd_p``), where the periodic grid would wrap the state
-    around.  Builders pass their closed-form spreads; means default to zero."""
+def coverage_gap(grid: Grid, std_q, std_p, offset_q=None, offset_p=None):
+    """The one coverage rule: on every axis ``j`` the half-width, ``extent_j``
+    in position and ``pi/dq_j`` in momentum, less ``|offset_j|`` (the mean,
+    plus any kick the state will get; zero for None) must hold 6 marginal
+    standard deviations, or the periodic grid wraps the state around.
+    Returns None, or the first axis and space that fall short as
+    ``(j, space, message)``, the message naming the 1-based axis."""
     for j in range(grid.dims):
-        for space, half_width, std, mean in (("position", grid.extent[j], std_q, mean_q),
-                                             ("momentum", np.pi / grid.dq(j), std_p, mean_p)):
-            offset = 0.0 if mean is None else abs(mean[j])
-            if half_width - offset < 6.0 * std[j]:
-                raise GridCoverage(f"axis {j}: {space} half-width {half_width:.6g} covers fewer "
-                                   f"than 6 marginal standard deviations ({std[j]:.6g})")
+        for space, half_width, std, offset in (("position", grid.extent[j], std_q, offset_q),
+                                               ("momentum", np.pi / grid.dq(j), std_p, offset_p)):
+            off = 0.0 if offset is None else abs(offset[j])
+            if half_width - off < 6.0 * std[j]:
+                return j, space, (f"axis {j + 1}: {space} half-width {half_width:.6g} less offset "
+                                  f"{off:.6g} holds fewer than 6 marginal standard deviations "
+                                  f"({std[j]:.6g})")
+    return None
 
 
 class _GridState:
@@ -353,7 +362,9 @@ def gaussian_pointer(
     if mu.shape != (d,) or p0.shape != (d,):
         raise DimensionError("mean_q/mean_p must be length-D vectors")
     check_gaussian_params(sig, th)
-    _check_coverage(grid, *gaussian_spreads(sig, th), mu, p0)
+    gap = coverage_gap(grid, *gaussian_spreads(sig, th), mu, p0)
+    if gap:
+        raise GridCoverage(gap[2])
     sig_inv = np.linalg.inv(sig)
     centered = [grid.axis_array(j, grid.positions(j) - mu[j]) for j in range(d)]
     exponent = np.zeros(grid.shape, dtype=complex)
@@ -378,7 +389,9 @@ def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
     """
     if grid.dims != 2:
         raise DimensionError(f"vortex modes need a 2-axis grid, got {grid.dims}")
-    _check_coverage(grid, *lg_spreads(l, sigma))
+    gap = coverage_gap(grid, *lg_spreads(l, sigma))
+    if gap:
+        raise GridCoverage(gap[2])
     x = grid.axis_array(0, grid.positions(0) / sigma)
     y = grid.axis_array(1, grid.positions(1) / sigma)
     envelope = np.exp(-(x**2 + y**2) / 4.0)
@@ -565,20 +578,16 @@ def auto_grid(std_q, std_p, mean_q, mean_p) -> Grid:
 
     The common extent is 8 * max(std_q) + max(|mean_q|).  1- and 2-axis grids
     start at 256 points per axis, 3-axis grids at 64, and the count doubles
-    until every axis holds 6 momentum standard deviations around its mean
-    (the momentum rule of :func:`_check_coverage`), up to 1024 points per axis
-    (128 on 3 axes).  A state that needs more gets the capped grid, which the
-    builder then rejects.
+    while :func:`coverage_gap` finds one (the extent holds position, so the
+    gap is in momentum), up to 1024 points per axis (128 on 3 axes).  A state
+    that needs more gets the capped grid, which the builder then rejects.
     """
-    std_q = np.atleast_1d(np.asarray(std_q, dtype=float))
+    std_q, std_p = (np.atleast_1d(np.asarray(s, dtype=float)) for s in (std_q, std_p))
     dims = len(std_q)
-    mu = np.zeros(dims) if mean_q is None else np.abs(np.asarray(mean_q, dtype=float))
-    p0 = np.zeros(dims) if mean_p is None else np.abs(np.asarray(mean_p, dtype=float))
-    std_p = np.atleast_1d(np.asarray(std_p, dtype=float))
     points, cap = (256, 1024) if dims <= 2 else (64, 128)
-    L = 8.0 * float(np.max(std_q)) + float(np.max(mu))
+    L = 8.0 * float(np.max(std_q)) + (0.0 if mean_q is None else float(np.max(np.abs(mean_q))))
     grid = Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)
-    while points < cap and any(np.pi / grid.dq(j) - p0[j] < 6.0 * std_p[j] for j in range(dims)):
+    while points < cap and coverage_gap(grid, std_q, std_p, mean_q, mean_p):
         points *= 2
         grid = Grid(points_per_axis=(points,) * dims, extent=(L,) * dims)
     return grid

@@ -41,7 +41,10 @@ class SystemState:
             raise InvalidState(f"system dimension must be >= 2, got {amps.size}")
         if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
             raise InvalidState("amplitudes contain non-finite entries")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):
+            raise InvalidState(f"amplitude norm {norm} is not a finite float")
         if norm < 1e-14:
             raise InvalidState("zero amplitude vector")
         self.amplitudes = _frozen(amps / norm)

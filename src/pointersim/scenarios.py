@@ -29,6 +29,7 @@ from .pointer import (
     Grid,
     auto_grid,
     check_gaussian_params,
+    coverage_gap,
     gaussian_pointer,
     gaussian_spreads,
     lg_mode,
@@ -454,16 +455,14 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     A q-coupling of strength lambda shifts an eigen-branch's momentum by
     ``-lambda a_k``, a p-coupling its position, and the strong readout (a
     unit q-coupling) its momentum by up to the readout's largest ``|a|`` (1
-    for ``post_projector``).  Summed over the terms of each axis j, these
-    kicks ``K`` must leave 6 marginal standard deviations inside the
-    periodic grid: ``pi/dq_j - |p0_j| - K_p,j >= 6 sd_p,j`` and
-    ``extent_j - |q0_j| - K_q,j >= 6 sd_q,j``.  Past that, the grid wraps
-    the branch around and the measured shift is wrong with no other sign.
-    A grid too small for the unkicked pointer is left to the builder's
-    coverage rule (:func:`build_pointer`).
+    for ``post_projector``).  Summed per axis and space, these kicks ``K``
+    join the means in the coverage rule's offsets, ``|mean| + K``
+    (:func:`~pointersim.pointer.coverage_gap`).  Past it, the grid wraps the
+    branch around and the measured shift is wrong with no other sign.  The
+    builder has already held the unkicked pointer to the rule
+    (:func:`build_pointer`).
     """
     grid, params = cfg.grid, cfg.pointer_params
-    std_q, std_p = _pointer_spreads(cfg.pointer_kind, params)
     # Keyed by the coupled quadrature: a q-coupling kicks momentum.
     kicks = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
     for s in cfg.couplings:
@@ -471,28 +470,24 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     if cfg.readout_axis0 is not None:
         obs = cfg.readout_observable
         kicks["q"][cfg.readout_axis0] += 1.0 if obs is None else _spectral_radius(obs)
-    for j in range(grid.dims):
-        for space, half_width, std, mean, kick in (
-                ("momentum", np.pi / grid.dq(j), std_p, params.get("mean_p"), kicks["q"]),
-                ("position", grid.extent[j], std_q, params.get("mean_q"), kicks["p"])):
-            room = half_width - (0.0 if mean is None else abs(mean[j]))
-            # An unkicked pointer the grid does not cover is the builder's error.
-            if room - kick[j] < 6.0 * std[j] <= room:
-                _fail(f"axis {j + 1}: at strength multiplier {multiplier:g} a {space} kick of "
-                      f"up to {kick[j]:.6g} leaves {room - kick[j]:.6g} of the grid's half-width "
-                      f"{half_width:.6g}, less than 6 marginal standard deviations "
-                      f"({std[j]:.6g}); the periodic grid would wrap the pointer around",
-                      "couplings")
+    gap = coverage_gap(grid, *_pointer_spreads(cfg.pointer_kind, params),
+                       np.abs(params.get("mean_q", 0.0)) + kicks["p"],
+                       np.abs(params.get("mean_p", 0.0)) + kicks["q"])
+    if gap:
+        j, space, message = gap
+        _fail(f"{message}; at strength multiplier {multiplier:g} the offset includes a {space} "
+              f"kick of up to {kicks['q' if space == 'momentum' else 'p'][j]:.6g}, and the "
+              "periodic grid would wrap the pointer around", "couplings")
 
 
 def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftReport]:
-    """Predict, simulate and measure each strength multiplier in turn, after
-    :func:`check_kick_budget` at the largest ``|multiplier|``.  The pointer,
+    """Predict, simulate and measure each strength multiplier in turn.  The
+    pointer (then :func:`check_kick_budget` at the largest ``|multiplier|``),
     its initial moments and the system are built once for all of them, so
     the first report's ``wall_time_seconds`` includes that build."""
-    check_kick_budget(cfg, max(abs(m) for m in multipliers))
     t0 = time.perf_counter()
     grid, phi = build_pointer(cfg)
+    check_kick_budget(cfg, max(abs(m) for m in multipliers))
     base = moments(phi)
     del phi  # full-grid; only its moments are needed from here on
     pre, post, _readout_obs, a_l = resolve_system(cfg)

@@ -1,11 +1,12 @@
 """Every document the benchmark generates passes the input rules.
 
 ``perfbench/generate.py`` varies bundled templates to make the documents the
-``run_3d`` and ``sweep_2d`` workloads run.  A document that an input rule
-or the kick budget (at the workload's largest strength multiplier) rejects
-would count as a failed operation there; here it fails the test suite
-instead.  The test imports ``perfbench/generate.py`` and
-``perfbench/workloads.py`` as they are and changes nothing there.
+``run_3d`` and ``sweep_2d`` workloads run.  A document that an input rule,
+the builder or the kick budget (at the workload's largest strength
+multiplier, after the build as in a run) rejects would count as a failed
+operation there; here it fails the test suite instead.  The test imports
+``perfbench/generate.py`` and ``perfbench/workloads.py`` as they are and
+changes nothing there.
 """
 
 from pathlib import Path
@@ -45,6 +46,6 @@ def test_generated_documents_parse_and_build(generate, largest_multiplier, workl
         for index in range(DOCUMENTS_PER_TEMPLATE):
             cfg = scenarios.parse_config(generate.document(template, seed, index),
                                          source=f"{name}:{seed}:{index}")
-            scenarios.check_kick_budget(cfg, largest_multiplier[workload])
             grid, _phi = scenarios.build_pointer(cfg)
             assert grid is cfg.grid
+            scenarios.check_kick_budget(cfg, largest_multiplier[workload])

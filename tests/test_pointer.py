@@ -57,11 +57,17 @@ class TestGrid:
         with pytest.raises(DimensionError):
             Grid((32, 32, 32, 32), (4.0, 4.0, 4.0, 4.0))
 
+    @pytest.mark.parametrize("extent, space", [(1e-154, "position"), (1e155, "momentum")])
+    def test_rejects_cell_volumes_outside_the_float_range(self, extent, space):
+        # 256 points over a half-width of 1e-154: dq^2 is subnormal (and
+        # dp^2 inf); over 1e155, dp^2 is subnormal.
+        with pytest.raises(DimensionError, match=f"{space} cell volume"):
+            Grid((256, 256), (extent, extent))
 
-def numpy_fft_sites() -> set[tuple[str, str, str]]:
-    """``(module, enclosing function, name)`` of every ``*.fft.<name>``
-    attribute other than ``fftfreq`` and every import from ``numpy.fft`` in
-    the pointersim sources."""
+
+def source_sites(label) -> set[tuple[str, str, str]]:
+    """``(module, enclosing function, label(node))`` of every AST node in the
+    pointersim sources for which ``label`` returns a name."""
     sites = set()
 
     class Visitor(ast.NodeVisitor):
@@ -73,20 +79,11 @@ def numpy_fft_sites() -> set[tuple[str, str, str]]:
             self.generic_visit(node)
             self.scope.pop()
 
-        def visit_Attribute(self, node):
-            if (isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
-                    and node.attr != "fftfreq"):
-                sites.add((self.module, self.scope[-1], node.attr))
-            self.generic_visit(node)
-
-        def visit_Import(self, node):
-            for alias in node.names:
-                if alias.name.startswith("numpy.fft"):
-                    sites.add((self.module, self.scope[-1], "import"))
-
-        def visit_ImportFrom(self, node):
-            if (node.module or "").startswith("numpy.fft"):
-                sites.add((self.module, self.scope[-1], "import"))
+        def generic_visit(self, node):
+            name = label(node)
+            if name:
+                sites.add((self.module, self.scope[-1], name))
+            super().generic_visit(node)
 
     import pointersim
     for path in sorted(Path(pointersim.__file__).parent.glob("*.py")):
@@ -94,11 +91,35 @@ def numpy_fft_sites() -> set[tuple[str, str, str]]:
     return sites
 
 
+def numpy_fft_label(node):
+    """The name of a ``*.fft.<name>`` attribute other than ``fftfreq``, or
+    "import" for an import from ``numpy.fft``."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft" and node.attr != "fftfreq"):
+        return node.attr
+    if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+        return "import"
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+        return "import"
+    return None
+
+
+def momentum_half_width_label(node):
+    """"pi/dq" for an expression ``<...>.pi / <...>.dq(...)``, the momentum
+    half-width of a grid axis."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "pi"
+            and isinstance(node.right, ast.Call) and isinstance(node.right.func, ast.Attribute)
+            and node.right.func.attr == "dq"):
+        return "pi/dq"
+    return None
+
+
 class TestTransforms:
     def test_fft_is_called_only_in_the_axis_transform(self):
         # One q <-> p transform: every other module goes through it.
-        assert numpy_fft_sites() == {("pointer", "_axis_transform", "fft"),
-                                     ("pointer", "_axis_transform", "ifft")}
+        assert source_sites(numpy_fft_label) == {("pointer", "_axis_transform", "fft"),
+                                                 ("pointer", "_axis_transform", "ifft")}
 
     def test_gaussian_momentum_variance(self):
         # Fourier pair: position variance s^2 maps to momentum variance 1/(4 s^2).
@@ -264,6 +285,11 @@ class TestCoverage:
         np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
         np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
 
+    def test_momentum_half_width_only_in_the_coverage_rule(self):
+        # One coverage rule: the builders, auto_grid and the kick budget all
+        # ask coverage_gap, the one place that forms pi/dq.
+        assert source_sites(momentum_half_width_label) == {("pointer", "coverage_gap", "pi/dq")}
+
     def test_auto_grid_keeps_the_default_when_momentum_is_covered(self):
         assert auto_grid([1.0, 1.0], [0.5, 0.5], None, None) == grid2(256)
         assert auto_grid([1.0] * 3, [0.5] * 3, None, None) == Grid((64,) * 3, (8.0,) * 3)
@@ -278,14 +304,14 @@ class TestCoverage:
         std_q, std_p = gaussian_spreads(np.eye(2), np.diag([40.0, 0.0]))
         grid = auto_grid(std_q, std_p, None, None)
         assert grid.shape == (1024, 1024)
-        with pytest.raises(GridCoverage, match="axis 0: momentum"):
+        with pytest.raises(GridCoverage, match="axis 1: momentum"):
             gaussian_pointer(grid, np.eye(2), theta=np.diag([40.0, 0.0]))
         assert auto_grid([1.0] * 3, [6.0, 0.5, 0.5], None, None).shape == (128,) * 3
 
     @pytest.mark.parametrize("t", [10.0, 12.0])
     def test_chirp_past_the_momentum_edge_rejected(self, t):
         # 256 points over [-8, 8) reach p = 50.3: 5.0 and 4.2 momentum sd.
-        with pytest.raises(GridCoverage, match="axis 0: momentum"):
+        with pytest.raises(GridCoverage, match="axis 1: momentum"):
             gaussian_pointer(grid2(256), np.eye(2), theta=np.diag([t, 0.0]))
 
     def test_chirp_within_the_momentum_edge_builds(self):
@@ -295,7 +321,7 @@ class TestCoverage:
     def test_momentum_mean_counts_against_the_edge(self):
         # sd_p = 0.5 and the samples reach p = 50.3: a mean of 44 leaves 12.5 sd, 48 only 4.5.
         gaussian_pointer(grid2(256), np.eye(2), mean_p=np.array([0.0, -44.0]))
-        with pytest.raises(GridCoverage, match="axis 1: momentum"):
+        with pytest.raises(GridCoverage, match="axis 2: momentum"):
             gaussian_pointer(grid2(256), np.eye(2), mean_p=np.array([0.0, -48.0]))
 
     def test_coarse_grid_rejected_for_each_builder(self):

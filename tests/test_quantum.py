@@ -1,5 +1,7 @@
 """States, observables, spectra and weak values."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ class TestMakeState:
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidState):
             make_state([0, 0])
+
+    def test_overflowing_norm_rejected(self):
+        # The norm of [1e200, 1e200] overflows; dividing by it would zero the state.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState, match="norm inf is not a finite float"):
+                make_state([1e200, 1e200])
 
     def test_dimension_one_rejected(self):
         with pytest.raises(InvalidState):

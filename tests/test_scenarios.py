@@ -288,7 +288,8 @@ class TestKickBudget:
         cfg = replace(cfg, couplings=(),
                       grid=Grid(points, cfg.grid.extent[:2] + (extent,)))
         scenarios.build_pointer(cfg)  # the builder's coverage rule holds
-        with pytest.raises(ConfigError, match="axis 3: .* momentum kick of up to 1 leaves") as info:
+        with pytest.raises(ConfigError, match="axis 3: momentum half-width .* "
+                           "includes a momentum kick of up to 1,") as info:
             scenarios.check_kick_budget(cfg, 1.0)
         assert info.value.path == "couplings"
 
@@ -502,6 +503,31 @@ class TestCli:
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_builder_coverage_error_names_the_documents_axis(self, tmp_path, capsys):
+        doc = bundled_document("jozsa_baseline")
+        doc["pointer"]["grid"]["extent"] = [8.0, 5.0]
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pointer.grid: axis 2: position half-width 5 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_state_norm_exits_2(self, tmp_path, capsys):
+        # The norm of a pre_state scaled by 1e200 overflows a float; dividing
+        # by it would leave an all-zero state for the overlap floor to reject.
+        doc = bundled_document("jozsa_baseline")
+        doc["system"]["pre_state"] = [[1e200, 0], [1e200, 0]]
+        doc_path = tmp_path / "big.json"
+        doc_path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: system.pre_state: amplitude norm inf is not a finite float\n"
+        assert not (tmp_path / "out").exists()
+
     def test_derived_grid_past_the_cap_exits_2(self, tmp_path, capsys):
         # l = 70 needs 1085 points per axis; the derived grid stops at 1024.
         doc = bundled_document("lg_probe")
@@ -510,7 +536,7 @@ class TestCli:
         doc_path = tmp_path / "bad.json"
         doc_path.write_text(json.dumps(doc))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
-        assert "config error: pointer.grid: axis 0: momentum" in capsys.readouterr().err
+        assert "config error: pointer.grid: axis 1: momentum" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("template, strength, space", [
@@ -528,8 +554,9 @@ class TestCli:
         doc_path.write_text(json.dumps(doc))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: couplings: axis 1: at strength multiplier 1 ")
-        assert f"a {space} kick of up to {strength:g} leaves" in err
+        assert err.startswith(f"config error: couplings: axis 1: {space} half-width ")
+        assert (f"at strength multiplier 1 the offset includes a {space} kick of up to "
+                f"{strength:g},") in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -541,7 +568,8 @@ class TestCli:
         assert main(["sweep", str(doc_path), "--multipliers", "1", "2", "400",
                      "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: couplings: axis 1: at strength multiplier 400 ")
+        assert err.startswith("config error: couplings: axis 1: momentum half-width ")
+        assert "at strength multiplier 400 the offset includes a momentum kick of up to 16," in err
         assert err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
@@ -637,6 +665,18 @@ class TestCli:
         assert err.startswith("error: sigma = 1e+154 is too wide for l = 1")
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    def test_grid_with_subnormal_cell_volume_exits_1(self, tmp_path, capsys):
+        # sigma = 1e-155 passes the width rule, but 256 points over the
+        # derived half-width leave dq^2 = 7.8e-313 (subnormal) and dp^2 = inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lg-check", "--l", "1", "--sigma", "1e-155",
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: position cell volume 7.81e-313 is not a finite float >= 2.2e-308\n"
+        assert os.listdir(tmp_path) == []
+        assert main(["lg-check", "--l", "1", "--sigma", "1e-150", "--out", str(tmp_path)]) == 0
 
     def test_appendix_a_command(self, tmp_path):
         assert main(["appendix-a", "--sigma1", "1.0", "--sigma2", "1.0",
