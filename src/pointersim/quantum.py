@@ -43,10 +43,14 @@ class SystemState:
             raise InvalidState("amplitudes contain non-finite entries")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amps)
-        if not np.isfinite(norm):
-            raise InvalidState(f"amplitude norm {norm} is not a finite float")
-        if norm < 1e-14:
-            raise InvalidState("zero amplitude vector")
+        if not 1e-146 < norm < np.inf:
+            # The squares overflowed, or underflowed past the norm's precision:
+            # scale the real and imaginary parts by the largest of them first.
+            peak = np.max(np.abs(amps.view(float)))
+            if peak == 0:
+                raise InvalidState("zero amplitude vector")
+            amps = (amps.view(float) / peak).view(complex)
+            norm = np.linalg.norm(amps)
         self.amplitudes = _frozen(amps / norm)
 
     @property

@@ -1,8 +1,10 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
 whole-array references for the blockwise moments and momentum displacement, a
-traced-peak probe and a call counter."""
+traced-peak probe, a call counter and a finder of source sites."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,32 @@ def count_calls(monkeypatch, module, *names) -> dict:
     return counts
 
 
+def source_sites(label) -> set[tuple[str, str, str]]:
+    """``(module, enclosing function, label(node))`` of every AST node in the
+    pointersim sources for which ``label`` returns a name."""
+    sites = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def generic_visit(self, node):
+            name = label(node)
+            if name:
+                sites.add((self.module, self.scope[-1], name))
+            super().generic_visit(node)
+
+    import pointersim
+    for path in sorted(Path(pointersim.__file__).parent.glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return sites
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -141,6 +169,7 @@ __all__ = [
     "random_hermitian",
     "random_state_vector",
     "reference_moments",
+    "source_sites",
     "traced_peak",
     "whole_array_displace_momentum",
 ]

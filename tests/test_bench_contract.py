@@ -10,6 +10,8 @@ fail the test suite, not only a traced benchmark run.  The test imports
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -41,3 +43,23 @@ def test_lg_probe_diagonalizes_one_matrix(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["numpy.linalg.eigh"] == 1
     assert tracer.work["numpy.linalg.eigh.matrices"] == 1
+
+
+@pytest.mark.parametrize("name, builder", [("jozsa_baseline", "pointer.gaussian_pointer"),
+                                           ("lg_probe", "pointer.lg_mode"),
+                                           ("two_mode_entangle", "pointer.gaussian_pointer")])
+def test_every_pointer_build_is_traced(monkeypatch, name, builder):
+    # The scenario's pointer-kind table must reach its builder through a name
+    # the tracer rebinds; a builder held by reference would count no calls.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from pointersim.scenarios import build_pointer, load_bundled
+
+    cfg = load_bundled(name)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        build_pointer(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls[builder] == 1

@@ -1,7 +1,6 @@
 """Grids, transforms, Gaussian and vortex states, moment functionals."""
 
 import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from pointersim.pointer import (
 from conftest import (
     dense_axis_transform,
     oracle_mixed_moment,
+    source_sites,
     traced_peak,
     whole_array_displace_momentum,
 )
@@ -63,32 +63,6 @@ class TestGrid:
         # dp^2 inf); over 1e155, dp^2 is subnormal.
         with pytest.raises(DimensionError, match=f"{space} cell volume"):
             Grid((256, 256), (extent, extent))
-
-
-def source_sites(label) -> set[tuple[str, str, str]]:
-    """``(module, enclosing function, label(node))`` of every AST node in the
-    pointersim sources for which ``label`` returns a name."""
-    sites = set()
-
-    class Visitor(ast.NodeVisitor):
-        def __init__(self, module):
-            self.module, self.scope = module, ["<module>"]
-
-        def visit_FunctionDef(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-
-        def generic_visit(self, node):
-            name = label(node)
-            if name:
-                sites.add((self.module, self.scope[-1], name))
-            super().generic_visit(node)
-
-    import pointersim
-    for path in sorted(Path(pointersim.__file__).parent.glob("*.py")):
-        Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
-    return sites
 
 
 def numpy_fft_label(node):

@@ -38,12 +38,26 @@ class TestMakeState:
         with pytest.raises(InvalidState):
             make_state([0, 0])
 
-    def test_overflowing_norm_rejected(self):
-        # The norm of [1e200, 1e200] overflows; dividing by it would zero the state.
+    @pytest.mark.parametrize("amplitudes, expected", [
+        ([1e154, 1e154], [0.5**0.5, 0.5**0.5]),
+        ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
+        ([1e-20, 0], [1, 0]),
+        ([1e-170, 1e-170], [0.5**0.5, 0.5**0.5]),
+        ([5e-324, 0], [1, 0]),
+    ])
+    def test_norm_outside_the_float_range_normalizes(self, amplitudes, expected):
+        # The squares of these entries overflow, or underflow to nothing; only
+        # an all-zero vector is rejected.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidState, match="norm inf is not a finite float"):
-                make_state([1e200, 1e200])
+            s = make_state(amplitudes)
+        np.testing.assert_allclose(s.amplitudes, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-20, 1.0, 1e20, 1e150])
+    def test_norm_in_the_float_range_divides_directly(self, rng, scale):
+        # Every bundled state, and so every golden output, keeps its bits.
+        v = scale * random_state_vector(rng, 4)
+        assert np.array_equal(make_state(v).amplitudes, v / np.linalg.norm(v))
 
     def test_dimension_one_rejected(self):
         with pytest.raises(InvalidState):

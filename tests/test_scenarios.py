@@ -1,5 +1,6 @@
 """Scenario config validation, orchestration, serialization, CLI."""
 
+import ast
 import json
 import os
 import warnings
@@ -9,8 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointersim import ConfigError, Grid, scenarios
+from pointersim import (
+    ConfigError,
+    Grid,
+    TwoModeGaussianParams,
+    auto_grid,
+    scenarios,
+    two_mode_gaussian,
+)
 from pointersim.cli import main
+from pointersim.pointer import gaussian_spreads
 from pointersim.scenarios import (
     build_pointer,
     bundled_scenario_names,
@@ -22,7 +31,7 @@ from pointersim.scenarios import (
     run_scenario,
     run_sweep,
 )
-from conftest import traced_peak
+from conftest import source_sites, traced_peak
 
 NAN, INF = float("nan"), float("inf")
 
@@ -282,7 +291,7 @@ class TestKickBudget:
         # its couplings, on an axis-3 grid whose momentum half-width is
         # 6 sd_p + 0.5, the unkicked pointer fits and the readout breaks it.
         cfg = load_bundled("seq_corr_full")
-        std_p = scenarios._pointer_spreads(cfg.pointer_kind, cfg.pointer_params)[1]
+        std_p = scenarios._POINTER_KINDS[cfg.pointer_kind][0](cfg.pointer_params)[1]
         points = cfg.grid.points_per_axis
         extent = np.pi * points[2] / (2.0 * (6.0 * std_p[2] + 0.5))
         cfg = replace(cfg, couplings=(),
@@ -292,6 +301,30 @@ class TestKickBudget:
                            "includes a momentum kick of up to 1,") as info:
             scenarios.check_kick_budget(cfg, 1.0)
         assert info.value.path == "couplings"
+
+
+class TestPointerKinds:
+    def test_the_table_is_the_only_dispatch_on_the_kind(self):
+        # The spreads and builders of the pointer kinds appear in scenarios
+        # only at module level, in _POINTER_KINDS; two_mode_gaussian not at all.
+        names = ("gaussian_spreads", "lg_spreads", "gaussian_pointer", "lg_mode",
+                 "two_mode_gaussian")
+        sites = source_sites(
+            lambda node: node.id if isinstance(node, ast.Name) and node.id in names else None)
+        assert {(scope, name) for module, scope, name in sites if module == "scenarios"} == {
+            ("<module>", name) for name in names[:4]}
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (0.25, 0.25, 0.1), (0.25, 0.25, -0.1), (0.25, 0.25, 0.0), (0.25, 0.25, 0.125),
+        (0.5, 0.125, 0.2), (2.0, 1.0, -1.3)])
+    def test_two_mode_document_on_a_derived_grid_is_its_gaussian(self, alpha, beta, gamma):
+        doc = bundled_document("two_mode_entangle")
+        del doc["pointer"]["grid"]
+        doc["pointer"].update(alpha=alpha, beta=beta, gamma=gamma)
+        grid, phi = build_pointer(parse_config(doc))
+        params = TwoModeGaussianParams(alpha, beta, gamma)
+        assert grid == auto_grid(*gaussian_spreads(params.position_covariance()), None, None)
+        assert np.array_equal(phi.amplitudes, two_mode_gaussian(grid, params).amplitudes)
 
 
 class TestRunSweep:
@@ -475,6 +508,16 @@ class TestCli:
         ("theta_qp_gaussian", ("pointer", "theta"), [[0, NAN], [0.3, 0]], "pointer.theta[0][1]"),
         ("jozsa_baseline", ("pointer", "grid", "extent"), [8.0], "pointer.grid.extent"),
         ("jozsa_baseline", ("pointer", "grid", "extent"), [8.0, True], "pointer.grid.extent[1]"),
+        # A kind that is not a string, even an unhashable one, is unknown too.
+        ("jozsa_baseline", ("pointer", "kind"), "gauss", "pointer.kind"),
+        ("jozsa_baseline", ("pointer", "kind"), ["gaussian"], "pointer.kind"),
+        ("jozsa_baseline", ("pointer", "kind"), {"a": 1}, "pointer.kind"),
+        # Integers too large for a float.
+        ("jozsa_baseline", ("couplings", 0, "strength"), 10**400, "couplings[0].strength"),
+        ("jozsa_baseline", ("pointer", "sigma"), [[10**400, 0], [0, 1]], "pointer.sigma[0][0]"),
+        ("lg_probe", ("pointer", "l"), 10**400, "pointer.l"),
+        ("lg_probe", ("pointer", "grid", "points_per_axis"), [2**2000, 256],
+         "pointer.grid.points_per_axis[0]"),
     ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
             "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
             "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
@@ -488,7 +531,10 @@ class TestCli:
             "sigma-not-a-list", "sigma-wrong-length", "sigma-boolean", "sigma-nan",
             "mean-q-not-a-list", "mean-q-wrong-length", "mean-q-boolean", "mean-q-inf",
             "theta-not-a-list", "theta-wrong-length", "theta-boolean", "theta-nan",
-            "extent-wrong-length", "extent-boolean"])
+            "extent-wrong-length", "extent-boolean",
+            "kind-unknown-string", "kind-list", "kind-object",
+            "strength-huge-integer", "sigma-huge-integer", "vortex-l-huge-integer",
+            "points-huge-integer"])
     def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, keys,
                                                  value, path):
         doc = bundled_document(template)
@@ -500,7 +546,8 @@ class TestCli:
         doc_path = tmp_path / "bad.json"
         doc_path.write_text(json.dumps(doc))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
-        assert f"config error: {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_builder_coverage_error_names_the_documents_axis(self, tmp_path, capsys):
@@ -514,18 +561,30 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_state_norm_exits_2(self, tmp_path, capsys):
-        # The norm of a pre_state scaled by 1e200 overflows a float; dividing
-        # by it would leave an all-zero state for the overlap floor to reject.
+    def test_overflowing_state_norm_runs_as_the_bundled_state(self, tmp_path):
+        # The norm of a pre_state scaled by 1e200 overflows a float.  Scaled by
+        # its largest part first, it normalizes to the bundled state's bits.
         doc = bundled_document("jozsa_baseline")
-        doc["system"]["pre_state"] = [[1e200, 0], [1e200, 0]]
-        doc_path = tmp_path / "big.json"
-        doc_path.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        for name, scale in (("ref", 1), ("big", 1e200)):
+            doc["system"]["pre_state"] = [[scale, 0], [scale, 0]]
+            doc_path = tmp_path / f"{name}.json"
+            doc_path.write_text(json.dumps(doc))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", str(doc_path), "--out", str(tmp_path / name)]) == 0
+        for name in ("jozsa_baseline.csv", "jozsa_baseline.json"):
+            assert (tmp_path / "big" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python's int parser refuses a literal of more than 4300 digits with
+        # a ValueError that is not a JSONDecodeError.
+        text = json.dumps(bundled_document("jozsa_baseline"))
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(text.replace('"strength": 0.05', '"strength": 1' + "0" * 5000))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: system.pre_state: amplitude norm inf is not a finite float\n"
+        assert err.startswith(f"config error: invalid JSON in {doc_path}: ")
+        assert "4300" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_derived_grid_past_the_cap_exits_2(self, tmp_path, capsys):
