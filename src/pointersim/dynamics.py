@@ -34,6 +34,7 @@ from .pointer import (
     _GridState,
     _apply_momentum,
     _axis_transform,
+    _block_coordinates,
     _block_shape,
     _mass,
     _normalized,
@@ -240,10 +241,8 @@ def first_order_pointer(
 
     A q-term is formed one block of leading grid rows at a time: ``xi * amps``
     in a block buffer, scaled by ``lambda_k (A_k)_w`` and added into the sum,
-    the same elementwise operations in the same order as on whole arrays, so
-    bit for bit theirs.  The call then holds one pointer-sized sum beside its
-    input.  A p-term needs whole-axis transforms, so it still holds a third
-    pointer-sized array.
+    so the call holds one pointer-sized sum beside its input.  A p-term needs
+    whole-axis transforms, so it still holds a third pointer-sized array.
     """
     values = [weak_value(s.observable, pre, post) for s in specs]
     if readout_axis is not None and readout_eigenvalue != 0.0:
@@ -253,6 +252,7 @@ def first_order_pointer(
     grid, amps = phi.grid, phi.amplitudes
     delta = np.zeros_like(amps)
     buf = np.empty(_block_shape(grid.shape), dtype=complex)
+    qs = _block_coordinates(grid, grid.positions)
     for s, w in zip(specs, values):
         if s.strength == 0.0:
             continue
@@ -261,8 +261,7 @@ def first_order_pointer(
             np.add(delta, np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta)
             del xi_amps
             continue
-        xi = _quadrature_values(grid, s.axis, "q")
         for blk in _row_blocks(grid.shape):
-            xi_amps = np.multiply(xi[blk] if s.axis == 0 else xi, amps[blk], out=buf)
+            xi_amps = np.multiply(qs(s.axis, blk), amps[blk], out=buf)
             np.add(delta[blk], np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta[blk])
     return _normalized(grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))

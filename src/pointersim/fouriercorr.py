@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParams
-from .pointer import Grid, _axis_transform, check_width
+from .errors import GridCoverage, InvalidParams
+from .pointer import Grid, _axis_transform, check_width, coverage_gap, gaussian_spreads
 
 
 def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex, complex, float]:
@@ -29,7 +29,9 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     ``i * c12 / sigma1**2``, and ``residual = |numeric - analytic|``.  The
     closed form of the functional is ``i * c12 / sigma2**2``, so the identity
     is exact for sigma1 == sigma2 and the residual reports the mismatch
-    honestly otherwise.
+    honestly otherwise.  The grid spans 8 sd of the wider axis; raises
+    GridCoverage unless it also holds the transformed array, an amplitude
+    with spreads ``gaussian_spreads(0.5 * inv(prec))``, in momentum.
     """
     check_width("sigma1", sigma1)
     check_width("sigma2", sigma2)
@@ -41,6 +43,9 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     cov = np.linalg.inv(prec)
     extent = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
     grid = Grid(points_per_axis=(256, 256), extent=(extent, extent))
+    gap = coverage_gap(grid, *gaussian_spreads(0.5 * np.linalg.inv(prec)))
+    if gap:
+        raise GridCoverage(gap[2])
     q1 = grid.axis_array(0, grid.positions(0))
     q2 = grid.axis_array(1, grid.positions(1))
     density = np.exp(-0.5 * sigma1**2 * q1**2 - 0.5 * sigma2**2 * q2**2 - c12 * q1 * q2)

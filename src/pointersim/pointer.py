@@ -33,11 +33,13 @@ _NORM_TOL = 1e-8
 # mass sums and the coupling kernel): a block's intermediates (2**14
 # complex values are 256 KiB) stay in cache from one operation to the next.
 _BLOCK_CELLS = 2**14
+_MAX_CELLS = 2**21  # the larger of auto_grid's caps, 128**3
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular D-axis grid, D in {1, 2, 3}, power-of-two points per axis."""
+    """Rectangular D-axis grid, D in {1, 2, 3}, power-of-two points per axis,
+    at most ``_MAX_CELLS`` cells."""
 
     points_per_axis: tuple[int, ...]
     extent: tuple[float, ...]
@@ -54,6 +56,8 @@ class Grid:
         for n in pts:
             if n < 32 or n & (n - 1):
                 raise DimensionError(f"points per axis must be a power of two >= 32, got {n}")
+        if math.prod(pts) > _MAX_CELLS:
+            raise DimensionError(f"{math.prod(pts)} grid cells exceed the limit of {_MAX_CELLS}")
         for L in ext:
             if not (L > 0 and np.isfinite(L)):
                 raise DimensionError(f"extent must be positive and finite, got {L}")
@@ -197,10 +201,10 @@ class PointerWavefunction(_GridState):
 
 def _sum_abs2(amps: np.ndarray) -> float:
     """``sum |amps|^2`` as one real inner product over the float64 view, in
-    memory order so that no copy is made.  It differs from
-    ``np.sum(np.abs(amps) ** 2)`` in the last bits, so it serves norm checks
-    only; NaN and inf stay NaN and inf.  ``einsum`` rather than ``np.dot``
-    keeps the reduction off BLAS, whose idle threads would spin after it."""
+    memory order so that no copy is made; NaN and inf stay NaN and inf.
+    ``einsum`` keeps the reduction off BLAS, whose idle threads would spin
+    after it.  Norm checks only: routing :func:`_mass` through it moves four
+    golden sweep slopes past 1e-12, so both sums stay until ROADMAP item 4."""
     flat = amps.ravel(order="K").view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
@@ -234,32 +238,12 @@ def _block_coordinates(grid: Grid, samples):
     return lambda j, blk: rest[j - 1] if j else first[blk]
 
 
-def _block_sums(shape: tuple[int, ...], block_parts) -> np.ndarray:
-    """``np.sum`` of whole grid arrays, assembled from blocks of leading rows.
-
-    ``block_parts(blk)`` returns one ``np.sum`` per quantity over rows
-    ``blk`` of a C-ordered array.  On a contiguous array of 2**k values numpy
-    sums pairwise: it halves the array down to leaves of at most 128 values
-    (64 complex ones).  A block of 2**14 cells or of the whole array is
-    therefore one subtree, and adding the block sums in the same balanced
-    binary tree reproduces every bit of the whole-array ``np.sum``.  That
-    tree needs a power-of-two block count; any other raises DimensionError.
-    """
-    blocks = _row_blocks(shape)
-    if len(blocks) & (len(blocks) - 1):
-        raise DimensionError(f"{len(blocks)} row blocks of shape {shape}: not a power of two")
-    parts = np.array([block_parts(blk) for blk in blocks])
-    while len(parts) > 1:
-        parts = parts[0::2] + parts[1::2]
-    return parts[0]
-
-
 def _mass(amps: np.ndarray, vol: float) -> float:
-    """``np.sum(np.abs(amps) ** 2) * vol``, bit for bit, for a C-ordered grid
-    array; one real block buffer holds the squared moduli."""
+    """``sum |amps|^2 * vol`` of a C-ordered grid array, its block sums added
+    in row order; one real block buffer holds the squared moduli."""
     sq = np.empty(_block_shape(amps.shape))
-    return _block_sums(amps.shape, lambda blk: [
-        np.sum(np.square(np.abs(amps[blk], out=sq), out=sq))])[0] * vol
+    return sum(np.sum(np.square(np.abs(amps[blk], out=sq), out=sq))
+               for blk in _row_blocks(amps.shape)) * vol
 
 
 def _normalized(grid: Grid, amps: np.ndarray, mass: float | None = None) -> PointerWavefunction:
@@ -407,25 +391,21 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     position distribution is untouched.
 
     One block of leading grid rows at a time, a real block buffer sums the
-    nonzero shifts' ``shifts_j q_j`` in axis order, and the output's rows hold
-    ``1j * phase``, its exp and the product (factor first, as numpy's
-    temporary elision ordered the former ``amps * np.exp(...)`` on grids of
-    256 KiB and more).  These are the whole-array operations in the same
-    order, so the result is bit for bit theirs, and the call holds one
-    pointer-sized output beside its input.
+    nonzero shifts' ``shifts_j q_j`` and the output's rows hold ``1j *
+    phase``, its exp and the product, so the call holds one pointer-sized
+    output beside its input.
     """
     grid = phi.grid
     sh = np.asarray(shifts, dtype=float)
     if sh.shape != (grid.dims,):
         raise DimensionError(f"need {grid.dims} shifts, got shape {sh.shape}")
-    terms = [(j, sh[j] * grid.axis_array(j, grid.positions(j)))
-             for j in range(grid.dims) if sh[j] != 0]
+    terms = _block_coordinates(grid, lambda j: sh[j] * grid.positions(j))
     phase = np.empty(_block_shape(grid.shape))
     out = np.empty(grid.shape, dtype=complex)
     for blk in _row_blocks(grid.shape):
         phase.fill(0.0)
-        for j, term in terms:
-            np.add(phase, term[blk] if j == 0 else term, out=phase)
+        for j in np.flatnonzero(sh):
+            np.add(phase, terms(j, blk), out=phase)
         factor = np.multiply(1j, phase, out=out[blk])
         np.exp(factor, out=factor)
         np.multiply(factor, phi.amplitudes[blk], out=factor)
@@ -445,11 +425,8 @@ def _mass_mean_cov(amps: np.ndarray, vol: float, xs, cov: bool):
     None unless ``cov``.
 
     Per block: sum rho, then for each axis i sum w = rho * x_i and, when
-    ``cov``, for j >= i sum w * x_j, so rho * x_i * x_j evaluates as
-    (rho * x_i) * x_j.  ``np.add.reduce(x, axis=None)`` is the reduction
-    ``np.sum`` calls, without its wrapper.  :func:`_block_sums` combines each
-    quantity's block sums on its own, so the mass and means keep their bits
-    without the covariance sums.
+    ``cov``, for j >= i sum w * x_j.  Each quantity's block sums add in row
+    order on their own, so the mass and means do not depend on ``cov``.
     """
     shape = amps.shape
     d = len(shape)
@@ -462,11 +439,11 @@ def _mass_mean_cov(amps: np.ndarray, vol: float, xs, cov: bool):
             if cov:
                 row += [np.add.reduce(np.multiply(w, xs(j, blk), out=prod), axis=None)
                         for j in range(i, d)]
-        return row
+        return np.array(row)
     # An invalid product needs a non-finite density, which fails the mass
     # check right after this pass, so it need not warn first.
     with np.errstate(invalid="ignore"):
-        sums = iter(_block_sums(shape, parts))
+        sums = iter(sum(map(parts, _row_blocks(shape))))
     mass, mean, raw = float(next(sums)), np.zeros(d), np.zeros((d, d))
     for i in range(d):
         mean[i] = next(sums)
@@ -527,9 +504,7 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     block, so each is held as one contiguous block-sized array, built once per
     call (:func:`_block_coordinates`); axis 0 is sliced per block.  So the
     other scratch is a few block buffers and 2*(D-1) coordinate blocks: about
-    one pointer plus blocks in all.  :func:`_block_sums` adds the block sums
-    in numpy's pairwise order, so every mean and covariance keeps the bits of
-    the whole-array ``np.sum``.
+    one pointer plus blocks in all.
     """
     grid = phi.grid
     d = grid.dims
@@ -552,19 +527,19 @@ def moments(phi: PointerWavefunction) -> MomentSet:
 
         def mixed_parts(blk):
             _density(mixed[blk], vol, out=rho)
-            return [np.add.reduce(np.multiply(np.multiply(rho, qs(j, blk), out=prod),
-                                              ps(m, blk), out=prod), axis=None)
-                    for j in q_axes]
-        for j, raw in zip(q_axes, _block_sums(shape, mixed_parts)):
+            return np.array([np.add.reduce(np.multiply(np.multiply(rho, qs(j, blk), out=prod),
+                                                       ps(m, blk), out=prod), axis=None)
+                             for j in q_axes])
+        for j, raw in zip(q_axes, sum(map(mixed_parts, _row_blocks(shape)))):
             cov_qp[j, m] = raw - mean_q[j] * mean_p[m]
     for j in range(d):
         # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
         p_psi = _apply_momentum(psi_q, grid, j, out=scratch)
 
-        def same_axis_parts(blk):
+        def same_axis_part(blk):
             np.multiply(np.conjugate(psi_q[blk], out=conj), qs(j, blk), out=conj)
-            return [np.add.reduce(np.multiply(conj, p_psi[blk], out=conj), axis=None)]
-        raw = complex(_block_sums(shape, same_axis_parts)[0] * dvol_q)
+            return np.add.reduce(np.multiply(conj, p_psi[blk], out=conj), axis=None)
+        raw = complex(sum(map(same_axis_part, _row_blocks(shape))) * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
 
     for arr in (mean_q, mean_p, cov_qq, cov_qp, cov_pp):

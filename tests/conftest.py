@@ -45,9 +45,9 @@ def oracle_mixed_moment(phi: PointerWavefunction, q_axis: int, p_axis: int) -> f
 
 def reference_moments(phi: PointerWavefunction) -> MomentSet:
     """Whole-array moments: every density, product and sum is formed over the
-    full grid, with the operations and operand order of :func:`moments`.  The
-    blockwise ``moments`` must match it bit for bit, which holds as long as
-    numpy's ``np.sum`` keeps its pairwise order."""
+    full grid, with the operations and operand order of :func:`moments`.  Its
+    sums run in ``np.sum``'s pairwise order; the blockwise ``moments`` add
+    their block sums in row order, so they match it to rounding only."""
     grid, d = phi.grid, phi.grid.dims
     psi_q = phi.amplitudes
     dvol_q = grid.cell_volume(("position",) * d)

@@ -86,21 +86,28 @@ def test_every_bundled_scenario_has_a_golden_file():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(GOLDEN_NAMES)
 
 
-@pytest.mark.parametrize("golden", GOLDEN_NAMES)
-def test_run_matches_golden(golden, tmp_path):
+def golden_text(golden: str, tmp_path: Path) -> str:
+    """The JSON text this checkout writes for golden file ``golden``; a
+    command writes its file into the empty directory ``tmp_path``."""
     if golden in COMMANDS:
         assert main(COMMANDS[golden] + ["--out", str(tmp_path)]) == 0
         (written,) = tmp_path.glob("*.json")
-        text = written.read_text(encoding="utf-8")
-    elif golden.startswith("sweep_"):
+        return written.read_text(encoding="utf-8")
+    if golden.startswith("sweep_"):
         cfg = load_bundled(golden.removeprefix("sweep_"))
-        text = sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
-    elif golden.startswith("moments_"):
-        text = moments_json_text(golden.removeprefix("moments_"))
-    else:
-        text = report_json_text(run_scenario(load_bundled(golden)))
-    expected = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
-    assert_matches(json.loads(text), expected)
+        return sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
+    if golden.startswith("moments_"):
+        return moments_json_text(golden.removeprefix("moments_"))
+    return report_json_text(run_scenario(load_bundled(golden)))
+
+
+def load_golden(golden: str):
+    return json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("golden", GOLDEN_NAMES)
+def test_run_matches_golden(golden, tmp_path):
+    assert_matches(json.loads(golden_text(golden, tmp_path)), load_golden(golden))
 
 
 def test_comparison_catches_a_moved_number():

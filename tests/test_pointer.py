@@ -53,6 +53,13 @@ class TestGrid:
         with pytest.raises(DimensionError):
             Grid((points,), (8.0,))
 
+    @pytest.mark.parametrize("points", [(2**30, 256), (2048, 2048), (256, 128, 128)])
+    def test_rejects_more_cells_than_the_cap(self, points):
+        # A Grid holds no arrays, so the rejected sizes allocate nothing.
+        with pytest.raises(DimensionError, match="exceed the limit of 2097152"):
+            Grid(points, (8.0,) * len(points))
+        assert Grid((128, 128, 128), (8.0,) * 3).shape == (128, 128, 128)
+
     def test_rejects_four_axes(self):
         with pytest.raises(DimensionError):
             Grid((32, 32, 32, 32), (4.0, 4.0, 4.0, 4.0))
@@ -472,12 +479,9 @@ class TestGridStateContainer:
 
 
 class TestBlockSums:
-    def test_block_count_must_be_a_power_of_two(self):
-        assert _mass(np.ones((128, 32, 32), complex), 1.0) == 131072.0
-        # 96 rows make 6 blocks of 16; the pairwise tree would broadcast the
-        # odd tail and count rows twice.
-        with pytest.raises(DimensionError):
-            _mass(np.ones((96, 32, 32), complex), 1.0)
+    def test_any_block_count_adds_every_row(self):
+        # 96 rows make 6 blocks of 16 rows; the block sums add in row order.
+        assert _mass(np.ones((96, 32, 32), complex), 1.0) == 98304.0
 
 
 class TestKernelsLeaveInputsAlone:

@@ -587,6 +587,36 @@ class TestCli:
         assert "4300" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_grid_with_too_many_cells_exits_2_before_any_allocation(self, tmp_path, capsys):
+        # 2**38 cells would ask numpy for gigabytes; the document is rejected
+        # while it is parsed, before any pointer is built.
+        doc = bundled_document("lg_probe")
+        doc["pointer"]["grid"]["points_per_axis"] = [2**30, 256]
+        with pytest.raises(ConfigError, match="exceed the limit") as info:
+            parse_config(doc)
+        assert info.value.path == "pointer.grid"
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: pointer.grid: 274877906944 grid cells exceed "
+                       "the limit of 2097152\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sigma1, sigma2, c12, axis", [
+        ("30", "1", "0.2", 1), ("100", "1", "0.5", 1), ("1", "30", "0.2", 2),
+    ])
+    def test_appendix_a_beyond_its_grid_exits_1(self, tmp_path, capsys, sigma1, sigma2, c12,
+                                                axis):
+        # The 256^2 grid spans 8 sd of the wider axis and cannot hold the
+        # narrow axis in momentum; the closed form i c12/sigma2^2 is missed.
+        assert main(["appendix-a", "--sigma1", sigma1, "--sigma2", sigma2, "--c12", c12,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: axis {axis}: momentum half-width ")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_derived_grid_past_the_cap_exits_2(self, tmp_path, capsys):
         # l = 70 needs 1085 points per axis; the derived grid stops at 1024.
         doc = bundled_document("lg_probe")
