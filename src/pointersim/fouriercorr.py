@@ -31,7 +31,7 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     is exact for sigma1 == sigma2 and the residual reports the mismatch
     honestly otherwise.  The grid spans 8 sd of the wider axis; raises
     GridCoverage unless it also holds the transformed array, an amplitude
-    with spreads ``gaussian_spreads(0.5 * inv(prec))``, in momentum.
+    with spreads ``gaussian_spreads(0.5 * cov)``, in momentum.
     """
     check_width("sigma1", sigma1)
     check_width("sigma2", sigma2)
@@ -43,7 +43,7 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     cov = np.linalg.inv(prec)
     extent = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
     grid = Grid(points_per_axis=(256, 256), extent=(extent, extent))
-    gap = coverage_gap(grid, *gaussian_spreads(0.5 * np.linalg.inv(prec)))
+    gap = coverage_gap(grid, *gaussian_spreads(0.5 * cov))
     if gap:
         raise GridCoverage(gap[2])
     q1 = grid.axis_array(0, grid.positions(0))

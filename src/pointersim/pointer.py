@@ -201,10 +201,10 @@ class PointerWavefunction(_GridState):
 
 def _sum_abs2(amps: np.ndarray) -> float:
     """``sum |amps|^2`` as one real inner product over the float64 view, in
-    memory order so that no copy is made; NaN and inf stay NaN and inf.
-    ``einsum`` keeps the reduction off BLAS, whose idle threads would spin
-    after it.  Norm checks only: routing :func:`_mass` through it moves four
-    golden sweep slopes past 1e-12, so both sums stay until ROADMAP item 4."""
+    memory order, so no copy; NaN and inf stay.  ``einsum`` keeps it off
+    BLAS, whose idle threads would spin after it.  Norm checks only: routing
+    :func:`_mass` through it moves four golden sweep slopes past 1e-12 and
+    the reverse costs 4-7% of a benchmark op, so both stay (ROADMAP item 4)."""
     flat = amps.ravel(order="K").view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
@@ -400,11 +400,12 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     if sh.shape != (grid.dims,):
         raise DimensionError(f"need {grid.dims} shifts, got shape {sh.shape}")
     terms = _block_coordinates(grid, lambda j: sh[j] * grid.positions(j))
+    nonzero = np.flatnonzero(sh)
     phase = np.empty(_block_shape(grid.shape))
     out = np.empty(grid.shape, dtype=complex)
     for blk in _row_blocks(grid.shape):
         phase.fill(0.0)
-        for j in np.flatnonzero(sh):
+        for j in nonzero:
             np.add(phase, terms(j, blk), out=phase)
         factor = np.multiply(1j, phase, out=out[blk])
         np.exp(factor, out=factor)

@@ -15,7 +15,10 @@ Criterion 10 compares two runs of the same code, so it cannot catch a change
 that moves the results; this can.
 """
 
+import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,21 +68,40 @@ def moments_json_text(name: str) -> str:
     return json_text({"initial": blocks(moments(phi)), "final": blocks(moments(final))})
 
 
-def assert_matches(actual, expected, path="$"):
+def deviations(actual, expected, path="$"):
+    """``(|actual - expected|, path)`` for every number of ``expected``;
+    ``(inf, path)`` where the two differ in anything else (a key, a flag, a
+    list length) or the difference is NaN."""
     if isinstance(expected, dict):
-        assert isinstance(actual, dict), path
-        assert sorted(actual) == sorted(expected), path
+        if not isinstance(actual, dict) or sorted(actual) != sorted(expected):
+            yield math.inf, path
+            return
         for key in expected:
-            assert_matches(actual[key], expected[key], f"{path}.{key}")
+            yield from deviations(actual[key], expected[key], f"{path}.{key}")
     elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), path
+        if not isinstance(actual, list) or len(actual) != len(expected):
+            yield math.inf, path
+            return
         for k, (a, e) in enumerate(zip(actual, expected)):
-            assert_matches(a, e, f"{path}[{k}]")
+            yield from deviations(a, e, f"{path}[{k}]")
     elif isinstance(expected, (int, float)) and not isinstance(expected, bool):
-        assert isinstance(actual, (int, float)) and not isinstance(actual, bool), path
-        assert abs(actual - expected) <= NUMBER_TOL, f"{path}: {actual!r} != {expected!r}"
-    else:
-        assert actual == expected, path
+        if isinstance(actual, (int, float)) and not isinstance(actual, bool):
+            gap = abs(actual - expected)
+            yield (gap if gap <= math.inf else math.inf), path
+        else:
+            yield math.inf, path
+    elif actual != expected:
+        yield math.inf, path
+
+
+def worst_deviation(actual, expected) -> tuple[float, str]:
+    """The largest of :func:`deviations`, the first such path on a tie."""
+    return max(deviations(actual, expected), key=lambda row: row[0], default=(0.0, "$"))
+
+
+def assert_matches(actual, expected):
+    margin, path = worst_deviation(actual, expected)
+    assert margin <= NUMBER_TOL, f"{path}: off by {margin!r}"
 
 
 def test_every_bundled_scenario_has_a_golden_file():
@@ -117,3 +139,27 @@ def test_comparison_catches_a_moved_number():
         assert_matches({"axes": [{"q": {"shift": 0.1 + 1e-11}}], "flag": True}, expected)
     with pytest.raises(AssertionError):
         assert_matches({"axes": [{"q": {"shift": 0.1}}], "flag": False}, expected)
+
+
+def test_comparison_treats_a_nan_as_a_mismatch():
+    expected = {"slopes": [0.1, 0.2, 0.3]}
+    for actual in ({"slopes": [0.1, math.nan, 0.3]}, {"slopes": [math.nan, 0.2, 0.3]}):
+        margin, path = worst_deviation(actual, expected)
+        assert margin == math.inf and path == f"$.slopes[{actual['slopes'].index(math.nan)}]"
+        with pytest.raises(AssertionError):
+            assert_matches(actual, expected)
+
+
+def test_margin_tool_reports_a_nan_as_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "golden_margin", Path(__file__).parent.parent / "tools" / "golden_margin.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool.test_golden, "GOLDEN_NAMES", ["one", "two"])
+    monkeypatch.setattr(tool.test_golden, "load_golden", lambda name: {"a": [0.1, 0.2]})
+    monkeypatch.setattr(tool.test_golden, "golden_text", lambda name, out: {
+        "one": '{"a": [0.1, 0.2]}', "two": '{"a": [0.1, NaN]}'}[name])
+    assert tool.main() == 1
+    assert capsys.readouterr().out.split() == ["mismatch", "two", "$.a[1]",
+                                               "0.000e+00", "one", "$.a[0]"]

@@ -2,13 +2,14 @@
 
 For every file under ``tests/golden``, regenerates the output with the
 generators of ``tests/test_golden.py`` and prints the largest
-``|actual - golden|`` over its numbers, with the JSON path where it occurs,
-one line per file, worst first:
+``|actual - golden|`` over its numbers (``test_golden.worst_deviation``, the
+rule ``test_run_matches_golden`` asserts), with the JSON path where it
+occurs, one line per file, worst first:
 
     python tools/golden_margin.py
 
 A field that differs in anything but its number (a key, a flag, a list
-length) prints as ``mismatch``.  Exits 1 if any file is past
+length) or whose difference is NaN prints as ``mismatch``.  Exits 1 if any file is past
 ``test_golden.NUMBER_TOL`` or mismatched.  It measures the checkout it sits
 in: its own ``../src`` goes first on ``sys.path``, and it exits 1 if
 ``pointersim`` is imported from anywhere else.
@@ -32,30 +33,6 @@ import pointersim  # noqa: E402
 import test_golden  # noqa: E402
 
 
-def deviations(actual, expected, path="$"):
-    """``(|actual - expected|, path)`` for every number of ``expected``;
-    ``(inf, path)`` where the two differ in anything else."""
-    if isinstance(expected, dict):
-        if not isinstance(actual, dict) or sorted(actual) != sorted(expected):
-            yield math.inf, path
-            return
-        for key in expected:
-            yield from deviations(actual[key], expected[key], f"{path}.{key}")
-    elif isinstance(expected, list):
-        if not isinstance(actual, list) or len(actual) != len(expected):
-            yield math.inf, path
-            return
-        for k, (a, e) in enumerate(zip(actual, expected)):
-            yield from deviations(a, e, f"{path}[{k}]")
-    elif isinstance(expected, (int, float)) and not isinstance(expected, bool):
-        if isinstance(actual, (int, float)) and not isinstance(actual, bool):
-            yield abs(actual - expected), path
-        else:
-            yield math.inf, path
-    elif actual != expected:
-        yield math.inf, path
-
-
 def main() -> int:
     if Path(pointersim.__file__).resolve().parent != (SRC / "pointersim").resolve():
         print(f"error: imported pointersim from {pointersim.__file__}, not {SRC}",
@@ -68,8 +45,8 @@ def main() -> int:
             out.mkdir()
             with contextlib.redirect_stdout(io.StringIO()):
                 text = test_golden.golden_text(name, out)
-            found = deviations(json.loads(text), test_golden.load_golden(name))
-            rows.append(max(found, key=lambda row: row[0], default=(0.0, "$")) + (name,))
+            found = test_golden.worst_deviation(json.loads(text), test_golden.load_golden(name))
+            rows.append(found + (name,))
     rows.sort(key=lambda row: row[0], reverse=True)
     for margin, path, name in rows:
         shown = "mismatch" if margin == math.inf else f"{margin:.3e}"
