@@ -5,11 +5,13 @@ momentum quadrature of one pointer axis.  The quadrature is diagonal in its
 own representation, so the evolution is a pointwise d x d matrix exponential
 over grid points: in one eigenbasis of all terms (always so for one coupling)
 only phases touch the grid, else each row block diagonalizes its generator.
+Every stored state is in position representation: a p-coupling transforms
+its axes to momentum and back inside its own :func:`apply_couplings` call.
 
-Every caller runs the exact pipeline through :func:`evolve`.  Its coupling,
-readout and transform steps write their results back into the one joint
-buffer that :func:`make_joint` allocated, so the pipeline holds a single joint
-state; called directly, :func:`apply_couplings` and :func:`strong_readout`
+Every caller runs the exact pipeline through :func:`evolve`.  Its coupling and
+readout steps write their results back into the one joint buffer that
+:func:`make_joint` allocated, so the pipeline holds a single joint state;
+called directly, :func:`apply_couplings` and :func:`strong_readout`
 allocate their output and leave their input state alone.  The first-order
 path, which the closed-form shift predictions assume, is
 :func:`first_order_pointer`: it builds the postselected pointer from weak
@@ -63,16 +65,13 @@ class CouplingSpec:
 
 
 class JointState(_GridState):
-    """System tensor pointer amplitudes, shape (d, *grid.shape), with pointer
-    axes in representations ``reps`` (:class:`_GridState`).  :func:`evolve`
-    passes ``_buffer`` as ``out``, so each step overwrites the state it has
-    just read.  Not a :class:`PointerWavefunction`: :func:`moments` takes none.
+    """System tensor position-space pointer amplitudes, shape
+    (d, *grid.shape) (:class:`_GridState`).  :func:`evolve` passes
+    ``_buffer`` as ``out``, so each step overwrites the state it has just
+    read.  Not a :class:`PointerWavefunction`: :func:`moments` takes none.
     """
 
     _LEADING = 1
-
-    def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...]):
-        super().__init__(grid, amplitudes, reps)
 
     @property
     def system_dim(self) -> int:
@@ -82,21 +81,7 @@ class JointState(_GridState):
 def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
     """Product state |system> (x) |phi>."""
     amps = system.amplitudes.reshape((system.dim,) + (1,) * phi.grid.dims) * phi.amplitudes
-    return JointState._adopt(phi.grid, amps, ("position",) * phi.grid.dims)
-
-
-def _to_axis_rep(state: JointState, axis: int, rep: str,
-                 out: np.ndarray | None = None) -> JointState:
-    """``state`` with pointer axis ``axis`` in representation ``rep``; the
-    transform writes into ``out`` (fresh when omitted, and not made at all
-    when the axis is already there)."""
-    if state.reps[axis] == rep:
-        return state
-    amps = _axis_transform(state.amplitudes, state.grid, axis, forward=rep == "momentum",
-                           out=out)
-    reps = list(state.reps)
-    reps[axis] = rep
-    return JointState._adopt(state.grid, amps, tuple(reps))
+    return JointState._adopt(phi.grid, amps)
 
 
 def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
@@ -115,10 +100,13 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     """Evolve by ``exp(-i sum_k lambda_k A_k (x) xi_k)``.
 
     All specs must share one quadrature kind; the terms act simultaneously.
-    The axis transforms and the result go into ``out``, a complex array of
-    the state's shape (the state's own ``_buffer`` allowed), which the
-    returned state adopts; without it the call allocates one and leaves the
-    input alone.  With nothing to transform or couple it returns ``state``.
+    A p-coupling transforms the axes of its live terms to momentum, in
+    ascending order, couples, and transforms them back in the same order, so
+    the result is in position representation like every stored state.  The
+    transforms and the result go into ``out``, a complex array of the
+    state's shape (the state's own ``_buffer`` allowed), which the returned
+    state adopts; without it the call allocates one and leaves the input
+    alone.  With no nonzero strength it returns ``state``.
 
     Each block of leading grid rows (``_BLOCK_CELLS`` cells) is rotated into
     an eigenbasis, phased by ``exp(-i w)`` and rotated back into ``out``, bit
@@ -128,8 +116,6 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     of each block's pointwise generator, bit for bit a per-cell ``eigh``'s.
     Commuting terms not all diagonal may differ from the latter in the last bits.
     """
-    if not specs:
-        return state
     check_shared_quadrature(specs)
     d = state.system_dim
     for s in specs:
@@ -137,18 +123,16 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
             raise DimensionError(f"observable dim {s.observable.dim} != system dim {d}")
         if not 0 <= s.axis < state.grid.dims:
             raise DimensionError(f"axis {s.axis} outside grid with {state.grid.dims} axes")
-    quadrature = specs[0].quadrature
-    rep = "position" if quadrature == "q" else "momentum"
     live = [s for s in specs if s.strength != 0.0]
-    if not live and all(state.reps[s.axis] == rep for s in specs):
-        return state
-    if out is None:
-        out = np.empty_like(state.amplitudes)
-    for s in specs:
-        state = _to_axis_rep(state, s.axis, rep, out)
     if not live:
         return state
+    quadrature = live[0].quadrature
     grid, amps = state.grid, state.amplitudes
+    p_axes = sorted({s.axis for s in live}) if quadrature == "p" else []
+    if out is None:
+        out = np.empty_like(amps)
+    for axis in p_axes:
+        amps = _axis_transform(amps, grid, axis, out=out)
     mats = [s.observable.matrix for s in live]
     xis = [(s.axis, _quadrature_values(grid, s.axis, quadrature)) for s in live]
     # The eigenbasis of A_0 + sum_k (1 + k pi) A_k serves every term that it
@@ -173,7 +157,9 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
         rotated = np.einsum("...ij,i...->j...", vb.conj(), amps[:, blk])
         np.multiply(rotated, np.exp(x), out=rotated)
         np.einsum("...ij,j...->i...", vb, rotated, out=out[:, blk])
-    return JointState._adopt(grid, out, state.reps)
+    for axis in p_axes:
+        _axis_transform(out, grid, axis, forward=False, out=out)
+    return JointState._adopt(grid, out)
 
 
 def strong_readout(state: JointState, observable: Observable, axis: int,
@@ -189,13 +175,10 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
     the postselection probability."""
     if target.dim != state.system_dim:
         raise DimensionError(f"target dim {target.dim} != system dim {state.system_dim}")
-    for axis in range(state.grid.dims):
-        state = _to_axis_rep(state, axis, "position")
     pointer = np.einsum("a,a...->...", target.amplitudes.conj(), state.amplitudes)
-    prob = float(_mass(pointer, state.grid.cell_volume(state.reps)))
+    prob = float(_mass(pointer, state.grid.cell_volume(("position",) * state.grid.dims)))
     if prob < _POSTSELECT_FLOOR:
         raise PostselectionFailed(f"postselection probability {prob:.3e} below 1e-12")
-    # Every axis is in position representation, so prob is also the squared norm.
     return _normalized(state.grid, pointer, prob), prob
 
 
@@ -206,8 +189,8 @@ def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec]
     term when ``simultaneous``), the strong readout ``(observable, axis)`` when
     given, then :func:`postselect` onto ``post``.  One spec and no readout is
     the usual weak measurement.  ``phi`` is dropped once joined, so a caller
-    holding no reference of its own frees it early.  Every step, the
-    transforms back to position included, writes into the joint buffer of
+    holding no reference of its own frees it early.  Every step, a
+    p-coupling's axis transforms included, writes into the joint buffer of
     :func:`make_joint`, so no second joint state is ever made."""
     joint = make_joint(pre, phi)
     del phi  # full-grid; the joint state holds what the pipeline needs
@@ -219,8 +202,6 @@ def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec]
         joint = apply_couplings(joint, specs, buf)
     if readout is not None:
         joint = strong_readout(joint, *readout, buf)
-    for axis in range(joint.grid.dims):
-        joint = _to_axis_rep(joint, axis, "position", buf)
     return postselect(joint, post)
 
 

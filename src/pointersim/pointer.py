@@ -155,33 +155,30 @@ def coverage_gap(grid: Grid, std_q, std_p, offset_q=None, offset_p=None):
 
 
 class _GridState:
-    """Normalized complex amplitudes, shape ``(*leading, *grid.shape)`` with
-    ``_LEADING`` leading axes, and one representation tag per grid axis in
-    ``reps`` (all ``"position"`` by default).  The constructor copies the
-    caller's array in C order, so later writes to it never reach the state and
-    row blocks are contiguous; kernels hand over a fresh C-ordered array, or a
-    pipeline step the buffer it wrote, through :meth:`_adopt`.  ``amplitudes``
-    is a read-only view of ``_buffer``, which stays writeable for that step.
+    """Normalized complex position-space amplitudes, shape
+    ``(*leading, *grid.shape)`` with ``_LEADING`` leading axes.  The
+    constructor copies the caller's array in C order, so later writes to it
+    never reach the state and row blocks are contiguous; kernels hand over a
+    fresh C-ordered array, or a pipeline step the buffer it wrote, through
+    :meth:`_adopt`.  ``amplitudes`` is a read-only view of ``_buffer``, which
+    stays writeable for that step.
     """
 
     _LEADING = 0
 
-    def __init__(self, grid: Grid, amplitudes: np.ndarray, reps: tuple[str, ...] | None = None):
-        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"), reps)
+    def __init__(self, grid: Grid, amplitudes: np.ndarray):
+        self._wrap(grid, np.array(amplitudes, dtype=complex, order="C"))
 
     @classmethod
-    def _adopt(cls, grid: Grid, amps: np.ndarray, reps: tuple[str, ...] | None = None):
+    def _adopt(cls, grid: Grid, amps: np.ndarray):
         state = cls.__new__(cls)
-        state._wrap(grid, amps, reps)
+        state._wrap(grid, amps)
         return state
 
-    def _wrap(self, grid: Grid, amps: np.ndarray, reps: tuple[str, ...] | None) -> None:
+    def _wrap(self, grid: Grid, amps: np.ndarray) -> None:
         if amps.shape[self._LEADING:] != grid.shape:
             raise DimensionError(f"amplitudes shape {amps.shape} does not fit grid {grid.shape}")
-        reps = ("position",) * grid.dims if reps is None else tuple(reps)
-        if len(reps) != grid.dims:
-            raise DimensionError("one representation tag per pointer axis required")
-        self.grid, self.reps, self._buffer = grid, reps, amps
+        self.grid, self._buffer = grid, amps
         self.amplitudes = amps.view()
         self.amplitudes.flags.writeable = False
         norm2 = self.norm_squared()
@@ -189,14 +186,11 @@ class _GridState:
             raise NormalizationError(f"norm^2 = {norm2!r}, expected 1")
 
     def norm_squared(self) -> float:
-        return _sum_abs2(self.amplitudes) * self.grid.cell_volume(self.reps)
+        return _sum_abs2(self.amplitudes) * self.grid.cell_volume(("position",) * self.grid.dims)
 
 
 class PointerWavefunction(_GridState):
     """Complex position-space amplitudes over a grid (see :class:`_GridState`)."""
-
-    def __init__(self, grid: Grid, amplitudes: np.ndarray):
-        super().__init__(grid, amplitudes)
 
 
 def _sum_abs2(amps: np.ndarray) -> float:
@@ -275,8 +269,11 @@ class MomentSet:
 
 
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
-    """Raise InvalidCovariance unless ``sigma`` is symmetric positive definite
-    and ``theta`` (if given) is a symmetric matrix of the same shape."""
+    """Raise InvalidCovariance unless ``sigma`` is finite, symmetric and positive
+    definite, and ``theta`` (if given) is a finite symmetric matrix of the same
+    shape.  NaN fails no ``>`` test, so finiteness is checked first."""
+    if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
+        raise InvalidCovariance("sigma and theta must be finite")
     if np.max(np.abs(sigma - sigma.T)) > 1e-12:
         raise InvalidCovariance("sigma is not symmetric")
     try:

@@ -69,6 +69,8 @@ class Observable:
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidObservable(f"expected a square matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvalidObservable("matrix contains non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise InvalidObservable("matrix is not Hermitian within 1e-12")
         self.matrix = _frozen(mat)

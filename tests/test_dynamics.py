@@ -1,5 +1,7 @@
 """Joint evolution: couplings, readout, postselection, first-order path."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ from pointersim import (
     strong_readout,
     displace_momentum,
 )
-from pointersim.dynamics import _quadrature_values, _to_axis_rep
-from pointersim.pointer import _apply_momentum, _normalized
+from pointersim.dynamics import _quadrature_values
+from pointersim.pointer import _apply_momentum, _axis_transform, _normalized
 from pointersim.quantum import weak_value
 from pointersim.scenarios import (
     build_coupling_specs,
@@ -35,7 +37,7 @@ from pointersim.scenarios import (
     load_bundled,
     resolve_system,
 )
-from conftest import whole_array_displace_momentum
+from conftest import source_sites, whole_array_displace_momentum
 
 
 def plus():
@@ -67,11 +69,11 @@ class TestMakeJoint:
     def test_nan_amplitudes_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NormalizationError):
-                JointState(Grid((32,), (8.0,)), np.full((2, 32), bad), ("position",))
+                JointState(Grid((32,), (8.0,)), np.full((2, 32), bad))
 
     def test_constructor_copies_caller_array(self):
         caller = make_joint(plus(), gauss1d(32)).amplitudes.copy()
-        joint = JointState(Grid((32,), (8.0,)), caller, ("position",))
+        joint = JointState(Grid((32,), (8.0,)), caller)
         assert caller.flags.writeable
         before = joint.amplitudes.tobytes()
         caller *= 2.0
@@ -92,12 +94,13 @@ def batched_eigh_couplings(state, specs):
     """Reference for apply_couplings: the whole-grid pointwise generator
     ``sum_k lambda_k xi_k A_k``, one batched ``eigh`` over every cell, and the
     rotation into its eigenbasis and back, with the operations and operand
-    order of the former multi-term kernel."""
+    order of the former multi-term kernel.  The p-axes go to momentum and
+    back around it."""
     quadrature = specs[0].quadrature
-    rep = "position" if quadrature == "q" else "momentum"
-    for s in specs:
-        state = _to_axis_rep(state, s.axis, rep)
     grid, amps, d = state.grid, state.amplitudes, state.system_dim
+    p_axes = sorted({s.axis for s in specs}) if quadrature == "p" else []
+    for axis in p_axes:
+        amps = _axis_transform(amps, grid, axis)
     gen = np.zeros(grid.shape + (d, d), dtype=complex)
     for s in specs:
         xi = _quadrature_values(grid, s.axis, quadrature)
@@ -105,7 +108,10 @@ def batched_eigh_couplings(state, specs):
     w, v = np.linalg.eigh(gen)
     rotated = np.einsum("...ij,...i->...j", v.conj(), np.moveaxis(amps, 0, -1))
     np.multiply(rotated, np.exp(-1j * w), out=rotated)
-    return np.moveaxis(np.einsum("...ij,...j->...i", v, rotated), -1, 0)
+    result = np.moveaxis(np.einsum("...ij,...j->...i", v, rotated), -1, 0)
+    for axis in p_axes:
+        result = _axis_transform(result, grid, axis, forward=False)
+    return result
 
 
 def hadamard_rotated(diagonal):
@@ -114,10 +120,11 @@ def hadamard_rotated(diagonal):
 
 
 class TestApplyCouplings:
-    def test_zero_strength_is_identity(self):
+    @pytest.mark.parametrize("quadrature", ["q", "p"])
+    def test_zero_strength_is_identity(self, quadrature):
         joint = make_joint(plus(), gauss1d())
-        out = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.0)])
-        assert np.max(np.abs(out.amplitudes - joint.amplitudes)) == 0.0
+        out = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, quadrature, 0.0)])
+        assert out is joint
 
     def test_diagonal_coupling_is_pure_phase(self):
         joint = make_joint(plus(), gauss1d())
@@ -440,9 +447,18 @@ class TestFirstOrderPointer:
 
 
 class TestMixedRepresentationPipeline:
+    def test_only_apply_couplings_transforms_the_joint_state(self):
+        # Stored states stay in position: the one representation decision
+        # is a p-coupling's, and evolve and postselect transform nothing.
+        names = ("_axis_transform", "_apply_momentum")
+        sites = source_sites(
+            lambda node: node.id if isinstance(node, ast.Name) and node.id in names else None)
+        assert {(scope, name) for module, scope, name in sites if module == "dynamics"} == {
+            ("apply_couplings", "_axis_transform"), ("first_order_pointer", "_apply_momentum")}
+
     def test_momentum_coupling_then_strong_readout(self):
-        # Axis 1 sits in momentum representation when the readout hits axis 2;
-        # the bookkeeping must transform each axis independently.
+        # The p-coupling on axis 1 returns its state in position, so the
+        # readout on axis 2 and the postselection see position amplitudes.
         post = make_state([1, 1j])
         proj = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
         joint = make_joint(plus(), gauss2d())

@@ -26,6 +26,7 @@ from pointersim.pointer import (
     _apply_momentum,
     _axis_transform,
     _mass,
+    check_gaussian_params,
     gaussian_spreads,
     lg_spreads,
 )
@@ -190,6 +191,13 @@ class TestGaussianPointer:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidCovariance):
             gaussian_pointer(grid2(), np.array([[1.0, 1.2], [1.2, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma_or_theta(self, bad):
+        nonfinite = np.array([[bad, 0.0], [0.0, 1.0]])
+        for sigma, theta in ((nonfinite, None), (np.eye(2), nonfinite)):
+            with pytest.raises(InvalidCovariance, match="finite"):
+                check_gaussian_params(sigma, theta)
 
     def test_rejects_insufficient_extent(self):
         with pytest.raises(GridCoverage):
@@ -460,22 +468,18 @@ class TestGridStateContainer:
         with pytest.raises(DimensionError):
             PointerWavefunction(g, joint_amps)
         with pytest.raises(DimensionError):
-            JointState(g, amps, ("position", "position"))
-        with pytest.raises(DimensionError):
-            JointState(g, joint_amps, ("position",))
-        assert JointState(g, joint_amps, ("position", "position")).system_dim == 2
+            JointState(g, amps)
+        assert JointState(g, joint_amps).system_dim == 2
 
     def test_pointer_is_position_space_view_over_its_buffer(self):
         phi = gaussian_pointer(grid2(32), np.eye(2))
-        assert phi.reps == ("position", "position")
         assert phi.amplitudes.base is phi._buffer
         assert phi.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_state_is_not_a_pointer(self):
         g = grid2(32)
         amps = gaussian_pointer(g, np.eye(2)).amplitudes
-        assert not isinstance(JointState(g, amps[None], ("position", "position")),
-                              PointerWavefunction)
+        assert not isinstance(JointState(g, amps[None]), PointerWavefunction)
 
 
 class TestBlockSums:

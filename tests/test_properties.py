@@ -1,7 +1,7 @@
 """Property tests: the axis transform is unitary, the grid moments of a
 correlated Gaussian reproduce its covariance parameters, the blockwise
 single-observable coupling equals the full-array rotation bit for bit, the
-blockwise moments equal the whole-array reference bit for bit, the exact
+blockwise moments match the whole-array reference within rounding, the exact
 pipeline conserves probability over a complete postselection basis, an
 on-grid momentum displacement leaves every covariance block alone, and the
 residual of a direct-projection scenario falls at least as the coupling
@@ -112,16 +112,22 @@ def test_on_grid_momentum_displacement_keeps_every_covariance(params, data):
 
 def full_array_coupling(state: JointState, spec: CouplingSpec) -> np.ndarray:
     """Reference for the single-observable branch: rotate the whole joint
-    array into the eigenbasis, phase it, and rotate it back."""
-    grid, d = state.grid, state.system_dim
+    array into the eigenbasis, phase it, and rotate it back; a p-axis goes
+    to momentum and back around it."""
+    grid, d, amps = state.grid, state.system_dim, state.amplitudes
+    if spec.quadrature == "p":
+        amps = _axis_transform(amps, grid, spec.axis)
     eig = eigendecompose(spec.observable)
     v = eig.eigenvectors
-    rotated = np.einsum("ij,i...->j...", v.conj(), state.amplitudes)
+    rotated = np.einsum("ij,i...->j...", v.conj(), amps)
     vals = grid.positions(spec.axis) if spec.quadrature == "q" else grid.momenta(spec.axis)
     xi = grid.axis_array(spec.axis, vals)
     eigcol = eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
     np.multiply(rotated, np.exp(-1j * spec.strength * eigcol * xi), out=rotated)
-    return np.einsum("ij,j...->i...", v, rotated)
+    result = np.einsum("ij,j...->i...", v, rotated)
+    if spec.quadrature == "p":
+        result = _axis_transform(result, grid, spec.axis, forward=False)
+    return result
 
 
 @PROPERTY_SETTINGS
@@ -136,14 +142,10 @@ def test_single_coupling_matches_full_array_rotation(points, d, quadrature, stre
     rng = np.random.default_rng(seed)
     shape = (d,) + grid.shape
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    reps = ["position"] * grid.dims
-    if quadrature == "p":
-        reps[axis] = "momentum"
-    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(tuple(reps)))
-    state = JointState(grid, amps, tuple(reps))
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell_volume(("position",) * grid.dims))
+    state = JointState(grid, amps)
     spec = CouplingSpec(Observable(random_hermitian(rng, d)), axis, quadrature, strength)
     out = apply_couplings(state, [spec])
-    assert out.reps == state.reps
     assert out.amplitudes.tobytes() == full_array_coupling(state, spec).tobytes()
     assert abs(out.norm_squared() - state.norm_squared()) <= 1e-12
 

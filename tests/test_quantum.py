@@ -93,6 +93,12 @@ class TestEigendecompose:
         with pytest.raises(InvalidObservable):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # A NaN makes the Hermiticity residual NaN, which fails no "> tol" test.
+        with pytest.raises(InvalidObservable, match="non-finite"):
+            Observable(np.array([[bad, 0], [0, 1]]))
+
     def test_reconstruction_and_orthonormality(self, rng):
         for d in (2, 3, 5, 8):
             obs = Observable(random_hermitian(rng, d))
