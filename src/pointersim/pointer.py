@@ -81,6 +81,10 @@ class Grid:
     def dp(self, axis: int) -> float:
         return 2.0 * np.pi / (self.points_per_axis[axis] * self.dq(axis))
 
+    def half_width(self, axis: int, space: str) -> float:
+        """``extent`` in position, ``pi/dq`` in momentum."""
+        return self.extent[axis] if space == "position" else np.pi / self.dq(axis)
+
     def positions(self, axis: int) -> np.ndarray:
         n = self.points_per_axis[axis]
         return -self.extent[axis] + self.dq(axis) * np.arange(n)
@@ -144,8 +148,8 @@ def coverage_gap(grid: Grid, std_q, std_p, offset_q=None, offset_p=None):
     Returns None, or the first axis and space that fall short as
     ``(j, space, message)``, the message naming the 1-based axis."""
     for j in range(grid.dims):
-        for space, half_width, std, offset in (("position", grid.extent[j], std_q, offset_q),
-                                               ("momentum", np.pi / grid.dq(j), std_p, offset_p)):
+        for space, std, offset in (("position", std_q, offset_q), ("momentum", std_p, offset_p)):
+            half_width = grid.half_width(j, space)
             off = 0.0 if offset is None else abs(offset[j])
             if half_width - off < 6.0 * std[j]:
                 return j, space, (f"axis {j + 1}: {space} half-width {half_width:.6g} less offset "
@@ -269,9 +273,12 @@ class MomentSet:
 
 
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
-    """Raise InvalidCovariance unless ``sigma`` is finite, symmetric and positive
-    definite, and ``theta`` (if given) is a finite symmetric matrix of the same
-    shape.  NaN fails no ``>`` test, so finiteness is checked first."""
+    """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
+    and positive definite, and ``theta`` (if given) is a finite symmetric
+    matrix of the same shape.  NaN fails no ``>`` test, so finiteness is
+    checked first."""
+    if not sigma.size:
+        raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
         raise InvalidCovariance("sigma and theta must be finite")
     if np.max(np.abs(sigma - sigma.T)) > 1e-12:

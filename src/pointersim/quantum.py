@@ -67,8 +67,8 @@ class Observable:
 
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidObservable(f"expected a square matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise InvalidObservable(f"expected a nonempty square matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidObservable("matrix contains non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:

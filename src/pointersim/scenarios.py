@@ -450,7 +450,8 @@ def _spectral_radius(observable: Observable) -> float:
 
 def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     """Raise ConfigError unless every branch of the pointer stays on the grid
-    with the couplings at ``multiplier`` times their strengths.
+    with the couplings at ``multiplier`` times their strengths, and the grid
+    resolves every nonzero kick.
 
     A q-coupling of strength lambda shifts an eigen-branch's momentum by
     ``-lambda a_k``, a p-coupling its position, and the strong readout (a
@@ -461,33 +462,47 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     branch around and the measured shift is wrong with no other sign.  The
     builder has already held the unkicked pointer to the rule
     (:func:`build_pointer`).
+
+    Rounding alone moves a grid mean by up to a few ``eps H``, H the kicked
+    space's half-width (:meth:`~pointersim.pointer.Grid.half_width`), so a
+    kick below ``1e6 eps H`` would be measured as noise.
     """
     grid, params = cfg.grid, cfg.pointer_params
-    # Keyed by the coupled quadrature: a q-coupling kicks momentum.
-    kicks = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
-    for s in cfg.couplings:
-        kicks[s.quadrature][s.axis] += abs(multiplier * s.strength) * _spectral_radius(s.observable)
+    kicks = [(s.quadrature, s.axis, abs(multiplier * s.strength) * _spectral_radius(s.observable))
+             for s in cfg.couplings]
     if cfg.readout_axis0 is not None:
         obs = cfg.readout_observable
-        kicks["q"][cfg.readout_axis0] += 1.0 if obs is None else _spectral_radius(obs)
+        kicks.append(("q", cfg.readout_axis0, 1.0 if obs is None else _spectral_radius(obs)))
+    # Keyed by the coupled quadrature: a q-coupling kicks momentum.
+    totals = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
+    for quadrature, axis, kick in kicks:
+        space = "momentum" if quadrature == "q" else "position"
+        floor = 1e6 * np.finfo(float).eps * grid.half_width(axis, space)
+        if 0.0 < kick < floor:
+            _fail(f"axis {axis + 1}: at strength multiplier {multiplier:g} a {space} kick of "
+                  f"{kick:.6g} is below the resolution floor {floor:.6g} (1e6 eps H)", "couplings")
+        totals[quadrature][axis] += kick
     gap = coverage_gap(grid, *_POINTER_KINDS[cfg.pointer_kind][0](params),
-                       np.abs(params.get("mean_q", 0.0)) + kicks["p"],
-                       np.abs(params.get("mean_p", 0.0)) + kicks["q"])
+                       np.abs(params.get("mean_q", 0.0)) + totals["p"],
+                       np.abs(params.get("mean_p", 0.0)) + totals["q"])
     if gap:
         j, space, message = gap
         _fail(f"{message}; at strength multiplier {multiplier:g} the offset includes a {space} "
-              f"kick of up to {kicks['q' if space == 'momentum' else 'p'][j]:.6g}, and the "
+              f"kick of up to {totals['q' if space == 'momentum' else 'p'][j]:.6g}, and the "
               "periodic grid would wrap the pointer around", "couplings")
 
 
 def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftReport]:
     """Predict, simulate and measure each strength multiplier in turn.  The
-    pointer (then :func:`check_kick_budget` at the largest ``|multiplier|``),
-    its initial moments and the system are built once for all of them, so
-    the first report's ``wall_time_seconds`` includes that build."""
+    pointer (then :func:`check_kick_budget` at the largest ``|multiplier|``,
+    which bounds wraparound, and at the smallest nonzero one, which bounds
+    resolution), its initial moments and the system are built once for all
+    of them, so the first report's ``wall_time_seconds`` includes that build."""
     t0 = time.perf_counter()
     grid, phi = build_pointer(cfg)
-    check_kick_budget(cfg, max(abs(m) for m in multipliers))
+    sizes = [abs(m) for m in multipliers]
+    for size in (max(sizes), min((s for s in sizes if s), default=0.0)):
+        check_kick_budget(cfg, size)
     base = moments(phi)
     del phi  # full-grid; only its moments are needed from here on
     pre, post, _readout_obs, a_l = resolve_system(cfg)

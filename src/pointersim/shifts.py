@@ -66,9 +66,11 @@ def predict_general(
     """First-order shifts for arbitrary weak couplings on a D-axis pointer.
 
     ``couplings`` entries are ``(axis, quadrature, strength, weak_value)``.
-    Same-axis q-p cross terms are intentionally dropped: with no free pointer
-    evolution those symmetrized covariances never enter the contracted
-    formulas (they are the stationary-pointer terms fixed to zero).
+    A p-coupling follows the q-coupling law with q and p exchanged (``cov_qp``
+    transposed) and the Re sign flipped.  Same-axis q-p cross terms are
+    intentionally dropped: with no free pointer evolution those symmetrized
+    covariances never enter the contracted formulas (they are the
+    stationary-pointer terms fixed to zero).
     """
     d = m.mean_q.size
     s = conv.orientation
@@ -79,19 +81,11 @@ def predict_general(
         if not 0 <= axis < d:
             raise DimensionError(f"coupling axis {axis} outside 0..{d - 1}")
         a, b = float(np.real(w)), float(np.imag(w))
+        coupled, conjugate, cov, cross, re = ((dq, dp, m.cov_qq, m.cov_qp, r) if quadrature == "q"
+                                              else (dp, dq, m.cov_pp, m.cov_qp.T, -r))
         for mm in range(d):
-            if quadrature == "q":
-                dq[mm] += s * 2.0 * lam * b * m.cov_qq[mm, axis]
-                if mm == axis:
-                    dp[mm] += r * lam * a
-                else:
-                    dp[mm] += s * 2.0 * lam * b * m.cov_qp[axis, mm]
-            else:
-                dp[mm] += s * 2.0 * lam * b * m.cov_pp[mm, axis]
-                if mm == axis:
-                    dq[mm] += -r * lam * a
-                else:
-                    dq[mm] += s * 2.0 * lam * b * m.cov_qp[mm, axis]
+            coupled[mm] += s * 2.0 * lam * b * cov[mm, axis]
+            conjugate[mm] += re * lam * a if mm == axis else s * 2.0 * lam * b * cross[axis, mm]
     has_offset = readout_axis is not None
     if has_offset:
         dp[readout_axis] += r * readout_eigenvalue

@@ -199,6 +199,10 @@ class TestGaussianPointer:
             with pytest.raises(InvalidCovariance, match="finite"):
                 check_gaussian_params(sigma, theta)
 
+    def test_rejects_empty_sigma(self):
+        with pytest.raises(InvalidCovariance, match="sigma is empty"):
+            check_gaussian_params(np.zeros((0, 0)))
+
     def test_rejects_insufficient_extent(self):
         with pytest.raises(GridCoverage):
             gaussian_pointer(Grid((64, 64), (4.0, 4.0)), np.eye(2))
@@ -276,8 +280,9 @@ class TestCoverage:
 
     def test_momentum_half_width_only_in_the_coverage_rule(self):
         # One coverage rule: the builders, auto_grid and the kick budget all
-        # ask coverage_gap, the one place that forms pi/dq.
-        assert source_sites(momentum_half_width_label) == {("pointer", "coverage_gap", "pi/dq")}
+        # ask coverage_gap, and it and the kick resolution floor read their
+        # half-widths from Grid.half_width, the one place that forms pi/dq.
+        assert source_sites(momentum_half_width_label) == {("pointer", "half_width", "pi/dq")}
 
     def test_auto_grid_keeps_the_default_when_momentum_is_covered(self):
         assert auto_grid([1.0, 1.0], [0.5, 0.5], None, None) == grid2(256)

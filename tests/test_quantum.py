@@ -99,6 +99,10 @@ class TestEigendecompose:
         with pytest.raises(InvalidObservable, match="non-finite"):
             Observable(np.array([[bad, 0], [0, 1]]))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidObservable, match="nonempty square matrix"):
+            Observable(np.zeros((0, 0)))
+
     def test_reconstruction_and_orthonormality(self, rng):
         for d in (2, 3, 5, 8):
             obs = Observable(random_hermitian(rng, d))

@@ -302,6 +302,27 @@ class TestKickBudget:
             scenarios.check_kick_budget(cfg, 1.0)
         assert info.value.path == "couplings"
 
+    def test_kick_below_the_resolution_floor_exits_2(self, tmp_path, capsys):
+        # sigma 1e-305 on the derived 256^2 grid puts pi/dq at 1.6e154: the
+        # 0.05 momentum kick is lost to rounding (axis-1 dp came out -2.3e136).
+        doc = bundled_document("jozsa_baseline")
+        del doc["pointer"]["grid"]
+        doc["pointer"]["sigma"] = [[1e-305, 0.0], [0.0, 1e-305]]
+        path = tmp_path / "tiny_sigma.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert ("config error: couplings: axis 1: at strength multiplier 1 a momentum kick of "
+                "0.05 is below the resolution floor") in capsys.readouterr().err
+
+    def test_sweep_checks_resolution_at_its_smallest_nonzero_multiplier(self):
+        # jozsa_baseline's momentum floor is 1e6 eps pi/dq = 1.1e-8; its
+        # 0.05 kick falls below it at 1e-7, and a zero multiplier kicks nothing.
+        cfg = load_bundled("jozsa_baseline")
+        run_sweep(cfg, [1.0, 0.5, 0.0])
+        with pytest.raises(ConfigError, match="multiplier 1e-07 a momentum kick of 5e-09") as info:
+            run_sweep(cfg, [1.0, 0.5, 0.0, -1e-7])
+        assert info.value.path == "couplings"
+
 
 class TestPointerKinds:
     def test_the_table_is_the_only_dispatch_on_the_kind(self):

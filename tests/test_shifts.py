@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointersim import (
     FROZEN_CONVENTION,
@@ -233,6 +235,34 @@ class TestProperties:
         pred = predict_general(m, [(0, "p", 0.05, 1.0)])
         assert pred.delta_q[0] == pytest.approx(-FROZEN_CONVENTION.re_orientation * 0.05)
         assert pred.delta_p[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def random_spd(rng, d):
+    g = rng.normal(size=(d, d))
+    return g @ g.T + 0.1 * np.eye(d)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data(),
+       conv=st.sampled_from([SignConvention(o, r) for o in (1, -1) for r in (1, -1)]))
+def test_p_coupling_is_the_q_coupling_with_q_and_p_exchanged(d, seed, data, conv):
+    # Exchanging q and p maps cov_qq <-> cov_pp and cov_qp to its transpose,
+    # flips every coupled quadrature and the Re sign, and swaps the shifts.
+    rng = np.random.default_rng(seed)
+    m = moment_set(d, cov_qq=random_spd(rng, d), cov_qp=rng.normal(size=(d, d)),
+                   cov_pp=random_spd(rng, d))
+    couplings = data.draw(st.lists(st.tuples(
+        st.integers(0, d - 1), st.sampled_from(("q", "p")), st.floats(-2.0, 2.0),
+        st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=3))
+    exchanged = moment_set(d, cov_qq=m.cov_pp, cov_qp=m.cov_qp.T, cov_pp=m.cov_qq)
+    flipped = [(axis, "p" if quadrature == "q" else "q", lam, w)
+               for axis, quadrature, lam, w in couplings]
+    pred = predict_general(m, couplings, conv=conv)
+    dual = predict_general(exchanged, flipped,
+                           conv=SignConvention(conv.orientation, -conv.re_orientation))
+    assert np.array_equal(pred.delta_q, dual.delta_p)
+    assert np.array_equal(pred.delta_p, dual.delta_q)
 
 
 def test_flipped_convention_fails_against_simulation():
