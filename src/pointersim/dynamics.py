@@ -89,6 +89,16 @@ def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
     return grid.axis_array(axis, vals)
 
 
+def _contract(m: np.ndarray, src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out[j] = sum_i m[..., i, j] * src[i]``, ``m`` one matrix or one per
+    cell: multiply-adds in order of i, products in ``tmp``.  Bit for bit
+    ``einsum``'s where each entry is real or imaginary (no FMA rounding)."""
+    for j in range(out.shape[0]):
+        np.multiply(m[..., 0, j], src[0], out=out[j])
+        for i in range(1, len(src)):
+            np.add(out[j], np.multiply(m[..., i, j], src[i], out=tmp), out=out[j])
+
+
 def check_shared_quadrature(specs) -> None:
     """Raise RepresentationError unless all ``specs`` share one quadrature."""
     if len({s.quadrature for s in specs}) > 1:
@@ -108,9 +118,9 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     state adopts; without it the call allocates one and leaves the input
     alone.  With no nonzero strength it returns ``state``.
 
-    Each block of leading grid rows (``_BLOCK_CELLS`` cells) is rotated into
-    an eigenbasis, phased by ``exp(-i w)`` and rotated back into ``out``, bit
-    for bit as a whole-array rotation and read before its rows are written.
+    Each block of leading grid rows (``_BLOCK_CELLS`` cells) is read, rotated
+    into an eigenbasis, phased by ``exp(-i w)`` and rotated back into ``out``
+    by :func:`_contract`, bit for bit as whole-array multiply-adds.
     ``w`` is the live terms' summed phases in one basis that diagonalizes
     them all (``eigh`` of the observable, for one term), else the eigenvalues
     of each block's pointwise generator, bit for bit a per-cell ``eigh``'s.
@@ -145,6 +155,7 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     spectra = [np.real(np.diag(r)) for r in in_v] or [w]
     terms = [(axis, -1j * s.strength * a.reshape((d,) + (1,) * grid.dims) * xi)
              for s, a, (axis, xi) in zip(live, spectra, xis)]
+    tmp, rotated = (np.empty(n + _block_shape(grid.shape), dtype=complex) for n in ((), (d,)))
     for blk in _row_blocks(grid.shape):
         if shared:
             vb, x = v, reduce(np.add, (t[:, blk] if axis == 0 else t for axis, t in terms))
@@ -154,9 +165,9 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
                 gen += s.strength * (xi[blk] if axis == 0 else xi)[..., None, None] * mat
             w, vb = np.linalg.eigh(gen)
             x = -1j * np.moveaxis(w, -1, 0)
-        rotated = np.einsum("...ij,i...->j...", vb.conj(), amps[:, blk])
+        _contract(vb.conj(), amps[:, blk], rotated, tmp)
         np.multiply(rotated, np.exp(x), out=rotated)
-        np.einsum("...ij,j...->i...", vb, rotated, out=out[:, blk])
+        _contract(np.swapaxes(vb, -1, -2), rotated, out[:, blk], tmp)
     for axis in p_axes:
         _axis_transform(out, grid, axis, forward=False, out=out)
     return JointState._adopt(grid, out)
@@ -175,11 +186,14 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
     the postselection probability."""
     if target.dim != state.system_dim:
         raise DimensionError(f"target dim {target.dim} != system dim {state.system_dim}")
-    pointer = np.einsum("a,a...->...", target.amplitudes.conj(), state.amplitudes)
-    prob = float(_mass(pointer, state.grid.cell_volume(("position",) * state.grid.dims)))
+    grid, bra = state.grid, target.amplitudes.conj()[:, None]
+    pointer, tmp = (np.empty(n, dtype=complex) for n in (grid.shape, _block_shape(grid.shape)))
+    for blk in _row_blocks(grid.shape):
+        _contract(bra, state.amplitudes[:, blk], pointer[None, blk], tmp)
+    prob = float(_mass(pointer, grid.cell_volume(("position",) * grid.dims)))
     if prob < _POSTSELECT_FLOOR:
         raise PostselectionFailed(f"postselection probability {prob:.3e} below 1e-12")
-    return _normalized(state.grid, pointer, prob), prob
+    return _normalized(grid, pointer, prob), prob
 
 
 def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec],

@@ -417,62 +417,64 @@ def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     return PointerWavefunction._adopt(grid, out)
 
 
-def _density(amps: np.ndarray, vol: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``|amps|^2 * vol``, computed in one real array (``out`` if given)."""
-    rho = np.abs(amps, out=out)
-    np.square(rho, out=rho)
-    return np.multiply(rho, vol, out=rho)
+def _second_moments(shape: tuple[int, ...], blocks, pairs, xs, ys) -> dict:
+    """``{(i, j): x_i^T M_ij y_j}`` for axis pairs ``i <= j`` of a grid array of
+    ``shape`` given as ``(rows, block)`` in row order, M_ij its marginal on
+    axes i and j (on axis i when i == j: ``sum M_ii x_i y_i``).  Each block
+    adds its share of ``M_ij y_j`` to a vector on axis i by ``einsum``, off
+    BLAS (:func:`_sum_abs2`); the last sum, over a whole axis, is pairwise."""
+    sums = {pair: np.zeros(shape[pair[0]]) for pair in pairs}
+    for blk, block in blocks:
+        for (i, j), v in sums.items():
+            weight = (ys[j], [j]) if i < j else ()
+            v[blk if i == 0 else ...] += np.einsum(block, range(block.ndim), *weight, [i])
+    return {(i, j): float(np.add.reduce(v * xs[i] * (1.0 if i < j else ys[i])))
+            for (i, j), v in sums.items()}
 
 
-def _mass_mean_cov(amps: np.ndarray, vol: float, xs, cov: bool):
-    """``(mass, mean, covariance)`` of the density ``|amps|^2 * vol`` over the
-    block coordinates ``xs`` (:func:`_block_coordinates`); the covariance is
-    None unless ``cov``.
+def _mass_mean_cov(amps: np.ndarray, grid: Grid, space: str, cov: bool):
+    """``(mass, mean, covariance)`` of the density ``rho = |amps|^2 * dvol``
+    in ``space``; the covariance is None unless ``cov``.  Per block: sum rho,
+    then for each axis i sum rho * x_i, each quantity's block sums added in
+    row order; with ``cov`` the blocks also go to :func:`_second_moments`."""
+    shape, d = amps.shape, amps.ndim
+    samples = grid.positions if space == "position" else grid.momenta
+    coords, xs = _block_coordinates(grid, samples), [samples(j) for j in range(d)]
+    vol = grid.cell_volume((space,) * d)
+    rho, w = (np.empty(_block_shape(shape)) for _ in range(2))
+    rows, raw = [], np.zeros((d, d))
 
-    Per block: sum rho, then for each axis i sum w = rho * x_i and, when
-    ``cov``, for j >= i sum w * x_j.  Each quantity's block sums add in row
-    order on their own, so the mass and means do not depend on ``cov``.
-    """
-    shape = amps.shape
-    d = len(shape)
-    rho, w, prod = (np.empty(_block_shape(shape)) for _ in range(3))
-
-    def parts(blk):
-        row = [np.add.reduce(_density(amps[blk], vol, out=rho), axis=None)]
-        for i in range(d):
-            row.append(np.add.reduce(np.multiply(rho, xs(i, blk), out=w), axis=None))
-            if cov:
-                row += [np.add.reduce(np.multiply(w, xs(j, blk), out=prod), axis=None)
-                        for j in range(i, d)]
-        return np.array(row)
+    def densities():
+        for blk in _row_blocks(shape):
+            np.multiply(np.square(np.abs(amps[blk], out=rho), out=rho), vol, out=rho)
+            rows.append(np.array([np.add.reduce(rho, axis=None)] + [
+                np.add.reduce(np.multiply(rho, coords(i, blk), out=w), axis=None)
+                for i in range(d)]))
+            yield blk, rho
+    pairs = [(i, j) for i in range(d) for j in range(i, d)] if cov else []
     # An invalid product needs a non-finite density, which fails the mass
     # check right after this pass, so it need not warn first.
     with np.errstate(invalid="ignore"):
-        sums = iter(sum(map(parts, _row_blocks(shape))))
-    mass, mean, raw = float(next(sums)), np.zeros(d), np.zeros((d, d))
-    for i in range(d):
-        mean[i] = next(sums)
-        if cov:
-            for j in range(i, d):
-                raw[i, j] = raw[j, i] = next(sums)
-    return mass, mean, (raw - np.outer(mean, mean) if cov else None)
+        for (i, j), r in _second_moments(shape, densities(), pairs, xs, xs).items():
+            raw[i, j] = raw[j, i] = r
+        sums = sum(rows)
+    return float(sums[0]), sums[1:], (raw - np.outer(sums[1:], sums[1:]) if cov else None)
 
 
-def _diagonal_moments(phi: PointerWavefunction, qs, ps, cov: bool):
+def _diagonal_moments(phi: PointerWavefunction, cov: bool):
     """The position and momentum passes shared by :func:`moments` and
     :func:`means`: ``(mean_q, mean_p, cov_qq, cov_pp, psi_p)``, the
     covariances None unless ``cov``.  ``psi_p``, the momentum amplitudes from
     D axis transforms, is a fresh array the caller may reuse as scratch.
     Both densities must integrate to 1."""
-    grid, d = phi.grid, phi.grid.dims
-    psi_q = phi.amplitudes
-    norm_q, mean_q, cov_qq = _mass_mean_cov(psi_q, grid.cell_volume(("position",) * d), qs, cov)
+    grid, psi_q = phi.grid, phi.amplitudes
+    norm_q, mean_q, cov_qq = _mass_mean_cov(psi_q, grid, "position", cov)
     if not abs(norm_q - 1.0) <= _NORM_TOL:
         raise NormalizationError("moments need a normalized wavefunction")
     psi_p = _axis_transform(psi_q, grid, 0, out=np.empty_like(psi_q))
-    for axis in range(1, d):
+    for axis in range(1, grid.dims):
         psi_p = _axis_transform(psi_p, grid, axis, out=psi_p)
-    norm_p, mean_p, cov_pp = _mass_mean_cov(psi_p, grid.cell_volume(("momentum",) * d), ps, cov)
+    norm_p, mean_p, cov_pp = _mass_mean_cov(psi_p, grid, "momentum", cov)
     if not abs(norm_p - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"momentum density integrates to {norm_p!r}, expected 1")
     return mean_q, mean_p, cov_qq, cov_pp, psi_p
@@ -483,9 +485,7 @@ def means(phi: PointerWavefunction) -> tuple[np.ndarray, np.ndarray]:
     of :func:`moments`, from D axis transforms instead of 4*D: the position
     and momentum passes without the covariance products.  For callers that
     read only the mean shifts."""
-    grid = phi.grid
-    mean_q, mean_p, *_ = _diagonal_moments(phi, _block_coordinates(grid, grid.positions),
-                                           _block_coordinates(grid, grid.momenta), cov=False)
+    mean_q, mean_p, *_ = _diagonal_moments(phi, cov=False)
     mean_q.flags.writeable = mean_p.flags.writeable = False
     return mean_q, mean_p
 
@@ -496,56 +496,51 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     mean_q / cov_qq come from position-space quadrature, mean_p / cov_pp from
     momentum space, the cov_qp off-diagonals from the mixed representation
     where both operators are diagonal, and the cov_qp diagonal from the
-    symmetrized same-axis product.  :func:`means` runs the first two passes
-    alone.
+    symmetrized same-axis product ``Re(conj psi * p_j psi)``.  :func:`means`
+    runs the first two passes alone.
 
     Budget: 4*D axis transforms per call (D for momentum space, D for the
     mixed representations, 2*D for the same-axis products).  Taking the
     same-axis products from the mixed representations would need 3*D; that
     waits on ROADMAP item 1, which re-baselines the traced FFT counts.  The
     transforms all write into one complex scratch array the size of the state.
-    Densities, products and their partial sums are formed one block of leading
-    rows at a time.  The coordinates of axes 1..D-1 are the same in every
-    block, so each is held as one contiguous block-sized array, built once per
-    call (:func:`_block_coordinates`); axis 0 is sliced per block.  So the
-    other scratch is a few block buffers and 2*(D-1) coordinate blocks: about
-    one pointer plus blocks in all.
+    Every other pass streams the state once, one block of leading rows at a
+    time, onto sums (the mass and means) and axis-pair marginals (every
+    second moment, :func:`_second_moments`).  So the other scratch is a few
+    block buffers, the means' coordinate blocks and one vector per axis pair:
+    about one pointer plus blocks in all.
     """
-    grid = phi.grid
-    d = grid.dims
-    shape = grid.shape
-    psi_q = phi.amplitudes
-    dvol_q = grid.cell_volume(("position",) * d)
-    qs, ps = _block_coordinates(grid, grid.positions), _block_coordinates(grid, grid.momenta)
-    mean_q, mean_p, cov_qq, cov_pp, scratch = _diagonal_moments(phi, qs, ps, cov=True)
-    rho, prod = (np.empty(_block_shape(shape)) for _ in range(2))
-    conj = np.empty(_block_shape(shape), dtype=complex)
+    grid, psi_q = phi.grid, phi.amplitudes
+    d, shape = grid.dims, grid.shape
+    mean_q, mean_p, cov_qq, cov_pp, scratch = _diagonal_moments(phi, cov=True)
+    qs = [grid.positions(j) for j in range(d)]
+    rho = np.empty(_block_shape(shape))
+    buf = np.empty(rho.shape[:-1] + (2 * rho.shape[-1],))
+
+    def cells(a, b, vol):
+        """``(rows, Re(conj a * b) * vol)`` per block: the float views'
+        product (``a`` scaled first, so no overflow) summed over re/im pairs."""
+        for blk in _row_blocks(shape):
+            f = np.multiply(a[blk].view(np.float64), vol, out=buf)
+            np.multiply(f, b[blk].view(np.float64), out=f)
+            yield blk, np.add(f[..., 0::2], f[..., 1::2], out=rho)
 
     cov_qp = np.zeros((d, d))
     for m in range(d):
         # Mixed representation: axis m in momentum, the rest in position.
-        reps = ["position"] * d
-        reps[m] = "momentum"
         mixed = _axis_transform(psi_q, grid, m, out=scratch)
-        vol = grid.cell_volume(tuple(reps))
-        q_axes = [j for j in range(d) if j != m]
-
-        def mixed_parts(blk):
-            _density(mixed[blk], vol, out=rho)
-            return np.array([np.add.reduce(np.multiply(np.multiply(rho, qs(j, blk), out=prod),
-                                                       ps(m, blk), out=prod), axis=None)
-                             for j in q_axes])
-        for j, raw in zip(q_axes, sum(map(mixed_parts, _row_blocks(shape)))):
-            cov_qp[j, m] = raw - mean_q[j] * mean_p[m]
+        xs = [grid.momenta(m) if k == m else qs[k] for k in range(d)]
+        pairs = [(min(j, m), max(j, m)) for j in range(d) if j != m]
+        vol = grid.cell_volume(tuple("momentum" if k == m else "position" for k in range(d)))
+        blocks = cells(mixed, mixed, vol)
+        for (i, j), raw in _second_moments(shape, blocks, pairs, xs, xs).items():
+            cov_qp[i + j - m, m] = raw - mean_q[i + j - m] * mean_p[m]
+    # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
+    dvol = grid.cell_volume(("position",) * d)
     for j in range(d):
-        # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
-        p_psi = _apply_momentum(psi_q, grid, j, out=scratch)
-
-        def same_axis_part(blk):
-            np.multiply(np.conjugate(psi_q[blk], out=conj), qs(j, blk), out=conj)
-            return np.add.reduce(np.multiply(conj, p_psi[blk], out=conj), axis=None)
-        raw = complex(sum(map(same_axis_part, _row_blocks(shape))) * dvol_q)
-        cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
+        blocks = cells(psi_q, _apply_momentum(psi_q, grid, j, out=scratch), dvol)
+        raw = _second_moments(shape, blocks, [(j, j)], qs, [1.0] * d)[j, j]
+        cov_qp[j, j] = raw - mean_q[j] * mean_p[j]
 
     for arr in (mean_q, mean_p, cov_qq, cov_qp, cov_pp):
         arr.flags.writeable = False

@@ -1,9 +1,11 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
-whole-array references for the blockwise moments and momentum displacement, a
-traced-peak probe, a call counter and a finder of source sites."""
+whole-array references for the blockwise moments, momentum displacement and
+system contractions, a traced-peak probe, a call counter and a finder of
+source sites."""
 
 import ast
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,10 @@ def oracle_mixed_moment(phi: PointerWavefunction, q_axis: int, p_axis: int) -> f
 
 def reference_moments(phi: PointerWavefunction) -> MomentSet:
     """Whole-array moments: every density, product and sum is formed over the
-    full grid, with the operations and operand order of :func:`moments`.  Its
+    full grid, each second moment as one ``np.sum`` of cell products.  Its
     sums run in ``np.sum``'s pairwise order; the blockwise ``moments`` add
-    their block sums in row order, so they match it to rounding only."""
+    their block sums in row order and take second moments from marginals, so
+    they match it to rounding only."""
     grid, d = phi.grid, phi.grid.dims
     psi_q = phi.amplitudes
     dvol_q = grid.cell_volume(("position",) * d)
@@ -95,6 +98,13 @@ def whole_array_displace_momentum(phi: PointerWavefunction, shifts) -> np.ndarra
     factor = np.multiply(1j, phase, out=np.empty(grid.shape, dtype=complex))
     np.exp(factor, out=factor)
     return np.multiply(factor, phi.amplitudes, out=factor)
+
+
+def whole_array_contract(m: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """``out[j] = sum_i m[..., i, j] * src[i]`` over whole arrays by ufunc
+    multiply-adds: every product formed, then added in order of i."""
+    return np.array([reduce(np.add, (m[..., i, j] * src[i] for i in range(len(src))))
+                     for j in range(m.shape[-1])])
 
 
 def traced_peak(fn):
@@ -171,5 +181,6 @@ __all__ = [
     "reference_moments",
     "source_sites",
     "traced_peak",
+    "whole_array_contract",
     "whole_array_displace_momentum",
 ]

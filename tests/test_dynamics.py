@@ -27,7 +27,7 @@ from pointersim import (
     strong_readout,
     displace_momentum,
 )
-from pointersim.dynamics import _quadrature_values
+from pointersim.dynamics import _contract, _quadrature_values
 from pointersim.pointer import _apply_momentum, _axis_transform, _normalized
 from pointersim.quantum import weak_value
 from pointersim.scenarios import (
@@ -37,7 +37,8 @@ from pointersim.scenarios import (
     load_bundled,
     resolve_system,
 )
-from conftest import source_sites, whole_array_displace_momentum
+from conftest import (random_hermitian, source_sites, whole_array_contract,
+                      whole_array_displace_momentum)
 
 
 def plus():
@@ -93,9 +94,8 @@ class TestMakeJoint:
 def batched_eigh_couplings(state, specs):
     """Reference for apply_couplings: the whole-grid pointwise generator
     ``sum_k lambda_k xi_k A_k``, one batched ``eigh`` over every cell, and the
-    rotation into its eigenbasis and back, with the operations and operand
-    order of the former multi-term kernel.  The p-axes go to momentum and
-    back around it."""
+    rotation into its eigenbasis and back by whole-array multiply-adds.  The
+    p-axes go to momentum and back around it."""
     quadrature = specs[0].quadrature
     grid, amps, d = state.grid, state.amplitudes, state.system_dim
     p_axes = sorted({s.axis for s in specs}) if quadrature == "p" else []
@@ -106,9 +106,9 @@ def batched_eigh_couplings(state, specs):
         xi = _quadrature_values(grid, s.axis, quadrature)
         gen += s.strength * xi[..., None, None] * s.observable.matrix
     w, v = np.linalg.eigh(gen)
-    rotated = np.einsum("...ij,...i->...j", v.conj(), np.moveaxis(amps, 0, -1))
-    np.multiply(rotated, np.exp(-1j * w), out=rotated)
-    result = np.moveaxis(np.einsum("...ij,...j->...i", v, rotated), -1, 0)
+    rotated = whole_array_contract(v.conj(), amps)
+    np.multiply(rotated, np.exp(-1j * np.moveaxis(w, -1, 0)), out=rotated)
+    result = whole_array_contract(np.swapaxes(v, -1, -2), rotated)
     for axis in p_axes:
         result = _axis_transform(result, grid, axis, forward=False)
     return result
@@ -117,6 +117,60 @@ def batched_eigh_couplings(state, specs):
 def hadamard_rotated(diagonal):
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     return Observable(h @ np.diag(diagonal) @ h)
+
+
+# The eigenbases that the bundled scenarios' observables rotate into.
+BUNDLED_OBSERVABLES = {
+    "pauli_x": PAULI_X,
+    "pauli_y": PAULI_Y,
+    "pauli_z": PAULI_Z,
+    "proj0": np.diag([1.0, 0.0]).astype(complex),
+    "hadamard": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+}
+
+
+class TestContract:
+    """``_contract`` against the ``einsum`` formulas it replaced."""
+
+    @staticmethod
+    def contractions(v, target, src):
+        """``(got, einsum's, m, operand)`` of the rotation into the basis ``v``,
+        the rotation back, and the projection onto ``target``."""
+        tmp, bra = np.empty(src.shape[1:], dtype=complex), target.conj()[:, None]
+        into, back, proj = np.empty_like(src), np.empty_like(src), np.empty_like(src[:1])
+        _contract(v.conj(), src, into, tmp)
+        _contract(np.swapaxes(v, -1, -2), into, back, tmp)
+        _contract(bra, src, proj, tmp)
+        return [(into, np.einsum("...ij,i...->j...", v.conj(), src), v.conj(), src),
+                (back, np.einsum("...ij,j...->i...", v, into), np.swapaxes(v, -1, -2), into),
+                (proj, np.einsum("a,a...->...", target.conj(), src)[None], bra, src)]
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_OBSERVABLES))
+    def test_bundled_bases_match_einsum_bit_for_bit(self, name, rng):
+        # Entries that are real or imaginary take no FMA in numpy's complex
+        # multiply, so each product and sum rounds as in einsum.
+        _w, v = np.linalg.eigh(BUNDLED_OBSERVABLES[name])
+        src = rng.normal(size=(2, 8, 32)) + 1j * rng.normal(size=(2, 8, 32))
+        for got, ref, _m, _x in self.contractions(v, v[:, 0], src):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_bases_within_a_few_ulps_of_einsum(self, d, rng):
+        # One basis for all cells, then one per cell (the per-block eigh);
+        # the bound is 4 eps times sum_i |m_ij| |x_i|.
+        src = rng.normal(size=(d, 4, 16)) + 1j * rng.normal(size=(d, 4, 16))
+        per_cell = np.array([random_hermitian(rng, d) for _ in range(64)]).reshape(4, 16, d, d)
+        target = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for mat in (random_hermitian(rng, d), per_cell):
+            _w, v = np.linalg.eigh(mat)
+            for got, ref, m, x in self.contractions(v, target, src):
+                scale = whole_array_contract(np.abs(m), np.abs(x))
+                assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+
+    def test_dynamics_has_no_einsum(self):
+        sites = source_sites(lambda node: node.attr if isinstance(node, ast.Attribute)
+                             and node.attr == "einsum" else None)
+        assert not {site for site in sites if site[0] == "dynamics"}
 
 
 class TestApplyCouplings:

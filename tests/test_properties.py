@@ -28,7 +28,8 @@ from pointersim.pointer import (
 )
 from pointersim.quantum import Observable, SystemState, eigendecompose
 from pointersim.scenarios import parse_config, run_sweep
-from conftest import random_hermitian, random_state_vector, reference_moments
+from conftest import (random_hermitian, random_state_vector, reference_moments,
+                      whole_array_contract)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -112,19 +113,19 @@ def test_on_grid_momentum_displacement_keeps_every_covariance(params, data):
 
 def full_array_coupling(state: JointState, spec: CouplingSpec) -> np.ndarray:
     """Reference for the single-observable branch: rotate the whole joint
-    array into the eigenbasis, phase it, and rotate it back; a p-axis goes
-    to momentum and back around it."""
+    array into the eigenbasis by multiply-adds, phase it, and rotate it back;
+    a p-axis goes to momentum and back around it."""
     grid, d, amps = state.grid, state.system_dim, state.amplitudes
     if spec.quadrature == "p":
         amps = _axis_transform(amps, grid, spec.axis)
     eig = eigendecompose(spec.observable)
     v = eig.eigenvectors
-    rotated = np.einsum("ij,i...->j...", v.conj(), amps)
+    rotated = whole_array_contract(v.conj(), amps)
     vals = grid.positions(spec.axis) if spec.quadrature == "q" else grid.momenta(spec.axis)
     xi = grid.axis_array(spec.axis, vals)
     eigcol = eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
     np.multiply(rotated, np.exp(-1j * spec.strength * eigcol * xi), out=rotated)
-    result = np.einsum("ij,j...->i...", v, rotated)
+    result = whole_array_contract(v.T, rotated)
     if spec.quadrature == "p":
         result = _axis_transform(result, grid, spec.axis, forward=False)
     return result

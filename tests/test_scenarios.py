@@ -256,7 +256,8 @@ class TestRunScenario:
         # The 64^3 joint state is 8 MiB.  A run whose stages copied it, or
         # kept the initial pointer alive through the couplings, would peak at
         # about 40 MiB.  Every pipeline step writes into the one joint buffer,
-        # so the peak is make_joint's: the pointer plus the joint state.
+        # so the peak is the pointer plus the joint state, at make_joint and
+        # at postselect, whose projection adds one 256 KiB block buffer.
         cfg = load_bundled("seq_corr_full")
         joint_bytes = 2 * 64**3 * np.dtype(complex).itemsize
         _report, peak = traced_peak(lambda: run_scenario(cfg))
