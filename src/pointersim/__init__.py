@@ -55,9 +55,9 @@ from .dynamics import (
     strong_readout,
 )
 from .shifts import (
-    FROZEN_CONVENTION,
+    ORIENTATION,
+    RE_ORIENTATION,
     ShiftPrediction,
-    SignConvention,
     lg_compatibility,
     predict_general,
     predict_lg,

@@ -22,7 +22,7 @@ from .errors import DimensionError, InvalidParams, UnusableProbe
 from .pointer import (Grid, PointerWavefunction, auto_grid, gaussian_pointer, gaussian_spreads,
                       means, moments)
 from .quantum import PAULI_Z, Observable, SystemState, make_state, weak_value
-from .shifts import FROZEN_CONVENTION
+from .shifts import ORIENTATION
 
 DET_TOLERANCE = 1e-6
 IM_WEAK_FLOOR = 1e-6
@@ -125,7 +125,8 @@ def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CM
     structurally identical first-order shift algebra.  Postselection is a
     direct projection onto the probe's post state, so no readout offset needs
     subtracting.  Each measured shift is divided by
-    ``orientation * 2 * lambda * Im(w)`` in the frozen sign convention.
+    ``ORIENTATION * 2 * lambda * Im(w)``, the coefficient of the correlation
+    in the first-order shift (:mod:`~pointersim.shifts`).
     """
     if phi.grid.dims != 2:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")
@@ -134,7 +135,7 @@ def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CM
         raise UnusableProbe(
             f"Im(weak value) = {w.imag:.2e}: correlation terms are unobservable"
         )
-    denom = FROZEN_CONVENTION.orientation * 2.0 * probe.strength * w.imag
+    denom = ORIENTATION * 2.0 * probe.strength * w.imag
     base = means(phi)
     row_q = _measured_row(phi, base, probe, "q", denom)
     row_p = _measured_row(phi, base, probe, "p", denom)

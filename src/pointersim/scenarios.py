@@ -48,7 +48,7 @@ from .quantum import (
     make_state,
     weak_value,
 )
-from .shifts import FROZEN_CONVENTION, SignConvention, predict_general
+from .shifts import ORIENTATION, RE_ORIENTATION, predict_general
 
 SCHEMA_VERSION = 1
 MAX_SYSTEM_DIM = 16
@@ -406,7 +406,6 @@ class ShiftReport:
     predicted_dp: np.ndarray
     lambda1: float
     lambda2: float
-    convention: SignConvention
     grid_points: tuple[int, ...]
     grid_extent: tuple[float, ...]
     includes_readout_offset: bool
@@ -512,7 +511,7 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
         terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
                  for s in specs]
         prediction = predict_general(base, terms, readout_axis=cfg.readout_axis0,
-                                     readout_eigenvalue=a_l, conv=FROZEN_CONVENTION)
+                                     readout_eigenvalue=a_l)
         pointer_f, prob = simulate_pipeline(cfg, m)
         final = moments(pointer_f)
         del pointer_f  # full-grid; only its moments are needed from here on
@@ -522,9 +521,9 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
             initial_mean_q=base.mean_q, initial_mean_p=base.mean_p,
             final_mean_q=final.mean_q, final_mean_p=final.mean_p,
             predicted_dq=prediction.delta_q, predicted_dp=prediction.delta_p,
-            lambda1=lambda1, lambda2=lambda2, convention=FROZEN_CONVENTION,
+            lambda1=lambda1, lambda2=lambda2,
             grid_points=grid.points_per_axis, grid_extent=grid.extent,
-            includes_readout_offset=prediction.includes_readout_offset,
+            includes_readout_offset=cfg.readout_axis0 is not None,
             wall_time_seconds=time.perf_counter() - t0,
         ))
         t0 = time.perf_counter()
@@ -628,10 +627,7 @@ def report_json_obj(report: ShiftReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario_id": report.scenario_id,
         "probability": float(report.probability),
-        "convention": {
-            "orientation": report.convention.orientation,
-            "re_orientation": report.convention.re_orientation,
-        },
+        "convention": {"orientation": ORIENTATION, "re_orientation": RE_ORIENTATION},
         "grid": {
             "points_per_axis": list(report.grid_points),
             "extent": [float(v) for v in report.grid_extent],

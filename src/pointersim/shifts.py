@@ -1,14 +1,14 @@
 """Closed-form first-order pointer-shift predictions.
 
 Sign handling: the published shift formulas this module encodes are not
-internally consistent about signs, so every prediction routes through a
-:class:`SignConvention` fixed once against the exact evolution oracle
-(``calibrate_sign_convention`` in the test suite) and frozen as
-:data:`FROZEN_CONVENTION`.  Under the uniform ``exp(-i lambda A (x) xi)``
+internally consistent about signs, so every prediction takes its two signs
+from :data:`ORIENTATION` and :data:`RE_ORIENTATION`, fixed once against the
+exact evolution oracle (``calibrate_sign_convention`` in
+``tests/test_shifts.py``).  Under the uniform ``exp(-i lambda A (x) xi)``
 evolution used everywhere in this package the calibration yields
 
-* ``orientation = +1``: every ``2 lambda Im(w) corr`` term enters with +.
-* ``re_orientation = -1``: ``lambda Re(w)`` momentum terms enter with -, and
+* ``ORIENTATION = +1``: every ``2 lambda Im(w) corr`` term enters with +.
+* ``RE_ORIENTATION = -1``: ``lambda Re(w)`` momentum terms enter with -, and
   the strong-readout momentum offset is ``-a_l`` (same displacement family).
 
 A position coupling with the opposite quadrature roles (coupling to p,
@@ -25,30 +25,16 @@ import numpy as np
 from .errors import DimensionError
 from .pointer import MomentSet, auto_grid, lg_mode, lg_spreads, moments
 
-
-@dataclass(frozen=True)
-class SignConvention:
-    """Orientation of the Im-correlation terms and of the Re momentum terms."""
-
-    orientation: int
-    re_orientation: int
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1) or self.re_orientation not in (1, -1):
-            raise ValueError("orientations must be +1 or -1")
-
-
-FROZEN_CONVENTION = SignConvention(orientation=1, re_orientation=-1)
+ORIENTATION, RE_ORIENTATION = 1, -1
 
 
 @dataclass(frozen=True)
 class ShiftPrediction:
-    """Per-axis predicted mean shifts; ``delta_p[readout]`` may carry the
-    eigenvalue offset, flagged by ``includes_readout_offset``."""
+    """Per-axis predicted mean shifts; with a readout axis, ``delta_p`` there
+    carries the eigenvalue offset."""
 
     delta_q: np.ndarray
     delta_p: np.ndarray
-    includes_readout_offset: bool
 
     def __post_init__(self):
         for arr in (self.delta_q, self.delta_p):
@@ -61,7 +47,6 @@ def predict_general(
     couplings: list[tuple[int, str, float, complex]],
     readout_axis: int | None = None,
     readout_eigenvalue: float = 0.0,
-    conv: SignConvention = FROZEN_CONVENTION,
 ) -> ShiftPrediction:
     """First-order shifts for arbitrary weak couplings on a D-axis pointer.
 
@@ -73,8 +58,7 @@ def predict_general(
     stationary-pointer terms fixed to zero).
     """
     d = m.mean_q.size
-    s = conv.orientation
-    r = conv.re_orientation
+    s, r = ORIENTATION, RE_ORIENTATION
     dq = np.zeros(d)
     dp = np.zeros(d)
     for axis, quadrature, lam, w in couplings:
@@ -86,10 +70,9 @@ def predict_general(
         for mm in range(d):
             coupled[mm] += s * 2.0 * lam * b * cov[mm, axis]
             conjugate[mm] += re * lam * a if mm == axis else s * 2.0 * lam * b * cross[axis, mm]
-    has_offset = readout_axis is not None
-    if has_offset:
+    if readout_axis is not None:
         dp[readout_axis] += r * readout_eigenvalue
-    return ShiftPrediction(delta_q=dq, delta_p=dp, includes_readout_offset=has_offset)
+    return ShiftPrediction(delta_q=dq, delta_p=dp)
 
 
 def predict_lg(l: int, g: float, aw: complex, bw: complex, sigma: float = 1.0) -> ShiftPrediction:
@@ -109,7 +92,7 @@ def predict_lg(l: int, g: float, aw: complex, bw: complex, sigma: float = 1.0) -
         g * (np.real(bw) - l * np.imag(aw)),
     ])
     dp = np.array([2.0 * g * np.imag(aw) * vp, 2.0 * g * np.imag(bw) * vp])
-    return ShiftPrediction(delta_q=dq, delta_p=dp, includes_readout_offset=False)
+    return ShiftPrediction(delta_q=dq, delta_p=dp)
 
 
 def lg_compatibility(m: MomentSet, l: int) -> float:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointersim import (
-    FROZEN_CONVENTION,
+    ORIENTATION,
     PAULI_Z,
+    RE_ORIENTATION,
     CouplingSpec,
     Grid,
     MomentSet,
     Observable,
-    SignConvention,
     evolve,
     gaussian_pointer,
     lg_compatibility,
@@ -39,21 +39,21 @@ def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
     )
 
 
-def sequential_prediction(m, lambda1, lambda2, a1w, a2w, a3l, conv=FROZEN_CONVENTION):
+def sequential_prediction(m, lambda1, lambda2, a1w, a2w, a3l):
     """Weak position couplings on axes 1 and 2, strong readout on axis 3."""
     return predict_general(m, [(0, "q", lambda1, a1w), (1, "q", lambda2, a2w)],
-                           readout_axis=2, readout_eigenvalue=a3l, conv=conv)
+                           readout_axis=2, readout_eigenvalue=a3l)
 
 
-def single_prediction(m, lam, aw, a2l, conv=FROZEN_CONVENTION):
+def single_prediction(m, lam, aw, a2l):
     """Weak position coupling on axis 1, readout on axis 2 (a2l = 0 for direct
     projection)."""
     return predict_general(m, [(0, "q", lam, aw)],
-                           readout_axis=1, readout_eigenvalue=a2l, conv=conv)
+                           readout_axis=1, readout_eigenvalue=a2l)
 
 
-def calibrate_sign_convention(points: int = 128) -> SignConvention:
-    """Fix the two orientation flags against the exact evolution oracle.
+def calibrate_sign_convention(points: int = 128) -> tuple[int, int]:
+    """``(orientation, re_orientation)`` fixed against the exact evolution oracle.
 
     Leg A (designated scenario): qubit, purely imaginary weak value i,
     uncorrelated Gaussian pointer, strong readout -- the sign of the measured
@@ -87,16 +87,11 @@ def calibrate_sign_convention(points: int = 128) -> SignConvention:
             "readout offset orientation disagrees with the weak Re orientation; "
             "the evolution convention is inconsistent"
         )
-    return SignConvention(orientation=orientation, re_orientation=re_orientation)
+    return orientation, re_orientation
 
 
 def test_frozen_convention_matches_oracle_calibration():
-    assert calibrate_sign_convention() == FROZEN_CONVENTION
-
-
-def test_invalid_orientation_rejected():
-    with pytest.raises(ValueError):
-        SignConvention(orientation=2, re_orientation=-1)
+    assert calibrate_sign_convention() == (ORIENTATION, RE_ORIENTATION)
 
 
 class TestPredictSequential:
@@ -114,8 +109,7 @@ class TestPredictSequential:
         cov = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
         pred = sequential_prediction(moment_set(3, cov_qq=cov), 0.05, 0.04, 0.7, -0.2, 2.0)
         np.testing.assert_allclose(pred.delta_q, 0.0, atol=1e-15)
-        assert pred.delta_p[2] == pytest.approx(FROZEN_CONVENTION.re_orientation * 2.0)
-        assert pred.includes_readout_offset
+        assert pred.delta_p[2] == pytest.approx(RE_ORIENTATION * 2.0)
 
     def test_readout_axis_correlation_magnitude(self):
         cov = np.eye(3)
@@ -150,8 +144,7 @@ class TestPredictSingle:
     def test_qp_correlation_enters_readout_momentum(self):
         qp = np.array([[0.0, 0.3], [0.0, 0.0]])
         pred = single_prediction(moment_set(2, cov_qp=qp), 0.05, 1j, 1.0)
-        s, r = FROZEN_CONVENTION.orientation, FROZEN_CONVENTION.re_orientation
-        assert pred.delta_p[1] == pytest.approx(r * 1.0 + s * 2 * 0.05 * 0.3)
+        assert pred.delta_p[1] == pytest.approx(RE_ORIENTATION * 1.0 + ORIENTATION * 2 * 0.05 * 0.3)
 
 
 class TestPredictLg:
@@ -227,13 +220,13 @@ class TestProperties:
         pred = sequential_prediction(moment_set(3), 0.0, 0.0, 1j, 1j, 2.5)
         np.testing.assert_allclose(pred.delta_q, 0.0, atol=1e-15)
         np.testing.assert_allclose(pred.delta_p[:2], 0.0, atol=1e-15)
-        assert pred.delta_p[2] == pytest.approx(FROZEN_CONVENTION.re_orientation * 2.5)
+        assert pred.delta_p[2] == pytest.approx(RE_ORIENTATION * 2.5)
 
     def test_general_engine_handles_momentum_couplings(self):
         # Coupling to p: Re part moves q with the mirrored sign.
         m = moment_set(2)
         pred = predict_general(m, [(0, "p", 0.05, 1.0)])
-        assert pred.delta_q[0] == pytest.approx(-FROZEN_CONVENTION.re_orientation * 0.05)
+        assert pred.delta_q[0] == pytest.approx(-RE_ORIENTATION * 0.05)
         assert pred.delta_p[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -243,11 +236,12 @@ def random_spd(rng, d):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data(),
-       conv=st.sampled_from([SignConvention(o, r) for o in (1, -1) for r in (1, -1)]))
-def test_p_coupling_is_the_q_coupling_with_q_and_p_exchanged(d, seed, data, conv):
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_p_coupling_is_the_q_coupling_with_q_and_p_exchanged(d, seed, data):
     # Exchanging q and p maps cov_qq <-> cov_pp and cov_qp to its transpose,
     # flips every coupled quadrature and the Re sign, and swaps the shifts.
+    # The dual's weak values are -conj(w): Re(w) flipped alone, which is the
+    # Re-sign flip, exact in floating point.
     rng = np.random.default_rng(seed)
     m = moment_set(d, cov_qq=random_spd(rng, d), cov_qp=rng.normal(size=(d, d)),
                    cov_pp=random_spd(rng, d))
@@ -256,25 +250,24 @@ def test_p_coupling_is_the_q_coupling_with_q_and_p_exchanged(d, seed, data, conv
         st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)),
         min_size=1, max_size=3))
     exchanged = moment_set(d, cov_qq=m.cov_pp, cov_qp=m.cov_qp.T, cov_pp=m.cov_qq)
-    flipped = [(axis, "p" if quadrature == "q" else "q", lam, w)
+    flipped = [(axis, "p" if quadrature == "q" else "q", lam, -w.conjugate())
                for axis, quadrature, lam, w in couplings]
-    pred = predict_general(m, couplings, conv=conv)
-    dual = predict_general(exchanged, flipped,
-                           conv=SignConvention(conv.orientation, -conv.re_orientation))
+    pred = predict_general(m, couplings)
+    dual = predict_general(exchanged, flipped)
     assert np.array_equal(pred.delta_q, dual.delta_p)
     assert np.array_equal(pred.delta_p, dual.delta_q)
 
 
 def test_flipped_convention_fails_against_simulation():
     # Negative control: flipping the Im orientation breaks the q1 shift match.
+    # Predicting with conj(w) flips Im(w) alone, that is, the orientation.
     cfg = load_bundled("single_wm_correlated")
     report = run_scenario(cfg)
-    flipped = SignConvention(orientation=-FROZEN_CONVENTION.orientation,
-                             re_orientation=FROZEN_CONVENTION.re_orientation)
     from pointersim.pointer import moments as _moments
     from pointersim.scenarios import build_pointer
     _, phi = build_pointer(cfg)
     m = _moments(phi)
-    wrong = single_prediction(m, cfg.couplings[0].strength, 1j, 1.0, conv=flipped)
+    w = 1j  # the scenario's weak value
+    wrong = single_prediction(m, cfg.couplings[0].strength, w.conjugate(), 1.0)
     lam = cfg.couplings[0].strength
     assert abs(report.shift_q[0] - wrong.delta_q[0]) > 20 * (3 * lam**2)
