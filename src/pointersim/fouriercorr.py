@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridCoverage, InvalidParams
-from .pointer import Grid, _axis_transform, check_width, coverage_gap, gaussian_spreads
+from .errors import InvalidParams
+from .pointer import Grid, _axis_transform, check_width, gaussian_pointer
 
 
 def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex, complex, float]:
@@ -29,29 +29,26 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     ``i * c12 / sigma1**2``, and ``residual = |numeric - analytic|``.  The
     closed form of the functional is ``i * c12 / sigma2**2``, so the identity
     is exact for sigma1 == sigma2 and the residual reports the mismatch
-    honestly otherwise.  The grid spans 8 sd of the wider axis; raises
-    GridCoverage unless it also holds the transformed array, an amplitude
-    with spreads ``gaussian_spreads(0.5 * cov)``, in momentum.
+    honestly otherwise.  The density is built as the amplitude of
+    :func:`~pointersim.pointer.gaussian_pointer` with covariance ``cov / 2``
+    (``cov`` the inverse of the precision matrix), so the builder's coverage
+    rule applies: the grid spans 8 sd of the wider axis, and GridCoverage is
+    raised unless it also holds that amplitude in momentum.
     """
     check_width("sigma1", sigma1)
     check_width("sigma2", sigma2)
     if not np.isfinite(c12):
         raise InvalidParams(f"c12 must be finite, got {c12}")
-    if sigma1**2 * sigma2**2 <= c12 * c12:
+    if not abs(c12) / sigma1 / sigma2 < 1:
         raise InvalidParams("exponent coefficients must define a positive-definite form")
     prec = np.array([[sigma1**2, c12], [c12, sigma2**2]])
     cov = np.linalg.inv(prec)
     extent = 8.0 * float(np.sqrt(np.max(np.diag(cov))))
     grid = Grid(points_per_axis=(256, 256), extent=(extent, extent))
-    gap = coverage_gap(grid, *gaussian_spreads(0.5 * cov))
-    if gap:
-        raise GridCoverage(gap[2])
-    q1 = grid.axis_array(0, grid.positions(0))
-    q2 = grid.axis_array(1, grid.positions(1))
-    density = np.exp(-0.5 * sigma1**2 * q1**2 - 0.5 * sigma2**2 * q2**2 - c12 * q1 * q2)
-    transformed = _axis_transform(density, grid, 0)
+    transformed = _axis_transform(gaussian_pointer(grid, 0.5 * cov).amplitudes, grid, 0)
 
     p1 = grid.axis_array(0, grid.momenta(0))
+    q2 = grid.axis_array(1, grid.positions(1))
     total = np.sum(transformed)
     mean_p1 = np.sum(transformed * p1) / total
     mean_q2 = np.sum(transformed * q2) / total

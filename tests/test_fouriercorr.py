@@ -14,7 +14,7 @@ def grid2(points=128, extent=10.0):
 
 def density(grid, s1, s2, c):
     """Unnormalized ``exp[-s1^2 q1^2 / 2 - s2^2 q2^2 / 2 - c q1 q2]``, the
-    density ``appendix_a_check`` transforms."""
+    density ``appendix_a_check`` transforms (there normalized)."""
     q1 = grid.axis_array(0, grid.positions(0))
     q2 = grid.axis_array(1, grid.positions(1))
     return np.exp(-0.5 * s1**2 * q1**2 - 0.5 * s2**2 * q2**2 - c * q1 * q2)
@@ -95,6 +95,15 @@ class TestAppendixCheck:
         numeric, analytic, residual = appendix_a_check(sigma1, sigma2, c12)
         assert abs(numeric - 1j * c12 / sigma2**2) <= 1e-12
         assert residual == pytest.approx(abs(c12 / sigma2**2 - c12 / sigma1**2), abs=1e-12)
+
+    @pytest.mark.parametrize("sigma1, sigma2, c12", [
+        (1e-100, 1e-100, 0.0), (1e100, 1e100, 0.5e200)])
+    def test_extreme_widths_define_a_positive_definite_form(self, sigma1, sigma2, c12):
+        # sigma1**2 * sigma2**2 <= c12**2 read 0 <= 0 (underflow) for the
+        # first and inf <= inf (overflow) for the second.
+        numeric, _, residual = appendix_a_check(sigma1, sigma2, c12)
+        assert abs(numeric - 1j * c12 / sigma2**2) <= 1e-12
+        assert residual <= 1e-12
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidParams):
