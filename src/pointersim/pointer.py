@@ -275,20 +275,21 @@ class MomentSet:
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
     """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
     and positive definite, and ``theta`` (if given) is a finite symmetric
-    matrix of the same shape.  NaN fails no ``>`` test, so finiteness is
-    checked first."""
+    matrix of the same shape.  Symmetric means within 1e-12 of the matrix's
+    largest entry, so the test holds at any width.  NaN fails no ``>`` test,
+    so finiteness is checked first."""
     if not sigma.size:
         raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
         raise InvalidCovariance("sigma and theta must be finite")
-    if np.max(np.abs(sigma - sigma.T)) > 1e-12:
+    if np.max(np.abs(sigma - sigma.T)) > 1e-12 * np.max(np.abs(sigma)):
         raise InvalidCovariance("sigma is not symmetric")
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidCovariance("sigma is not positive definite") from None
     if theta is not None and (theta.shape != sigma.shape
-                              or np.max(np.abs(theta - theta.T)) > 1e-12):
+                              or np.max(np.abs(theta - theta.T)) > 1e-12 * np.max(np.abs(theta))):
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
 
 

@@ -71,8 +71,8 @@ class Observable:
             raise InvalidObservable(f"expected a nonempty square matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidObservable("matrix contains non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise InvalidObservable("matrix is not Hermitian within 1e-12")
+        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * np.max(np.abs(mat)):
+            raise InvalidObservable("matrix is not Hermitian within 1e-12 of its largest entry")
         self.matrix = _frozen(mat)
 
     @property

@@ -7,6 +7,7 @@ import pytest
 
 from pointersim import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DimensionError,
     InvalidObservable,
@@ -92,6 +93,13 @@ class TestEigendecompose:
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidObservable):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_hermiticity_is_relative_to_the_largest_entry(self):
+        # An absolute 1e-12 let this through; eigh reads only the lower
+        # triangle and sees the zero matrix, while weak_value used 2e-13.
+        with pytest.raises(InvalidObservable, match="not Hermitian"):
+            Observable(np.array([[0, 2e-13], [0, 0]]))
+        Observable(1e-20 * PAULI_Y)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):

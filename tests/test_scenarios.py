@@ -162,6 +162,16 @@ class TestParsing:
             parse_config(doc)
         assert info.value.path == f"pointer.{key}"
 
+    def test_symmetry_is_relative_to_the_largest_entry(self):
+        # An absolute 1e-12 accepted this sigma, and the built pointer's
+        # cov_qq came out [[4.65e-20, 1.75e-20], [1.75e-20, 4.65e-20]].
+        doc = bundled_document("displaced_gaussian")
+        del doc["pointer"]["grid"]
+        doc["pointer"]["sigma"] = [[4e-20, 3e-20], [0.0, 4e-20]]
+        with pytest.raises(ConfigError, match="sigma is not symmetric") as info:
+            parse_config(doc)
+        assert info.value.path == "pointer.sigma"
+
     def test_simultaneous_couplings_must_share_a_quadrature(self):
         doc = minimal_document()
         doc["interaction"] = "simultaneous"
@@ -347,6 +357,23 @@ class TestPointerKinds:
         params = TwoModeGaussianParams(alpha, beta, gamma)
         assert grid == auto_grid(*gaussian_spreads(params.position_covariance()), None, None)
         assert np.array_equal(phi.amplitudes, two_mode_gaussian(grid, params).amplitudes)
+
+    def test_two_mode_document_at_tiny_widths(self):
+        # The inverse leaves the position covariance (entries near 1e19)
+        # asymmetric by about 1e3, which an absolute 1e-12 called "not
+        # symmetric".  Relative to its largest entry it is symmetric: the
+        # document fails on the kick budget instead, since its momentum
+        # spread is 1e-10, and runs at a strength of 1e-12.
+        doc = bundled_document("two_mode_entangle")
+        del doc["pointer"]["grid"]
+        doc["pointer"].update(alpha=1e-20, beta=2e-20, gamma=5e-21)
+        with pytest.raises(ConfigError, match="momentum kick of up to 0.05") as info:
+            run_scenario(parse_config(doc))
+        assert info.value.path == "couplings"
+        doc["couplings"][0]["strength"] = 1e-12
+        report = run_scenario(parse_config(doc))
+        assert np.max(report.residual_p) < 1e-24
+        np.testing.assert_allclose(report.shift_q, report.predicted_dq, rtol=1e-3)
 
 
 class TestRunSweep:
