@@ -124,9 +124,8 @@ def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CM
     second row interchanges the quadrature roles (coupling to p1), reusing the
     structurally identical first-order shift algebra.  Postselection is a
     direct projection onto the probe's post state, so no readout offset needs
-    subtracting.  Each measured shift is divided by
-    ``ORIENTATION * 2 * lambda * Im(w)``, the coefficient of the correlation
-    in the first-order shift (:mod:`~pointersim.shifts`).
+    subtracting.  Each measured shift is divided by its first-order
+    coefficient ``shifts.ORIENTATION * 2 * lambda * Im(w)``.
     """
     if phi.grid.dims != 2:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")

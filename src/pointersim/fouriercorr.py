@@ -29,11 +29,10 @@ def appendix_a_check(sigma1: float, sigma2: float, c12: float) -> tuple[complex,
     ``i * c12 / sigma1**2``, and ``residual = |numeric - analytic|``.  The
     closed form of the functional is ``i * c12 / sigma2**2``, so the identity
     is exact for sigma1 == sigma2 and the residual reports the mismatch
-    honestly otherwise.  The density is built as the amplitude of
-    :func:`~pointersim.pointer.gaussian_pointer` with covariance ``cov / 2``
-    (``cov`` the inverse of the precision matrix), so the builder's coverage
-    rule applies: the grid spans 8 sd of the wider axis, and GridCoverage is
-    raised unless it also holds that amplitude in momentum.
+    honestly otherwise.  The density is the amplitude
+    ``gaussian_pointer(grid, 0.5 * cov)``, ``cov`` the inverse precision matrix,
+    on a grid spanning 8 sd of the wider axis; the builder raises GridCoverage
+    unless the grid also holds it in momentum.
     """
     check_width("sigma1", sigma1)
     check_width("sigma2", sigma2)

@@ -274,10 +274,9 @@ class MomentSet:
 
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
     """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
-    and positive definite, and ``theta`` (if given) is a finite symmetric
-    matrix of the same shape.  Symmetric means within 1e-12 of the matrix's
-    largest entry, so the test holds at any width.  NaN fails no ``>`` test,
-    so finiteness is checked first."""
+    (to 1e-12 of its largest entry) and positive definite, and ``theta`` (if
+    given) is a finite symmetric matrix of the same shape.  NaN fails no ``>``
+    test, so finiteness is checked first."""
     if not sigma.size:
         raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):

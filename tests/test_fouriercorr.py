@@ -88,6 +88,9 @@ class TestAppendixCheck:
 
     @pytest.mark.parametrize("sigma1, sigma2, c12", [
         (1.0, 1.3, 0.2), (0.8, 1.25, 0.1), (1.5, 0.7, -0.15), (1.2, 0.9, 0.3),
+        # Positive definite at extreme widths, where sigma1**2 * sigma2**2
+        # <= c12**2 read 0 <= 0 (underflow) and inf <= inf (overflow).
+        (1e-100, 1e-100, 0.0), (1e100, 1e100, 0.5e200),
     ])
     def test_general_closed_form_is_i_c12_over_sigma2_squared(self, sigma1, sigma2, c12):
         # The functional depends on sigma2 alone; the quoted identity's
@@ -95,15 +98,6 @@ class TestAppendixCheck:
         numeric, analytic, residual = appendix_a_check(sigma1, sigma2, c12)
         assert abs(numeric - 1j * c12 / sigma2**2) <= 1e-12
         assert residual == pytest.approx(abs(c12 / sigma2**2 - c12 / sigma1**2), abs=1e-12)
-
-    @pytest.mark.parametrize("sigma1, sigma2, c12", [
-        (1e-100, 1e-100, 0.0), (1e100, 1e100, 0.5e200)])
-    def test_extreme_widths_define_a_positive_definite_form(self, sigma1, sigma2, c12):
-        # sigma1**2 * sigma2**2 <= c12**2 read 0 <= 0 (underflow) for the
-        # first and inf <= inf (overflow) for the second.
-        numeric, _, residual = appendix_a_check(sigma1, sigma2, c12)
-        assert abs(numeric - 1j * c12 / sigma2**2) <= 1e-12
-        assert residual <= 1e-12
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(InvalidParams):

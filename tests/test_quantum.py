@@ -7,7 +7,6 @@ import pytest
 
 from pointersim import (
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     DimensionError,
     InvalidObservable,
@@ -90,16 +89,13 @@ class TestEigendecompose:
         v = spec.eigenvectors
         np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(InvalidObservable):
-            Observable(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_hermiticity_is_relative_to_the_largest_entry(self):
-        # An absolute 1e-12 let this through; eigh reads only the lower
-        # triangle and sees the zero matrix, while weak_value used 2e-13.
+    # Hermiticity is relative to the largest entry: an absolute 1e-12 let the
+    # second through, and eigh, which reads one triangle, saw the zero matrix.
+    @pytest.mark.parametrize("matrix", [[[0, 1], [0, 0]], [[0, 2e-13], [0, 0]]],
+                             ids=["unit", "tiny"])
+    def test_non_hermitian_rejected(self, matrix):
         with pytest.raises(InvalidObservable, match="not Hermitian"):
-            Observable(np.array([[0, 2e-13], [0, 0]]))
-        Observable(1e-20 * PAULI_Y)
+            Observable(np.array(matrix, dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):

@@ -153,24 +153,18 @@ class TestParsing:
     @pytest.mark.parametrize("key, matrix, message", [
         ("sigma", [[1.0, 1.2], [1.2, 1.0]], "not positive definite"),
         ("sigma", [[1.0, 0.2], [0.0, 1.0]], "not symmetric"),
+        # Symmetry is relative to the largest entry: an absolute 1e-12 let
+        # this sigma through to a pointer whose cov_qq was not it.
+        ("sigma", [[4e-20, 3e-20], [0.0, 4e-20]], "not symmetric"),
         ("theta", [[0.0, 0.3], [0.1, 0.0]], "symmetric"),
-    ], ids=["sigma-not-positive-definite", "sigma-asymmetric", "theta-asymmetric"])
+    ], ids=["sigma-not-positive-definite", "sigma-asymmetric", "sigma-asymmetric-tiny",
+            "theta-asymmetric"])
     def test_bad_gaussian_matrix_rejected(self, key, matrix, message):
         doc = minimal_document()
         doc["pointer"][key] = matrix
         with pytest.raises(ConfigError, match=message) as info:
             parse_config(doc)
         assert info.value.path == f"pointer.{key}"
-
-    def test_symmetry_is_relative_to_the_largest_entry(self):
-        # An absolute 1e-12 accepted this sigma, and the built pointer's
-        # cov_qq came out [[4.65e-20, 1.75e-20], [1.75e-20, 4.65e-20]].
-        doc = bundled_document("displaced_gaussian")
-        del doc["pointer"]["grid"]
-        doc["pointer"]["sigma"] = [[4e-20, 3e-20], [0.0, 4e-20]]
-        with pytest.raises(ConfigError, match="sigma is not symmetric") as info:
-            parse_config(doc)
-        assert info.value.path == "pointer.sigma"
 
     def test_simultaneous_couplings_must_share_a_quadrature(self):
         doc = minimal_document()
