@@ -19,18 +19,13 @@ from .errors import (
     PointersimError,
     PostselectionFailed,
     RepresentationError,
-    UnusableProbe,
 )
 from .quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     Observable,
-    Spectrum,
     SystemState,
-    eigendecompose,
-    expectation,
-    make_state,
     weak_value,
 )
 from .pointer import (
@@ -65,7 +60,6 @@ from .shifts import (
 from .entanglement import (
     CMatrix,
     TwoModeGaussianParams,
-    WeakProbeConfig,
     c_matrix_direct,
     c_matrix_from_shifts,
     is_entangled,

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CouplingSpec, evolve
-from .errors import DimensionError, InvalidParams, UnusableProbe
+from .errors import DimensionError, InvalidParams
 from .pointer import (Grid, PointerWavefunction, auto_grid, gaussian_pointer, gaussian_spreads,
                       means, moments)
-from .quantum import PAULI_Z, Observable, SystemState, make_state, weak_value
+from .quantum import PAULI_Z, Observable, SystemState, weak_value
 from .shifts import ORIENTATION
 
 DET_TOLERANCE = 1e-6
-IM_WEAK_FLOOR = 1e-6
+# (observable, pre, post) of the qubit probe of c_matrix_from_shifts; its weak value is i.
+_PROBE = (Observable(PAULI_Z), SystemState([1, 1]), SystemState([1, 1j]))
 
 
 @dataclass(frozen=True)
@@ -69,20 +70,6 @@ class CMatrix:
         return float(np.linalg.det(self.entries))
 
 
-@dataclass(frozen=True)
-class WeakProbeConfig:
-    """Qubit probe for the shift-based reconstruction."""
-
-    observable: Observable
-    pre: SystemState
-    post: SystemState
-    strength: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.strength) and self.strength != 0.0):
-            raise InvalidParams(f"probe strength must be finite and nonzero, got {self.strength}")
-
-
 def two_mode_gaussian(grid: Grid, params: TwoModeGaussianParams) -> PointerWavefunction:
     """Normalized ``exp[-(alpha q1^2 + beta q2^2 + 2 gamma q1 q2)]`` on a 2-axis grid.
 
@@ -103,53 +90,41 @@ def c_matrix_direct(phi: PointerWavefunction) -> CMatrix:
     ]))
 
 
-def _measured_row(
-    phi: PointerWavefunction,
-    base: tuple[np.ndarray, np.ndarray],
-    probe: WeakProbeConfig,
-    quadrature: str,
-    denom: float,
-) -> tuple[float, float]:
-    """Axis-2 mean shifts from ``base``, the ``(mean_q, mean_p)`` of ``phi``."""
-    spec = CouplingSpec(probe.observable, axis=0, quadrature=quadrature,
-                        strength=probe.strength)
-    final_q, final_p = means(evolve(probe.pre, phi, [spec], probe.post)[0])
-    return (final_q[1] - base[0][1]) / denom, (final_p[1] - base[1][1]) / denom
-
-
-def c_matrix_from_shifts(phi: PointerWavefunction, probe: WeakProbeConfig) -> CMatrix:
+def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
     """Reconstruct C from four simulated weak-measurement experiments.
 
-    Coupling to q1 and reading the axis-2 shifts yields the first row; the
-    second row interchanges the quadrature roles (coupling to p1), reusing the
-    structurally identical first-order shift algebra.  Postselection is a
-    direct projection onto the probe's post state, so no readout offset needs
-    subtracting.  Each measured shift is divided by its first-order
-    coefficient ``shifts.ORIENTATION * 2 * lambda * Im(w)``.
+    The probe is the qubit ``_PROBE``: Z, prepared in |+> and postselected on
+    (|0> + i|1>)/sqrt(2), coupled to axis 1 at ``strength`` (finite and
+    nonzero).  Coupling to q1 and reading the axis-2 shifts yields the first
+    row; the second row interchanges the quadrature roles (coupling to p1),
+    reusing the structurally identical first-order shift algebra.
+    Postselection is a direct projection onto the probe's post state, so no
+    readout offset needs subtracting.  Each measured shift is divided by its
+    first-order coefficient ``shifts.ORIENTATION * 2 * lambda * Im(w)``.
     """
     if phi.grid.dims != 2:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")
-    w = weak_value(probe.observable, probe.pre, probe.post)
-    if abs(w.imag) < IM_WEAK_FLOOR:
-        raise UnusableProbe(
-            f"Im(weak value) = {w.imag:.2e}: correlation terms are unobservable"
-        )
-    denom = ORIENTATION * 2.0 * probe.strength * w.imag
-    base = means(phi)
-    row_q = _measured_row(phi, base, probe, "q", denom)
-    row_p = _measured_row(phi, base, probe, "p", denom)
-    return CMatrix(entries=np.array([row_q, row_p]))
+    if not (np.isfinite(strength) and strength != 0.0):
+        raise InvalidParams(f"probe strength must be finite and nonzero, got {strength}")
+    observable, pre, post = _PROBE
+    denom = ORIENTATION * 2.0 * strength * weak_value(*_PROBE).imag
+    base_q, base_p = means(phi)
+    rows = []
+    for quadrature in ("q", "p"):
+        spec = CouplingSpec(observable, axis=0, quadrature=quadrature, strength=strength)
+        final_q, final_p = means(evolve(pre, phi, [spec], post)[0])
+        rows.append(((final_q[1] - base_q[1]) / denom, (final_p[1] - base_p[1]) / denom))
+    return CMatrix(entries=np.array(rows))
 
 
 def probe_c_matrices(params: TwoModeGaussianParams, strength: float) -> tuple[CMatrix, CMatrix]:
     """``(direct, reconstructed)`` C of the two-mode Gaussian ``params`` on
     its default grid (:func:`~pointersim.pointer.auto_grid`), the second from
-    a Z probe between |+> and (|0> + i|1>)/sqrt(2) at ``strength``."""
-    probe = WeakProbeConfig(Observable(PAULI_Z), make_state([1, 1]), make_state([1, 1j]),
-                            strength)
+    the fixed Z probe between |+> and (|0> + i|1>)/sqrt(2) of
+    :func:`c_matrix_from_shifts` at ``strength``."""
     std_q, std_p = gaussian_spreads(params.position_covariance())
     phi = two_mode_gaussian(auto_grid(std_q, std_p, None, None), params)
-    return c_matrix_direct(phi), c_matrix_from_shifts(phi, probe)
+    return c_matrix_direct(phi), c_matrix_from_shifts(phi, strength)
 
 
 def is_entangled(c: CMatrix) -> bool:

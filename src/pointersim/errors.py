@@ -54,11 +54,6 @@ class InvalidParams(PointersimError):
     """Analytic parameter set violates its constraints (e.g. not normalizable)."""
 
 
-class UnusableProbe(PointersimError):
-    """Probe weak value has a (near) vanishing imaginary part; correlation
-    terms would be unobservable."""
-
-
 class ConfigError(PointersimError):
     """Scenario document failed validation.  ``path`` locates the offending key."""
 

@@ -7,8 +7,6 @@ the pre/post overlap vanishes, so an overlap floor guards the division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -80,33 +78,6 @@ class Observable:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def make_state(amplitudes) -> SystemState:
-    """Normalize ``amplitudes`` into a SystemState."""
-    return SystemState(np.asarray(amplitudes, dtype=complex))
-
-
-def eigendecompose(observable: Observable) -> Spectrum:
-    """Spectral decomposition with ascending real eigenvalues.
-
-    Degenerate subspaces come back with an arbitrary orthonormal basis;
-    anything downstream that cares uses eigenspace projectors, which are
-    basis independent.
-    """
-    vals, vecs = np.linalg.eigh(observable.matrix)
-    vals = np.real(vals)
-    vals_ro = np.array(vals)
-    vals_ro.flags.writeable = False
-    return Spectrum(eigenvalues=vals_ro, eigenvectors=_frozen(vecs))
-
-
 def weak_value(observable: Observable, pre: SystemState, post: SystemState) -> complex:
     """<post|A|pre> / <post|pre>.
 
@@ -121,13 +92,3 @@ def weak_value(observable: Observable, pre: SystemState, post: SystemState) -> c
         raise NearOrthogonalPostselection(abs(ovl))
     num = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes))
     return num / ovl
-
-
-def expectation(observable: Observable, state: SystemState) -> float:
-    """<s|A|s>; the imaginary residue (<= 1e-12 for Hermitian A) is discarded."""
-    if observable.dim != state.dim:
-        raise DimensionError(
-            f"dimension mismatch: A is {observable.dim}, state {state.dim}"
-        )
-    val = complex(np.vdot(state.amplitudes, observable.matrix @ state.amplitudes))
-    return float(val.real)

@@ -43,9 +43,6 @@ from .quantum import (
     PAULI_Z,
     Observable,
     SystemState,
-    eigendecompose,
-    expectation,
-    make_state,
     weak_value,
 )
 from .shifts import ORIENTATION, RE_ORIENTATION, predict_general
@@ -195,7 +192,7 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     if not 2 <= dim <= MAX_SYSTEM_DIM:
         _fail(f"dimension must be in 2..{MAX_SYSTEM_DIM}", "system.dimension")
     with _at("system.pre_state"):
-        pre = make_state(_parse_array(system["pre_state"], "system.pre_state", (dim,), pairs=True))
+        pre = SystemState(_parse_array(system["pre_state"], "system.pre_state", (dim,), pairs=True))
     post_doc = system["post_state"]
     if not isinstance(post_doc, dict) or len(post_doc) != 1:
         _fail("post_state must contain exactly one of 'amplitudes'/'eigenvalue_index'",
@@ -204,8 +201,8 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
     post_index = None
     if "amplitudes" in post_doc:
         with _at("system.post_state.amplitudes"):
-            post = make_state(_parse_array(post_doc["amplitudes"], "system.post_state.amplitudes",
-                                           (dim,), pairs=True))
+            post = SystemState(_parse_array(post_doc["amplitudes"], "system.post_state.amplitudes",
+                                            (dim,), pairs=True))
     elif "eigenvalue_index" in post_doc:
         post_index = _as_int(post_doc["eigenvalue_index"], "system.post_state.eigenvalue_index")
         if not 0 <= post_index < dim:
@@ -366,11 +363,12 @@ def resolve_system(cfg: ScenarioConfig):
         obs = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
         return pre, post, obs, 1.0
     if cfg.post_eigenvalue_index is not None:
-        spec = eigendecompose(obs)
+        vals, vecs = np.linalg.eigh(obs.matrix)
         idx = cfg.post_eigenvalue_index
-        return pre, make_state(spec.eigenvectors[:, idx]), obs, float(spec.eigenvalues[idx])
-    a_l = expectation(obs, post)
-    drift = np.linalg.norm(obs.matrix @ post.amplitudes - a_l * post.amplitudes)
+        return pre, SystemState(vecs[:, idx]), obs, float(vals[idx])
+    a_post = obs.matrix @ post.amplitudes
+    a_l = float(np.vdot(post.amplitudes, a_post).real)
+    drift = np.linalg.norm(a_post - a_l * post.amplitudes)
     if drift > 1e-10:
         raise ConfigError(
             "post_state is not an eigenvector of the readout observable "

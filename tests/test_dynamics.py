@@ -16,12 +16,12 @@ from pointersim import (
     Observable,
     PostselectionFailed,
     RepresentationError,
+    SystemState,
     apply_couplings,
     evolve,
     first_order_pointer,
     gaussian_pointer,
     make_joint,
-    make_state,
     moments,
     postselect,
     strong_readout,
@@ -42,7 +42,7 @@ from conftest import (random_hermitian, source_sites, whole_array_contract,
 
 
 def plus():
-    return make_state([1, 1])
+    return SystemState([1, 1])
 
 
 def gauss1d(points=256, extent=8.0, mean=0.0):
@@ -85,7 +85,7 @@ class TestMakeJoint:
 
     def test_reduced_system_populations(self):
         phi = gauss1d()
-        pre = make_state([1, 2j])
+        pre = SystemState([1, 2j])
         joint = make_joint(pre, phi)
         pops = np.sum(np.abs(joint.amplitudes) ** 2, axis=1) * joint.grid.dq(0)
         np.testing.assert_allclose(pops, np.abs(pre.amplitudes) ** 2, atol=1e-12)
@@ -222,7 +222,7 @@ class TestApplyCouplings:
 
     def test_noncommuting_triple_on_three_axes_matches_batched_eigh(self):
         phi = gaussian_pointer(Grid((32, 32, 32), (8.0,) * 3), np.eye(3))
-        joint = make_joint(make_state([1, 2j]), phi)
+        joint = make_joint(SystemState([1, 2j]), phi)
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.4),
                  CouplingSpec(Observable(PAULI_X), 1, "p", 0.3),
                  CouplingSpec(Observable(PAULI_Y), 2, "p", 0.2)]
@@ -243,7 +243,7 @@ class TestApplyCouplings:
         # terms is a multiple of the identity, so its eigenbasis is arbitrary
         # and need not diagonalize them: the diagonalization check must send
         # the call to the per-block eigh.
-        joint = make_joint(make_state([1, 2j]), gauss2d(points=64))
+        joint = make_joint(SystemState([1, 2j]), gauss2d(points=64))
         specs = [CouplingSpec(hadamard_rotated([1.0, 0.0]), 0, "q", 0.4),
                  CouplingSpec(hadamard_rotated([0.0, 2.0]), 1, "q", 0.3),
                  CouplingSpec(hadamard_rotated([1.0, 0.0]), 0, "q", 0.2)]
@@ -252,7 +252,7 @@ class TestApplyCouplings:
 
     def test_rotated_commuting_pair_matches_batched_eigh(self):
         # A shared non-standard basis phases in other bits than per-cell eigh.
-        joint = make_joint(make_state([1, 2j]), gauss2d(points=64))
+        joint = make_joint(SystemState([1, 2j]), gauss2d(points=64))
         specs = [CouplingSpec(hadamard_rotated([1.0, -1.0]), 0, "q", 0.4),
                  CouplingSpec(hadamard_rotated([1.0, 0.0]), 1, "q", 0.3)]
         out = apply_couplings(joint, specs)
@@ -268,9 +268,9 @@ class TestApplyCouplings:
 
     def test_momentum_coupling_shifts_position(self):
         # exp(-i lam A p) displaces q by +lam per eigenvalue branch.
-        joint = make_joint(make_state([1, 0]), gauss1d())
+        joint = make_joint(SystemState([1, 0]), gauss1d())
         out = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.5)])
-        pointer, _ = postselect(out, make_state([1, 0]))
+        pointer, _ = postselect(out, SystemState([1, 0]))
         assert moments(pointer).mean_q[0] == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("specs", [
@@ -283,7 +283,7 @@ class TestApplyCouplings:
         # The kernels multiply their own fresh arrays in place: the input
         # amplitudes keep their bits and share no memory with the output.
         # The second call starts from the first call's output.
-        state = make_joint(make_state([1, 1j]), gauss2d(points=64))
+        state = make_joint(SystemState([1, 1j]), gauss2d(points=64))
         for _ in range(2):
             before = state.amplitudes.tobytes()
             out = apply_couplings(state, specs)
@@ -307,7 +307,7 @@ def explicit_chain(pre, phi, specs, post, simultaneous=False, readout=None):
     return postselect(joint, post)
 
 
-POST = make_state([1, 1j])
+POST = SystemState([1, 1j])
 READOUT = (Observable(np.outer(POST.amplitudes, POST.amplitudes.conj())), 1)
 SEQUENTIAL_QP = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.2),
                  CouplingSpec(Observable(PAULI_X), 1, "p", 0.15)]
@@ -336,7 +336,7 @@ class TestEvolve:
             "sequential_3d", "simultaneous_p_pair"])
     @pytest.mark.parametrize("readout", [None, READOUT], ids=["direct", "readout"])
     def test_equals_the_explicit_chain_bit_for_bit(self, specs, simultaneous, points, readout):
-        pre = make_state([1, 2j])
+        pre = SystemState([1, 2j])
         dims = len(points)
         sigma = np.full((dims, dims), 0.3) + 0.7 * np.eye(dims)
         theta = np.full((dims, dims), 0.2) - 0.2 * np.eye(dims)
@@ -356,20 +356,20 @@ class TestEvolve:
 
 class TestPostselect:
     def test_orthogonal_target_fails(self):
-        joint = make_joint(make_state([1, 0]), gauss1d())
+        joint = make_joint(SystemState([1, 0]), gauss1d())
         with pytest.raises(PostselectionFailed):
-            postselect(joint, make_state([0, 1]))
+            postselect(joint, SystemState([0, 1]))
 
     def test_probability_without_coupling(self):
         joint = make_joint(plus(), gauss1d())
-        _, prob = postselect(joint, make_state([1, 0]))
+        _, prob = postselect(joint, SystemState([1, 0]))
         assert prob == pytest.approx(0.5, abs=1e-12)
 
     def test_weak_coupling_momentum_kick(self):
         # (Z)_w = 1 for post = |0>: the pointer picks up exactly dp = -lambda.
         joint = make_joint(plus(), gauss1d())
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.05)])
-        pointer, prob = postselect(joint, make_state([1, 0]))
+        pointer, prob = postselect(joint, SystemState([1, 0]))
         assert moments(pointer).mean_p[0] == pytest.approx(-0.05, abs=1e-9)
         assert prob == pytest.approx(0.5, abs=1e-12)
 
@@ -377,7 +377,7 @@ class TestPostselect:
         # Centered Gaussian, (Z)_w = i: probability is exactly 1/2.
         joint = make_joint(plus(), gauss1d())
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.05)])
-        _, prob = postselect(joint, make_state([1, 1j]))
+        _, prob = postselect(joint, SystemState([1, 1j]))
         assert prob == pytest.approx(0.5, abs=1e-12)
 
     def test_probability_first_order_in_strength(self):
@@ -385,7 +385,7 @@ class TestPostselect:
         lam, mu = 0.05, 0.3
         joint = make_joint(plus(), gauss1d(mean=mu))
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", lam)])
-        _, prob = postselect(joint, make_state([1, 1j]))
+        _, prob = postselect(joint, SystemState([1, 1j]))
         expected = 0.5 * (1.0 + np.sin(2 * lam * mu) * np.exp(-2 * lam**2))
         assert prob == pytest.approx(expected, abs=1e-10)
 
@@ -399,9 +399,9 @@ class TestStrongReadout:
     def test_eigenstate_momentum_offset(self):
         # System in the eigenvalue-1 eigenstate of a projector: dp = -1 exactly.
         proj = Observable(np.diag([1.0, 0.0]).astype(complex))
-        joint = make_joint(make_state([1, 0]), gauss2d())
+        joint = make_joint(SystemState([1, 0]), gauss2d())
         out = strong_readout(joint, proj, 1)
-        pointer, prob = postselect(out, make_state([1, 0]))
+        pointer, prob = postselect(out, SystemState([1, 0]))
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert moments(pointer).mean_p[1] == pytest.approx(-1.0, abs=1e-9)
 
@@ -410,7 +410,7 @@ class TestStrongReadout:
         a3 = Observable(np.diag([2.0, -1.0]).astype(complex))
         joint = make_joint(plus(), gauss2d())
         out = strong_readout(joint, a3, 1)
-        for target, eig in ((make_state([1, 0]), 2.0), (make_state([0, 1]), -1.0)):
+        for target, eig in ((SystemState([1, 0]), 2.0), (SystemState([0, 1]), -1.0)):
             pointer, prob = postselect(out, target)
             assert prob == pytest.approx(0.5, abs=1e-12)
             assert moments(pointer).mean_p[1] == pytest.approx(-eig, abs=1e-9)
@@ -459,14 +459,14 @@ class TestFirstOrderPointer:
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.03),
                  CouplingSpec(Observable(PAULI_X), last, "q", -0.05),
                  CouplingSpec(Observable(PAULI_Y), last // 2, "p", 0.02)]
-        args = (plus(), make_state([1, 0.3 - 0.8j]), specs, phi, last, 0.7)
+        args = (plus(), SystemState([1, 0.3 - 0.8j]), specs, phi, last, 0.7)
         assert (first_order_pointer(*args).amplitudes.tobytes()
                 == whole_array_first_order_pointer(*args).amplitudes.tobytes())
 
     def test_zero_strength_gives_readout_shift_only(self):
         phi = gauss2d()
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.0)]
-        out = first_order_pointer(plus(), make_state([1, 1j]), specs, phi,
+        out = first_order_pointer(plus(), SystemState([1, 1j]), specs, phi,
                                   readout_axis=1, readout_eigenvalue=1.0)
         ref = displace_momentum(phi, [0.0, -1.0])
         assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-12
@@ -476,14 +476,14 @@ class TestFirstOrderPointer:
         phi = gauss1d()
         lam = 0.05
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", lam)]
-        out = first_order_pointer(plus(), make_state([1, 0]), specs, phi)
+        out = first_order_pointer(plus(), SystemState([1, 0]), specs, phi)
         drift = np.max(np.abs(np.abs(out.amplitudes) ** 2 - np.abs(phi.amplitudes) ** 2))
         assert drift <= 5 * lam**2
 
     def test_truncation_error_is_second_order(self):
         # Moment distance between first-order and exact paths scales as lam^2.
         proj0 = Observable(np.diag([1.0, 0.0]).astype(complex))
-        pre, post = plus(), make_state([1, 1j])  # (proj0)_w = (1+i)/2
+        pre, post = plus(), SystemState([1, 1j])  # (proj0)_w = (1+i)/2
         g = Grid((256,), (8.0,))
         phi = gaussian_pointer(g, np.array([[1.0]]), mean_q=np.array([0.25]))
         distances = []
@@ -513,7 +513,7 @@ class TestMixedRepresentationPipeline:
     def test_momentum_coupling_then_strong_readout(self):
         # The p-coupling on axis 1 returns its state in position, so the
         # readout on axis 2 and the postselection see position amplitudes.
-        post = make_state([1, 1j])
+        post = SystemState([1, 1j])
         proj = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
         joint = make_joint(plus(), gauss2d())
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "p", 0.05)])
@@ -537,7 +537,7 @@ class TestClosedFormExactShifts:
     def test_exact_q_shift_closed_form(self, lam):
         joint = make_joint(plus(), gauss1d())
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", lam)])
-        pointer, _ = postselect(joint, make_state([1, 1j]))
+        pointer, _ = postselect(joint, SystemState([1, 1j]))
         expected = 2 * lam * np.exp(-2 * lam**2)
         assert moments(pointer).mean_q[0] == pytest.approx(expected, abs=1e-10)
 
@@ -548,6 +548,6 @@ class TestClosedFormExactShifts:
         phi = gaussian_pointer(g, np.array([[1.0, c12], [c12, 1.0]]))
         joint = make_joint(plus(), phi)
         joint = apply_couplings(joint, [CouplingSpec(Observable(PAULI_Z), 0, "q", lam)])
-        pointer, _ = postselect(joint, make_state([1, 1j]))
+        pointer, _ = postselect(joint, SystemState([1, 1j]))
         expected = 2 * lam * c12 * np.exp(-2 * lam**2)
         assert moments(pointer).mean_q[1] == pytest.approx(expected, abs=1e-9)

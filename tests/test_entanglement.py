@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from pointersim import (
-    PAULI_Z,
     CMatrix,
     DimensionError,
     Grid,
     InvalidParams,
-    Observable,
     TwoModeGaussianParams,
-    UnusableProbe,
-    WeakProbeConfig,
     auto_grid,
     c_matrix_direct,
     c_matrix_from_shifts,
     gaussian_pointer,
     is_entangled,
     lg_mode,
-    make_state,
     moments,
     two_mode_gaussian,
 )
@@ -38,23 +33,16 @@ def reference_pointer(params=None):
     return two_mode_gaussian(grid, params)
 
 
-def probe(strength=0.05, post=None):
-    return WeakProbeConfig(
-        observable=Observable(PAULI_Z),
-        pre=make_state([1, 1]),
-        post=make_state(post if post is not None else [1, 1j]),
-        strength=strength,
-    )
-
-
-class TestWeakProbeConfig:
+class TestProbeStrength:
     @pytest.mark.parametrize("strength", [0.0, -0.0, np.nan, np.inf, -np.inf])
     def test_rejects_zero_or_non_finite_strength(self, strength):
         with pytest.raises(InvalidParams, match="finite and nonzero"):
-            probe(strength=strength)
+            c_matrix_from_shifts(reference_pointer(), strength)
 
     def test_accepts_negative_strength(self):
-        assert probe(strength=-0.05).strength == -0.05
+        c = c_matrix_from_shifts(reference_pointer(), -0.05)
+        assert isinstance(c, CMatrix)
+        assert np.all(np.isfinite(c.entries))
 
 
 class TestTwoModeGaussian:
@@ -130,13 +118,13 @@ class TestIsEntangled:
 class TestReconstruction:
     def test_product_state_reconstructs_zero(self):
         params = TwoModeGaussianParams(0.25, 0.25, 0.0)
-        c = c_matrix_from_shifts(reference_pointer(params), probe())
+        c = c_matrix_from_shifts(reference_pointer(params), 0.05)
         assert np.max(np.abs(c.entries)) <= 1e-6
 
     def test_matches_direct_within_five_percent(self):
         phi = reference_pointer()
         direct = c_matrix_direct(phi)
-        recon = c_matrix_from_shifts(phi, probe())
+        recon = c_matrix_from_shifts(phi, 0.05)
         for i in range(2):
             for j in range(2):
                 if abs(direct.entries[i, j]) > 1e-3:
@@ -149,7 +137,7 @@ class TestReconstruction:
         params = TwoModeGaussianParams(0.25, 0.25, gamma)
         phi = reference_pointer(params)
         direct = c_matrix_direct(phi)
-        recon = c_matrix_from_shifts(phi, probe())
+        recon = c_matrix_from_shifts(phi, 0.05)
         assert is_entangled(direct) == is_entangled(recon) == (gamma != 0.0)
 
     def test_probe_c_matrices_takes_means_where_it_reads_only_means(self, monkeypatch):
@@ -159,18 +147,13 @@ class TestReconstruction:
         entanglement.probe_c_matrices(TwoModeGaussianParams(0.25, 0.25, 0.125), 0.05)
         assert counts == {"moments": 1, "means": 3}
 
-    def test_real_weak_value_probe_rejected(self):
-        # post = |0> gives (Z)_w = 1: no imaginary part, nothing to divide by.
-        with pytest.raises(UnusableProbe):
-            c_matrix_from_shifts(reference_pointer(), probe(post=[1, 0]))
-
     def test_error_decays_at_least_linearly(self):
         phi = reference_pointer()
         direct = c_matrix_direct(phi)
         errors = []
         lams = (0.1, 0.05, 0.025)
         for lam in lams:
-            recon = c_matrix_from_shifts(phi, probe(strength=lam))
+            recon = c_matrix_from_shifts(phi, lam)
             errors.append(np.max(np.abs(recon.entries - direct.entries)))
         slope = np.polyfit(np.log(lams), np.log(errors), 1)[0]
         # Gaussian pointers have no third central moments, so the decay is in

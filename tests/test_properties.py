@@ -26,7 +26,7 @@ from pointersim.pointer import (
     means,
     moments,
 )
-from pointersim.quantum import Observable, SystemState, eigendecompose
+from pointersim.quantum import Observable, SystemState
 from pointersim.scenarios import parse_config, run_sweep
 from conftest import (random_hermitian, random_state_vector, reference_moments,
                       whole_array_contract)
@@ -118,12 +118,11 @@ def full_array_coupling(state: JointState, spec: CouplingSpec) -> np.ndarray:
     grid, d, amps = state.grid, state.system_dim, state.amplitudes
     if spec.quadrature == "p":
         amps = _axis_transform(amps, grid, spec.axis)
-    eig = eigendecompose(spec.observable)
-    v = eig.eigenvectors
+    eigenvalues, v = np.linalg.eigh(spec.observable.matrix)
     rotated = whole_array_contract(v.conj(), amps)
     vals = grid.positions(spec.axis) if spec.quadrature == "q" else grid.momenta(spec.axis)
     xi = grid.axis_array(spec.axis, vals)
-    eigcol = eig.eigenvalues.reshape((d,) + (1,) * grid.dims)
+    eigcol = eigenvalues.reshape((d,) + (1,) * grid.dims)
     np.multiply(rotated, np.exp(-1j * spec.strength * eigcol * xi), out=rotated)
     result = whole_array_contract(v.T, rotated)
     if spec.quadrature == "p":

@@ -201,7 +201,8 @@ class TestParsing:
         build_pointer(cfg)
 
     def test_parse_builds_no_pointer_and_no_spectrum(self, monkeypatch):
-        for name in ("eigendecompose", "build_pointer", "moments"):
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("parse called eigh"))
+        for name in ("build_pointer", "moments"):
             monkeypatch.setattr(scenarios, name,
                                 lambda *args, name=name: pytest.fail(f"parse called {name}"))
         for name in bundled_scenario_names():

@@ -15,11 +15,11 @@ from pointersim import (
     Grid,
     MomentSet,
     Observable,
+    SystemState,
     evolve,
     gaussian_pointer,
     lg_compatibility,
     lg_mode,
-    make_state,
     moments,
     predict_general,
     predict_lg,
@@ -64,12 +64,12 @@ def calibrate_sign_convention(points: int = 128) -> tuple[int, int]:
     """
     grid = Grid(points_per_axis=(points, points), extent=(8.0, 8.0))
     phi = gaussian_pointer(grid, np.eye(2))
-    pre = make_state([1, 1])
+    pre = SystemState([1, 1])
     z = Observable(PAULI_Z)
     lam = 0.1
 
     # Leg A: (Z)_w = i for post = (|0> + i|1>)/sqrt(2).
-    post_a = make_state([1, 1j])
+    post_a = SystemState([1, 1j])
     proj = Observable(np.outer(post_a.amplitudes, post_a.amplitudes.conj()))
     specs = [CouplingSpec(z, 0, "q", lam)]
     final = moments(evolve(pre, phi, specs, post_a, readout=(proj, 1))[0])
@@ -78,7 +78,7 @@ def calibrate_sign_convention(points: int = 128) -> tuple[int, int]:
     offset_sign = 1 if final.mean_p[1] - base.mean_p[1] > 0 else -1
 
     # Leg B: (Z)_w = 1 for post = |0>.
-    post_b = make_state([1, 0])
+    post_b = SystemState([1, 0])
     final_b = moments(evolve(pre, phi, specs, post_b)[0])
     re_orientation = 1 if final_b.mean_p[0] - base.mean_p[0] > 0 else -1
 
