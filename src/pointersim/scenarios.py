@@ -49,6 +49,8 @@ from .shifts import ORIENTATION, RE_ORIENTATION, predict_general
 
 SCHEMA_VERSION = 1
 MAX_SYSTEM_DIM = 16
+# The longest output name, "<id>_sweep.json", then fits the common 255-byte limit.
+MAX_ID_BYTES = 244
 
 _NAMED_OBSERVABLES = ("pauli_x", "pauli_y", "pauli_z", "proj0")
 # Document pointer kind -> (closed-form per-axis marginal (std_q, std_p) of the
@@ -180,11 +182,13 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
                 required=("schema_version", "scenario_id", "system", "pointer",
                           "couplings", "readout"),
                 optional=("interaction", "sweep"))
-    if document["schema_version"] != SCHEMA_VERSION:
+    if _as_int(document["schema_version"], "schema_version") != SCHEMA_VERSION:
         _fail(f"unsupported schema_version {document['schema_version']!r}", "schema_version")
     sid = document["scenario_id"]
     if not isinstance(sid, str) or not sid or not all(c.isalnum() or c in "_-" for c in sid):
         _fail("scenario_id must be a nonempty alphanumeric/_/- string", "scenario_id")
+    if len(sid.encode()) > MAX_ID_BYTES:
+        _fail(f"scenario_id must be at most {MAX_ID_BYTES} UTF-8 bytes", "scenario_id")
 
     system = document["system"]
     _check_keys(system, "system", required=("dimension", "pre_state", "post_state"))

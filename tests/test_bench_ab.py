@@ -16,8 +16,9 @@ def pairs(parent, change, better="lower"):
 
 
 def test_clear_gain_is_claimed():
-    s = pairs([0.190, 0.185, 0.188, 0.182, 0.187, 0.184], [0.157, 0.154, 0.159, 0.155, 0.158, 0.156])
-    assert s["pairs_won"] == 6
+    s = pairs([0.190, 0.185, 0.188, 0.182, 0.187, 0.184, 0.189, 0.183, 0.186, 0.191],
+              [0.157, 0.154, 0.159, 0.155, 0.158, 0.156, 0.153, 0.160, 0.157, 0.155])
+    assert s["pairs_won"] == 10
     assert s["verdict"] == bench_ab.GAIN
 
 
@@ -35,30 +36,49 @@ def test_seven_of_ten_pairs_is_not_enough():
     assert s["verdict"] == bench_ab.NO_GAIN
 
 
-def test_a_gap_inside_the_pooled_iqr_is_not_enough():
+def test_eight_of_ten_pairs_is_not_enough():
+    parent = [1.0] * 10
+    assert pairs(parent, [0.5] * 8 + [1.5] * 2)["verdict"] == bench_ab.NO_GAIN
+    assert pairs(parent, [0.5] * 9 + [1.5])["verdict"] == bench_ab.GAIN
+
+
+def test_a_gap_inside_the_parents_iqr_is_not_enough():
     # The change wins every pair by a little, but the runs spread far more.
-    parent = [1.00, 1.40, 1.80, 2.20, 2.60, 3.00]
+    parent = [1.00, 1.40, 1.80, 2.20, 2.60, 3.00, 3.40, 3.80, 4.20, 4.60]
     change = [p - 0.01 for p in parent]
     s = pairs(parent, change)
-    assert s["pairs_won"] == 6
-    assert s["median_gap"] < s["pooled_iqr"]
+    assert s["pairs_won"] == 10
+    assert s["median_gap"] < s["parent_iqr"]
+    assert s["verdict"] == bench_ab.NO_GAIN
+
+
+def test_a_gap_above_the_pooled_iqr_but_inside_the_parents_is_not_enough():
+    # A tight change halves the root mean square of the two IQRs, not the
+    # parent's own spread.
+    parent = [1.00, 1.10, 1.20, 1.30, 1.40, 1.50, 1.60, 1.70, 1.80, 1.90]
+    change = [1.05] * 10
+    s = pairs(parent, change)
+    change_iqr = s["change_quartiles"][2] - s["change_quartiles"][0]
+    pooled_iqr = ((s["parent_iqr"] ** 2 + change_iqr ** 2) / 2) ** 0.5
+    assert s["pairs_won"] == 9
+    assert pooled_iqr < s["median_gap"] < s["parent_iqr"]
     assert s["verdict"] == bench_ab.NO_GAIN
 
 
 def test_too_few_pairs_claim_nothing():
-    assert pairs([2.0] * 4, [1.0] * 4)["verdict"] == bench_ab.NO_GAIN
-    assert pairs([2.0] * 5, [1.0] * 5)["verdict"] == bench_ab.GAIN
+    assert pairs([2.0] * 9, [1.0] * 9)["verdict"] == bench_ab.NO_GAIN
+    assert pairs([2.0] * 10, [1.0] * 10)["verdict"] == bench_ab.GAIN
 
 
 def test_higher_is_better_metrics_win_upwards():
-    slow, fast = [5.0, 5.1, 5.2, 5.0, 5.1], [6.0, 6.1, 6.2, 6.0, 6.1]
+    slow, fast = [5.0, 5.1, 5.2, 5.0, 5.1] * 2, [6.0, 6.1, 6.2, 6.0, 6.1] * 2
     assert pairs(slow, fast, "higher")["verdict"] == bench_ab.GAIN
     assert pairs(fast, slow, "higher")["verdict"] == bench_ab.NO_GAIN
     assert pairs(slow, fast, "lower")["verdict"] == bench_ab.NO_GAIN
 
 
 def test_ties_are_not_wins():
-    s = pairs([1.0] * 6, [1.0] * 6, "higher")
+    s = pairs([1.0] * 10, [1.0] * 10, "higher")
     assert s["pairs_won"] == 0
     assert s["verdict"] == bench_ab.NO_GAIN
 

@@ -82,9 +82,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="pointer"):
             parse_config(doc)
 
-    def test_bad_schema_version(self):
+    # A bool or a float is not version 1, though both compare equal to it.
+    @pytest.mark.parametrize("version", [99, True, 1.0])
+    def test_bad_schema_version(self, version):
         doc = minimal_document()
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config(doc)
 
@@ -480,6 +482,30 @@ class TestCli:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+    def test_over_long_scenario_id_exits_2_before_any_compute(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 123 characters, 246 UTF-8 bytes: "<id>_sweep.json" would pass the
+        # 255-byte file-name limit.  244 bytes is the most an id may take.
+        doc = minimal_document()
+        doc["scenario_id"] = "a" * 244
+        parse_config(doc)
+        doc["scenario_id"] = "\u00e9" * 123
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(scenarios, "build_pointer",
+                            lambda *args: pytest.fail("run computed an invalid scenario"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: scenario_id: scenario_id must be at most 244 UTF-8 bytes" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["appendix-a", "--sigma1", "1", "--sigma2", "1", "--c12", "0.3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_invalid_config_exits_2(self, tmp_path):
         doc = minimal_document()

@@ -16,11 +16,9 @@ every pair, both sides' medians and quartiles, the number of pairs the change
 won and the verdict; also each side's commit and source digest, and the
 machine (CPU count, numpy version, whether numpy dispatches X86_V3/X86_V4).
 :func:`verdict` is the rule: "gain" needs at least ``MIN_PAIRS`` pairs, the
-change winning at least ``WIN_SHARE`` of them, and the gap between the
-medians, in the metric's better direction, larger than the pooled IQR;
-anything else is "no gain claimed".  The pooled IQR is the root mean square
-of the two sides' interquartile ranges, as a pooled standard deviation is of
-two standard deviations.
+change winning at least ``WIN_SHARE`` of them (a tie wins nothing), and the
+gap between the medians, in the metric's better direction, larger than the
+parent's interquartile range; anything else is "no gain claimed".
 """
 
 from __future__ import annotations
@@ -28,15 +26,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-WIN_SHARE = 0.8
-MIN_PAIRS = 5
+WIN_SHARE = Fraction(9, 10)
+MIN_PAIRS = 10
 GAIN, NO_GAIN = "gain", "no gain claimed"
 
 
@@ -54,8 +52,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     q_parent, q_change = quartiles(parent), quartiles(change)
     won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     gap = sign * (q_parent[1] - q_change[1])
-    pooled_iqr = math.sqrt(((q_parent[2] - q_parent[0]) ** 2
-                            + (q_change[2] - q_change[0]) ** 2) / 2.0)
+    parent_iqr = q_parent[2] - q_parent[0]
     return {
         "better": better,
         "parent": parent,
@@ -63,17 +60,17 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "parent_quartiles": q_parent,
         "change_quartiles": q_change,
         "median_gap": gap,
-        "pooled_iqr": pooled_iqr,
+        "parent_iqr": parent_iqr,
         "pairs_won": won,
-        "verdict": verdict(len(parent), won, gap, pooled_iqr),
+        "verdict": verdict(len(parent), won, gap, parent_iqr),
     }
 
 
-def verdict(pairs: int, won: int, gap: float, pooled_iqr: float) -> str:
+def verdict(pairs: int, won: int, gap: float, parent_iqr: float) -> str:
     """"gain" for at least ``MIN_PAIRS`` pairs, at least ``WIN_SHARE`` of them
     won, and a median gap (positive when the change is better) larger than the
-    pooled IQR; "no gain claimed" otherwise."""
-    if pairs >= MIN_PAIRS and won >= WIN_SHARE * pairs and gap > pooled_iqr:
+    parent's IQR; "no gain claimed" otherwise."""
+    if pairs >= MIN_PAIRS and won >= WIN_SHARE * pairs and gap > parent_iqr:
         return GAIN
     return NO_GAIN
 
@@ -153,7 +150,8 @@ def main(argv=None) -> int:
     record = {"parent": side_facts(args.parent), "change": side_facts(args.change),
               "machine": machine(), "pairs": args.pairs, "seconds": args.seconds,
               "seed": args.seed, "workloads": {},
-              "rule": {"min_pairs": MIN_PAIRS, "win_share": WIN_SHARE, "gap_above": "pooled_iqr"}}
+              "rule": {"min_pairs": MIN_PAIRS, "win_share": float(WIN_SHARE),
+                       "ties_win": False, "gap_above": "parent_iqr"}}
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for k in range(args.pairs):
@@ -173,7 +171,7 @@ def main(argv=None) -> int:
         for name, s in metrics.items():
             print(f"{workload:9} {name:12} parent {s['parent_quartiles'][1]:.6g}  change "
                   f"{s['change_quartiles'][1]:.6g}  won {s['pairs_won']}/{args.pairs}  "
-                  f"gap {s['median_gap']:.3g} vs pooled IQR {s['pooled_iqr']:.3g}: {s['verdict']}")
+                  f"gap {s['median_gap']:.3g} vs parent IQR {s['parent_iqr']:.3g}: {s['verdict']}")
     return 0
 
 
