@@ -107,7 +107,7 @@ def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
     if not (np.isfinite(strength) and strength != 0.0):
         raise InvalidParams(f"probe strength must be finite and nonzero, got {strength}")
     observable, pre, post = _PROBE
-    denom = ORIENTATION * 2.0 * strength * weak_value(*_PROBE).imag
+    denom = ORIENTATION * 2.0 * strength * weak_value(observable, pre, post).imag
     base_q, base_p = means(phi)
     rows = []
     for quadrature in ("q", "p"):
