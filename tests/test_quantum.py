@@ -8,6 +8,7 @@ import pytest
 from pointersim import (
     PAULI_X,
     PAULI_Z,
+    DimensionError,
     InvalidObservable,
     InvalidState,
     NearOrthogonalPostselection,
@@ -109,6 +110,11 @@ class TestWeakValue:
         with pytest.raises(NearOrthogonalPostselection) as err:
             weak_value(Observable(PAULI_Z), pre, post)
         assert err.value.overlap == pytest.approx(0.0, abs=1e-15)
+
+    def test_dimension_mismatch(self):
+        s = SystemState([1, 0, 0])
+        with pytest.raises(DimensionError, match="dimension mismatch"):
+            weak_value(Observable(PAULI_Z), s, s)
 
     def test_equals_expectation_when_post_is_pre(self, rng):
         for d in (2, 3, 4):

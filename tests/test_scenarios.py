@@ -125,6 +125,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eigenvector"):
             run_scenario(cfg)
 
+    def test_eigenvector_post_resolves_to_its_eigenvalue(self):
+        doc = minimal_document()
+        doc["readout"] = {"axis": 2, "observable": "pauli_z"}
+        doc["system"]["post_state"] = {"amplitudes": [[0, 0], [1, 0]]}
+        _pre, post, _obs, a_l = scenarios.resolve_system(parse_config(doc))
+        np.testing.assert_array_equal(post.amplitudes, [0, 1])
+        assert a_l == -1.0
+
+    def test_eigenvalue_index_post_resolves_to_the_readout_eigenvector(self):
+        doc = minimal_document()
+        doc["readout"] = {"axis": 2, "observable": "pauli_x"}
+        doc["system"]["post_state"] = {"eigenvalue_index": 0}
+        _pre, post, obs, a_l = scenarios.resolve_system(parse_config(doc))
+        # eigh sorts ascending: index 0 of pauli_x is -1 with |->.
+        assert a_l == pytest.approx(-1.0, abs=1e-15)
+        minus = np.array([1, -1]) / np.sqrt(2)
+        assert abs(np.vdot(minus, post.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(obs.matrix @ post.amplitudes, a_l * post.amplitudes,
+                                   atol=1e-12)
+
     @pytest.mark.parametrize("points, extent, message", [
         ([16, 64], [8.0, 8.0], "power of two"),
         ([100, 64], [8.0, 8.0], "power of two"),
