@@ -2,8 +2,11 @@
 
 Subcommands: run, sweep, lg-check, entangle, appendix-a, validate.
 Exit codes: 0 success, 1 validation/runtime failure, 2 config error.
-All file outputs land under --out (default ./out) and are byte-exact
-deterministic; wall-clock timing goes to stdout only.
+Each ``_cmd_*`` returns ``(files, lines, code)``: its files as ``{name:
+text}``, its stdout lines and its exit code.  :func:`main` checks --out
+(default ./out) before the command runs and writes the files after it, in
+its one output step.  Files are byte-exact deterministic; wall-clock timing
+goes to stdout only.
 """
 
 from __future__ import annotations
@@ -28,49 +31,39 @@ from .shifts import lg_check
 from . import validation
 
 
-def _write(out_dir: str, name: str, text: str) -> str:
-    path = os.path.join(out_dir, name)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise PointersimError(f"cannot write output: {exc}") from None
-    return path
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     cfg = load_config(args.scenario)
     report = run_scenario(cfg)
-    csv_path = _write(args.out, f"{cfg.scenario_id}.csv", reports_csv_text([report]))
-    json_path = _write(args.out, f"{cfg.scenario_id}.json", report_json_text(report))
-    print(f"scenario {cfg.scenario_id}: prob={report.probability:.6f} "
-          f"wall={report.wall_time_seconds:.3f}s")
+    csv_name, json_name = f"{cfg.scenario_id}.csv", f"{cfg.scenario_id}.json"
+    lines = [f"scenario {cfg.scenario_id}: prob={report.probability:.6f} "
+             f"wall={report.wall_time_seconds:.3f}s"]
     for axis in range(len(report.shift_q)):
-        print(f"  axis {axis + 1}: dq={report.shift_q[axis]:+.6e} "
-              f"(pred {report.predicted_dq[axis]:+.6e})  "
-              f"dp={report.shift_p[axis]:+.6e} (pred {report.predicted_dp[axis]:+.6e})")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+        lines.append(f"  axis {axis + 1}: dq={report.shift_q[axis]:+.6e} "
+                     f"(pred {report.predicted_dq[axis]:+.6e})  "
+                     f"dp={report.shift_p[axis]:+.6e} (pred {report.predicted_dp[axis]:+.6e})")
+    lines.append(f"wrote {os.path.join(args.out, csv_name)} and "
+                 f"{os.path.join(args.out, json_name)}")
+    return {csv_name: reports_csv_text([report]), json_name: report_json_text(report)}, lines, 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     cfg = load_config(args.scenario)
     multipliers = args.multipliers if args.multipliers else cfg.sweep
     if not multipliers:
         raise ConfigError("no --multipliers given and the scenario has no sweep list",
                           "sweep")
     reports, summary = run_sweep(cfg, multipliers)
-    _write(args.out, f"{cfg.scenario_id}_sweep.csv", reports_csv_text(reports))
-    _write(args.out, f"{cfg.scenario_id}_sweep.json", sweep_json_text(reports, summary))
+    files = {f"{cfg.scenario_id}_sweep.csv": reports_csv_text(reports),
+             f"{cfg.scenario_id}_sweep.json": sweep_json_text(reports, summary)}
     slope = summary["slope"]
-    print(f"scenario {cfg.scenario_id}: multipliers {summary['multipliers']}")
-    print(f"residual norms: {['%.3e' % n for n in summary['residual_norms']]}")
-    print(f"log-log residual slope: {'n/a' if slope is None else f'{slope:.3f}'}")
-    return 0
+    return files, [
+        f"scenario {cfg.scenario_id}: multipliers {summary['multipliers']}",
+        f"residual norms: {['%.3e' % n for n in summary['residual_norms']]}",
+        f"log-log residual slope: {'n/a' if slope is None else f'{slope:.3f}'}",
+    ], 0
 
 
-def _cmd_lg_check(args) -> int:
+def _cmd_lg_check(args):
     l, sigma = args.l, args.sigma
     m, residual = lg_check(l, sigma)
     obj = {
@@ -83,14 +76,13 @@ def _cmd_lg_check(args) -> int:
         "expected_corr_y_px": -0.5 * l,
         "residual": float(residual),
     }
-    _write(args.out, f"lg_check_l{l}.json", json_text(obj))
-    print(f"l={l}: corr(x,p_y)={obj['corr_x_py']:+.6f} (target {0.5 * l:+.2f}), "
-          f"corr(y,p_x)={obj['corr_y_px']:+.6f} (target {-0.5 * l:+.2f}), "
-          f"corr(x,y)={obj['corr_x_y']:+.2e}, residual={residual:.2e}")
-    return 0
+    return {f"lg_check_l{l}.json": json_text(obj)}, [
+        f"l={l}: corr(x,p_y)={obj['corr_x_py']:+.6f} (target {0.5 * l:+.2f}), "
+        f"corr(y,p_x)={obj['corr_y_px']:+.6f} (target {-0.5 * l:+.2f}), "
+        f"corr(x,y)={obj['corr_x_y']:+.2e}, residual={residual:.2e}"], 0
 
 
-def _cmd_entangle(args) -> int:
+def _cmd_entangle(args):
     direct, recon = probe_c_matrices(TwoModeGaussianParams(args.alpha, args.beta, args.gamma),
                                      args.strength)
     obj = {
@@ -106,14 +98,13 @@ def _cmd_entangle(args) -> int:
         "entangled_from_shifts": is_entangled(recon),
     }
     name = f"entangle_a{args.alpha:g}_b{args.beta:g}_g{args.gamma:g}.json"
-    _write(args.out, name, json_text(obj))
-    print(f"det(C) direct = {direct.det:+.6e}, from shifts = {recon.det:+.6e}")
-    print(f"entangled: direct={obj['entangled_direct']} "
-          f"from_shifts={obj['entangled_from_shifts']}")
-    return 0
+    return {name: json_text(obj)}, [
+        f"det(C) direct = {direct.det:+.6e}, from shifts = {recon.det:+.6e}",
+        f"entangled: direct={obj['entangled_direct']} "
+        f"from_shifts={obj['entangled_from_shifts']}"], 0
 
 
-def _cmd_appendix_a(args) -> int:
+def _cmd_appendix_a(args):
     numeric, analytic, residual = appendix_a_check(args.sigma1, args.sigma2, args.c12)
     obj = {
         "sigma1": args.sigma1,
@@ -124,24 +115,19 @@ def _cmd_appendix_a(args) -> int:
         "residual": residual,
     }
     name = f"appendix_a_s{args.sigma1:g}_{args.sigma2:g}_c{args.c12:g}.json"
-    _write(args.out, name, json_text(obj))
-    print(f"numeric = {numeric.real:+.6e}{numeric.imag:+.6e}i, "
-          f"analytic = {analytic.real:+.6e}{analytic.imag:+.6e}i, residual = {residual:.2e}")
-    return 0
+    return {name: json_text(obj)}, [
+        f"numeric = {numeric.real:+.6e}{numeric.imag:+.6e}i, "
+        f"analytic = {analytic.real:+.6e}{analytic.imag:+.6e}i, residual = {residual:.2e}"], 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     results = validation.run_all()
-    _write(args.out, "validate_summary.json", validation.summary_json_text(results))
-    _write(args.out, "validate_summary.csv", validation.summary_csv_text(results))
-    for r in results:
-        print(r.line())
+    files = {"validate_summary.json": validation.summary_json_text(results),
+             "validate_summary.csv": validation.summary_csv_text(results)}
+    lines = [r.line() for r in results]
     failed = [r.number for r in results if not r.ok]
-    if failed:
-        print(f"FAILED criteria: {failed}")
-        return 1
-    print("all criteria passed")
-    return 0
+    lines.append(f"FAILED criteria: {failed}" if failed else "all criteria passed")
+    return files, lines, 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,10 +174,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Before any work: --out's nearest existing ancestor is a writable directory.
+        ancestor = os.path.abspath(args.out)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise PointersimError(f"cannot write output: {args.out}: "
+                                  f"{ancestor} is not a writable directory")
+        files, lines, code = args.func(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, text in files.items():
+                with open(os.path.join(args.out, name), "w", encoding="utf-8",
+                          newline="") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            raise PointersimError(f"cannot write output: {exc}") from None
+        print("\n".join(lines))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ from .errors import (
     RepresentationError,
 )
 from .pointer import (
-    Grid,
     PointerWavefunction,
     _GridState,
     _apply_momentum,
@@ -82,11 +81,6 @@ def make_joint(system: SystemState, phi: PointerWavefunction) -> JointState:
     """Product state |system> (x) |phi>."""
     amps = system.amplitudes.reshape((system.dim,) + (1,) * phi.grid.dims) * phi.amplitudes
     return JointState._adopt(phi.grid, amps)
-
-
-def _quadrature_values(grid: Grid, axis: int, quadrature: str) -> np.ndarray:
-    vals = grid.positions(axis) if quadrature == "q" else grid.momenta(axis)
-    return grid.axis_array(axis, vals)
 
 
 def _contract(m: np.ndarray, src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -144,7 +138,8 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     for axis in p_axes:
         amps = _axis_transform(amps, grid, axis, out=out)
     mats = [s.observable.matrix for s in live]
-    xis = [(s.axis, _quadrature_values(grid, s.axis, quadrature)) for s in live]
+    samples = grid.positions if quadrature == "q" else grid.momenta
+    xis = [(s.axis, grid.axis_array(s.axis, samples(s.axis))) for s in live]
     # The eigenbasis of A_0 + sum_k (1 + k pi) A_k serves every term that it
     # diagonalizes; commuting terms can make that sum degenerate.
     w, v = np.linalg.eigh(sum(((1.0 + k * np.pi) * mat for k, mat in enumerate(mats[1:], 1)),
@@ -234,10 +229,10 @@ def first_order_pointer(
     renormalizes.  Independent cross-check path against
     ``postselect(apply_couplings(...))``.
 
-    A q-term is formed one block of leading grid rows at a time: ``xi * amps``
-    in a block buffer, scaled by ``lambda_k (A_k)_w`` and added into the sum,
-    so the call holds one pointer-sized sum beside its input.  A p-term needs
-    whole-axis transforms, so it still holds a third pointer-sized array.
+    Every term's ``xi * amps`` is scaled by ``lambda_k (A_k)_w`` and added into
+    the sum one block of leading grid rows at a time.  A q-term forms each block
+    in a block buffer; a p-term needs whole-axis transforms, so its product is
+    formed whole, a third pointer-sized array, and read block by block.
     """
     values = [weak_value(s.observable, pre, post) for s in specs]
     if readout_axis is not None and readout_eigenvalue != 0.0:
@@ -251,12 +246,10 @@ def first_order_pointer(
     for s, w in zip(specs, values):
         if s.strength == 0.0:
             continue
-        if s.quadrature == "p":
-            xi_amps = _apply_momentum(amps, grid, s.axis)
-            np.add(delta, np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta)
-            del xi_amps
-            continue
+        p_amps = _apply_momentum(amps, grid, s.axis) if s.quadrature == "p" else None
         for blk in _row_blocks(grid.shape):
-            xi_amps = np.multiply(qs(s.axis, blk), amps[blk], out=buf)
+            xi_amps = (np.multiply(qs(s.axis, blk), amps[blk], out=buf) if p_amps is None
+                       else p_amps[blk])
             np.add(delta[blk], np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta[blk])
+        del p_amps
     return _normalized(grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))

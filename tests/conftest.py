@@ -1,7 +1,7 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
 whole-array references for the blockwise moments, momentum displacement and
-system contractions, a traced-peak probe, a call counter and a finder of
-source sites."""
+system contractions, the parity split of a sweep's residual, a traced-peak
+probe, a call counter and a finder of source sites."""
 
 import ast
 import tracemalloc
@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointersim.scenarios import run_sweep
 from pointersim.pointer import (
     Grid,
     MomentSet,
@@ -105,6 +106,23 @@ def whole_array_contract(m: np.ndarray, src: np.ndarray) -> np.ndarray:
     multiply-adds: every product formed, then added in order of i."""
     return np.array([reduce(np.add, (m[..., i, j] * src[i] for i in range(len(src))))
                      for j in range(m.shape[-1])])
+
+
+PARITY_MULTIPLIERS = (1.0, 0.5, 0.25)
+
+
+def parity_residuals(cfg) -> list[tuple[float, float]]:
+    """Per multiplier m of :data:`PARITY_MULTIPLIERS`, ``(odd, even)``: the
+    norms over every q and p component of the odd part ``(r(m) - r(-m))/2``
+    and the even part ``(r(m) + r(-m))/2`` of the signed residual
+    ``r = shift - predicted``, from one ``run_sweep`` at +m and -m."""
+    mults = list(PARITY_MULTIPLIERS) + [-m for m in PARITY_MULTIPLIERS]
+    reports, _summary = run_sweep(cfg, mults)
+    r = [np.concatenate([rep.shift_q - rep.predicted_dq, rep.shift_p - rep.predicted_dp])
+         for rep in reports]
+    n = len(PARITY_MULTIPLIERS)
+    return [(float(np.linalg.norm((r[i] - r[i + n]) / 2)),
+             float(np.linalg.norm((r[i] + r[i + n]) / 2))) for i in range(n)]
 
 
 def traced_peak(fn):

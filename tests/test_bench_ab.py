@@ -1,6 +1,7 @@
-"""The verdict rule and the benchmark-tree check of tools/bench_ab.py, on
-synthetic pairs; no benchmark runs."""
+"""The verdict rule, the benchmark-tree check and the slot directories of
+tools/bench_ab.py, on synthetic pairs; no benchmark runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -107,3 +108,39 @@ def test_main_refuses_differing_benchmark_trees(tmp_path, capsys):
     assert code == 1
     assert "run.py" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_side_runs_from_both_equal_length_slots(tmp_path, monkeypatch):
+    # A steady offset that belongs to a directory must fall on both sides:
+    # each pair copies the two checkouts into two sibling slots of equal name
+    # length, and the sides swap slots from pair to pair.
+    checkouts = {}
+    for side in ("parent", "change"):
+        root = checkouts[side] = tmp_path / f"checkout-{side}"
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "src").mkdir()
+        (root / "src" / "side.txt").write_text(side)
+        (root / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "op_s_p50", "better": "lower"}]}))
+    used = []
+
+    def fake_run_side(root, workload, seed, seconds):
+        used.append(((root / "src" / "side.txt").read_text(), root))
+        assert (root / "BENCHMARK.json").is_file() and (root / "perfbench" / "run.py").is_file()
+        return {"op_s_p50": 1.0}
+
+    monkeypatch.setattr(bench_ab, "run_side", fake_run_side)
+    out = tmp_path / "bench.json"
+    assert bench_ab.main([str(checkouts["parent"]), str(checkouts["change"]),
+                          "--workload", "run_3d", "--pairs", "2", "--out", str(out)]) == 0
+    roots = {root for _side, root in used}
+    assert len(roots) == 2
+    first, second = sorted(roots)
+    assert first.parent == second.parent and len(first.name) == len(second.name)
+    assert not roots & set(checkouts.values())
+    for side in checkouts:
+        assert {root for s, root in used if s == side} == roots
+    slots = json.loads(out.read_text())["slots"]["run_3d"]
+    assert [pair["parent"] for pair in slots] == [first.name, second.name]
+    assert [pair["change"] for pair in slots] == [second.name, first.name]

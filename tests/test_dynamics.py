@@ -27,7 +27,7 @@ from pointersim import (
     strong_readout,
     displace_momentum,
 )
-from pointersim.dynamics import _contract, _quadrature_values
+from pointersim.dynamics import _contract
 from pointersim.pointer import _apply_momentum, _axis_transform, _normalized
 from pointersim.quantum import weak_value
 from pointersim.scenarios import (
@@ -103,7 +103,8 @@ def batched_eigh_couplings(state, specs):
         amps = _axis_transform(amps, grid, axis)
     gen = np.zeros(grid.shape + (d, d), dtype=complex)
     for s in specs:
-        xi = _quadrature_values(grid, s.axis, quadrature)
+        xi = grid.axis_array(s.axis, grid.positions(s.axis) if quadrature == "q"
+                             else grid.momenta(s.axis))
         gen += s.strength * xi[..., None, None] * s.observable.matrix
     w, v = np.linalg.eigh(gen)
     rotated = whole_array_contract(v.conj(), amps)
@@ -431,7 +432,7 @@ def whole_array_first_order_pointer(pre, post, specs, phi, readout_axis=None,
         if s.strength == 0.0:
             continue
         if s.quadrature == "q":
-            xi_amps = _quadrature_values(grid, s.axis, "q") * amps
+            xi_amps = grid.axis_array(s.axis, grid.positions(s.axis)) * amps
         else:
             xi_amps = _apply_momentum(amps, grid, s.axis)
         w = weak_value(s.observable, pre, post)

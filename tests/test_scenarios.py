@@ -18,6 +18,7 @@ from pointersim import (
     scenarios,
     two_mode_gaussian,
 )
+from pointersim import cli, validation
 from pointersim.cli import main
 from pointersim.pointer import gaussian_spreads
 from pointersim.scenarios import (
@@ -525,6 +526,20 @@ class TestCli:
         out = tmp_path / "file" / "out"
         assert main(["appendix-a", "--sigma1", "1", "--sigma2", "1", "--c12", "0.3",
                      "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("argv", [["validate"], ["run", "tiny.json"], ["run", "nope.json"]])
+    def test_unwritable_out_exits_1_before_any_compute(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        # --out is checked first, so a missing document exits 1 here, not 2.
+        (tmp_path / "tiny.json").write_text(json.dumps(minimal_document()))
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(validation, "run_all",
+                            lambda: pytest.fail("validate ran the suite"))
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *args: pytest.fail("run computed the scenario"))
+        argv = argv[:1] + [str(tmp_path / name) for name in argv[1:]]
+        assert main(argv + ["--out", str(tmp_path / "file" / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_invalid_config_exits_2(self, tmp_path):

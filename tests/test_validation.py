@@ -9,6 +9,7 @@ under test; the real criteria's verdicts are covered by
 their memory peak and for which moment passes they call.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -123,6 +124,21 @@ def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tm
     for name in ("validate_summary.json", "validate_summary.csv"):
         assert ((tmp_path / "late" / name).read_bytes()
                 == (tmp_path / "on_time" / name).read_bytes())
+
+
+def test_the_suite_pass_clocks_each_criterion(monkeypatch):
+    # The stub reads no clock; the pass times its call, 2 s by the patched
+    # clock, against a 1 s budget.
+    def stub(corpus):
+        return CriterionResult(1, "stub_1", True, 0.0, 1.0, "stub", budget_s=1.0, elapsed_s=0.0)
+
+    ticks = itertools.count(step=2.0)
+    monkeypatch.setattr(validation, "_CRITERIA_1_9", (stub,))
+    monkeypatch.setattr(validation, "_bundled_corpus", dict)
+    monkeypatch.setattr(validation.time, "perf_counter", lambda: next(ticks))
+    (result,), _corpus = validation._suite_pass()
+    assert result.passed and result.elapsed_s == 2.0
+    assert not result.within_budget and not result.ok
 
 
 def test_criterion_6_holds_one_64_cubed_pointer_while_measuring():

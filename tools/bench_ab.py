@@ -4,17 +4,23 @@
         --out BENCH_27.json
 
 ``PARENT`` and ``CHANGE`` are two checkouts of the repository, for example a
-parent copy made with ``git archive HEAD | tar -x -C DIR``.  Each side runs
-its own ``perfbench/run.py --trace 0`` in its own subprocess, from its own
-root, so it imports its own ``src/``.  A pair is one run of each side; the
-side that goes first alternates from pair to pair, so a drift of the machine
-falls on both.  The script refuses to run when the two ``perfbench/`` trees
-differ, since the numbers would then come from two benchmarks.
+parent copy made with ``git archive HEAD | tar -x -C DIR``.  A pair is one run
+of each side.  Before each pair, each side's ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` are copied afresh into one of two sibling slot
+directories with names of equal length under one temporary directory: the
+parent into slot ``k % 2`` of pair ``k``, the change into the other.  Each
+side runs its slot's ``perfbench/run.py --trace 0`` in its own subprocess,
+so it imports its own ``src/``, and a steady offset that belongs to a
+location falls on both sides.  The side that goes first alternates from pair
+to pair, so a drift of the machine falls on both too.  The script refuses to
+run when the two ``perfbench/`` trees differ, since the numbers would then
+come from two benchmarks.
 
 The output file holds, per workload and end-to-end metric, the values of
 every pair, both sides' medians and quartiles, the number of pairs the change
-won and the verdict; also each side's commit and source digest, and the
-machine (CPU count, numpy version, whether numpy dispatches X86_V3/X86_V4).
+won and the verdict; each pair's slot assignment; each side's commit and
+source digest, read from its checkout; and the machine (CPU count, numpy
+version, whether numpy dispatches X86_V3/X86_V4).
 :func:`verdict` is the rule: "gain" needs at least ``MIN_PAIRS`` pairs, the
 change winning at least ``WIN_SHARE`` of them (a tie wins nothing), and the
 gap between the medians, in the metric's better direction, larger than the
@@ -27,15 +33,18 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 WIN_SHARE = Fraction(9, 10)
 MIN_PAIRS = 10
 GAIN, NO_GAIN = "gain", "no gain claimed"
+SLOTS = ("slot0", "slot1")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -115,6 +124,17 @@ def machine() -> dict:
             "X86_V3": bool(features.get("X86_V3")), "X86_V4": bool(features.get("X86_V4"))}
 
 
+def stage(checkout: Path, slot: Path) -> Path:
+    """Replace ``slot`` with a fresh copy of ``checkout``'s ``src/``,
+    ``perfbench/`` and ``BENCHMARK.json``; returns ``slot``."""
+    shutil.rmtree(slot, ignore_errors=True)
+    for tree in ("src", "perfbench"):
+        shutil.copytree(checkout / tree, slot / tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(checkout / "BENCHMARK.json", slot / "BENCHMARK.json")
+    return slot
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """End-to-end metric values of one ``perfbench/run.py`` run from ``root``."""
     proc = subprocess.run(
@@ -151,21 +171,28 @@ def main(argv=None) -> int:
               "machine": machine(), "pairs": args.pairs, "seconds": args.seconds,
               "seed": args.seed, "workloads": {},
               "rule": {"min_pairs": MIN_PAIRS, "win_share": float(WIN_SHARE),
-                       "ties_win": False, "gap_above": "parent_iqr"}}
-    for workload in args.workload:
-        runs = {"parent": [], "change": []}
-        for k in range(args.pairs):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_side(getattr(args, side), workload, args.seed,
-                                           args.seconds))
-            print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): op_s_p50 "
-                  f"parent {runs['parent'][-1]['op_s_p50']:.4f} s, "
-                  f"change {runs['change'][-1]['op_s_p50']:.4f} s", flush=True)
-        record["workloads"][workload] = {
-            name: summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                            better[name])
-            for name in runs["parent"][0]}
+                       "ties_win": False, "gap_above": "parent_iqr"},
+              "slots": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        slots = [Path(tmp) / name for name in SLOTS]
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            record["slots"][workload] = []
+            for k in range(args.pairs):
+                roots = {"parent": stage(args.parent, slots[k % 2]),
+                         "change": stage(args.change, slots[1 - k % 2])}
+                record["slots"][workload].append({side: r.name for side, r in roots.items()})
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_side(roots[side], workload, args.seed, args.seconds))
+                print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first, parent in "
+                      f"{roots['parent'].name}): op_s_p50 "
+                      f"parent {runs['parent'][-1]['op_s_p50']:.4f} s, "
+                      f"change {runs['change'][-1]['op_s_p50']:.4f} s", flush=True)
+            record["workloads"][workload] = {
+                name: summarize([r[name] for r in runs["parent"]],
+                                [r[name] for r in runs["change"]], better[name])
+                for name in runs["parent"][0]}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     for workload, metrics in record["workloads"].items():
         for name, s in metrics.items():

@@ -1,10 +1,11 @@
 """Print the SHA-256 of every file the CLI writes for a fixed command set.
 
 Runs, through ``pointersim.cli.main`` only, each bundled scenario with
-``run`` and with ``sweep --multipliers 2 1.5 1 0.75 0.5``, ``lg-check`` for
-l = 0, 1, 2, for l = 16 (a 512^2 derived grid) and for l = 8 at sigma = 1e20,
-the golden ``entangle`` and ``appendix-a`` commands, and ``validate``, into a
-temporary directory.  Prints ``sha256  filename`` per
+``run`` and with ``sweep --multipliers 2 1.5 1 0.75 0.5``, the golden
+commands of ``tests/test_golden.COMMANDS`` (``lg-check`` for l = 0, 1, 2,
+``entangle`` and ``appendix-a``), ``lg-check`` for l = 16 (a 512^2 derived
+grid) and for l = 8 at sigma = 1e20, and ``validate``, into a temporary
+directory.  Prints ``sha256  filename`` per
 output file, sorted by name.  Two checkouts write the same bytes when the
 output of
 
@@ -25,20 +26,17 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
 import pointersim  # noqa: E402
+import test_golden  # noqa: E402
 from pointersim import cli  # noqa: E402
 
-COMMANDS = [
-    ["lg-check", "--l", "0"],
-    ["lg-check", "--l", "1"],
-    ["lg-check", "--l", "2"],
+COMMANDS = list(test_golden.COMMANDS.values()) + [
     ["lg-check", "--l", "16"],
     ["lg-check", "--l", "8", "--sigma", "1e20"],
-    ["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125"],
-    ["appendix-a", "--sigma1", "1", "--sigma2", "1.3", "--c12", "0.2"],
     ["validate"],
 ]
 
