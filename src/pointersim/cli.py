@@ -177,6 +177,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Before any work: --out's nearest existing ancestor is a writable directory.
+        if not args.out:
+            raise PointersimError("cannot write output: --out is empty")
         ancestor = os.path.abspath(args.out)
         while not os.path.exists(ancestor):
             ancestor = os.path.dirname(ancestor)

@@ -8,10 +8,12 @@ only phases touch the grid, else each row block diagonalizes its generator.
 Every stored state is in position representation: a p-coupling transforms
 its axes to momentum and back inside its own :func:`apply_couplings` call.
 
-Every caller runs the exact pipeline through :func:`evolve`.  Its coupling and
-readout steps write their results back into the one joint buffer that
-:func:`make_joint` allocated, so the pipeline holds a single joint state;
-called directly, :func:`apply_couplings` and :func:`strong_readout`
+Every caller runs the exact pipeline through :func:`evolve`: a list of
+steps, each one :func:`apply_couplings` call whose specs act as one term (a
+single coupling, a simultaneous group, or the strong readout, a unit q
+coupling).  Every step writes its result back into the one joint buffer
+that :func:`make_joint` allocated, so the pipeline holds a single joint
+state; called directly, :func:`apply_couplings` and :func:`strong_readout`
 allocate their output and leave their input state alone.  The first-order
 path, which the closed-form shift predictions assume, is
 :func:`first_order_pointer`: it builds the postselected pointer from weak
@@ -170,8 +172,9 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
 
 def strong_readout(state: JointState, observable: Observable, axis: int,
                    out: np.ndarray | None = None) -> JointState:
-    """Unit-strength exact position coupling used as the projective readout;
-    ``out`` as for :func:`apply_couplings`."""
+    """Unit-strength exact position coupling, the projective readout as one
+    :func:`apply_couplings` step; ``out`` as for that.  :func:`evolve` takes
+    the readout as a step of its own, so this is the readout spelled out."""
     spec = CouplingSpec(observable=observable, axis=axis, quadrature="q", strength=1.0)
     return apply_couplings(state, [spec], out)
 
@@ -191,26 +194,20 @@ def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunct
     return _normalized(grid, pointer, prob), prob
 
 
-def evolve(pre: SystemState, phi: PointerWavefunction, specs: list[CouplingSpec],
-           post: SystemState, *, simultaneous: bool = False,
-           readout: tuple[Observable, int] | None = None) -> tuple[PointerWavefunction, float]:
-    """The exact pipeline: ``|pre> (x) |phi>``, each spec in turn (all as one
-    term when ``simultaneous``), the strong readout ``(observable, axis)`` when
-    given, then :func:`postselect` onto ``post``.  One spec and no readout is
-    the usual weak measurement.  ``phi`` is dropped once joined, so a caller
-    holding no reference of its own frees it early.  Every step, a
-    p-coupling's axis transforms included, writes into the joint buffer of
-    :func:`make_joint`, so no second joint state is ever made."""
+def evolve(pre: SystemState, phi: PointerWavefunction, steps: list[list[CouplingSpec]],
+           post: SystemState) -> tuple[PointerWavefunction, float]:
+    """The exact pipeline: ``|pre> (x) |phi>``, each step in turn, then
+    :func:`postselect` onto ``post``.  A step is a list of specs that act as
+    one term, one :func:`apply_couplings` call: ``[[spec]]`` is the usual
+    weak measurement, a strong readout is a last step of one unit q spec.
+    ``phi`` is dropped once joined, so a caller holding no reference of its
+    own frees it early.  Every step, a p-coupling's axis transforms
+    included, writes into the joint buffer of :func:`make_joint`, so no
+    second joint state is ever made."""
     joint = make_joint(pre, phi)
     del phi  # full-grid; the joint state holds what the pipeline needs
-    buf = joint._buffer
-    if not simultaneous:
-        for spec in specs:
-            joint = apply_couplings(joint, [spec], buf)
-    elif specs:
-        joint = apply_couplings(joint, specs, buf)
-    if readout is not None:
-        joint = strong_readout(joint, *readout, buf)
+    for step in steps:
+        joint = apply_couplings(joint, step, joint._buffer)
     return postselect(joint, post)
 
 

@@ -112,7 +112,7 @@ def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
     rows = []
     for quadrature in ("q", "p"):
         spec = CouplingSpec(observable, axis=0, quadrature=quadrature, strength=strength)
-        final_q, final_p = means(evolve(pre, phi, [spec], post)[0])
+        final_q, final_p = means(evolve(pre, phi, [[spec]], post)[0])
         rows.append(((final_q[1] - base_q[1]) / denom, (final_p[1] - base_p[1]) / denom))
     return CMatrix(entries=np.array(rows))
 

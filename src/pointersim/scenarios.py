@@ -129,17 +129,21 @@ def _parse_array(obj, path: str, shape: tuple[int, ...], pairs: bool = False):
 
 @dataclass
 class ScenarioConfig:
-    """A parsed scenario: its states, observables, pointer parameters and grid
-    (the document's, or ``auto_grid`` of the pointer's spreads) are built and
-    checked.  The grid's coverage of the pointer (:func:`build_pointer`) and an
-    explicit post state's eigenvector check (:func:`resolve_system`) wait for
-    the run."""
+    """A parsed scenario: its states, observables, pointer parameters, grid
+    (the document's, or ``auto_grid`` of the pointer's spreads) and readout
+    are built and checked, an explicit post state against the readout too.
+    The grid's coverage of the pointer (:func:`build_pointer`) waits for the
+    run."""
 
     scenario_id: str
     pre: SystemState
-    # None when the post state is an eigenvalue_index into the readout spectrum.
+    # None when the post state is an eigenvalue_index into the readout
+    # spectrum, which resolve_system resolves; post_eigenvalue likewise.
     post: SystemState | None
     post_eigenvalue_index: int | None
+    # The readout eigenvalue of post: 1.0 for post_projector, 0.0 for direct
+    # projection, whose postselection shifts no pointer.
+    post_eigenvalue: float | None
     pointer_kind: str
     # Keyword arguments of the kind's builder in _POINTER_KINDS after its grid:
     # gaussian_pointer's, also for a two_mode_gaussian document, or lg_mode's.
@@ -147,12 +151,20 @@ class ScenarioConfig:
     grid: Grid
     couplings: tuple[CouplingSpec, ...]
     interaction: str
-    # None for direct projection.
-    readout_axis0: int | None
-    # None for direct projection, and for the post_projector readout, which
-    # resolve_system builds from the post state.
-    readout_observable: Observable | None
+    # The unit-strength q coupling of the strong readout, the pipeline's last
+    # step (post_projector's is the projector onto post); None for direct
+    # projection.
+    readout: CouplingSpec | None
     sweep: tuple[float, ...] | None
+
+
+def _check_sweep(multipliers: list[float]) -> list[float]:
+    """The one sweep rule, of a document's ``sweep`` and of :func:`run_sweep`."""
+    if len(multipliers) < 3:
+        _fail("a sweep needs at least 3 multipliers", "sweep")
+    if not all(np.isfinite(multipliers)):
+        _fail(f"multipliers must be finite, got {multipliers}", "sweep")
+    return multipliers
 
 
 def _parse_observable(doc, dim: int, path: str,
@@ -290,47 +302,56 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
         with _at("couplings"):
             check_shared_quadrature(couplings)
 
-    readout = document["readout"]
-    if not isinstance(readout, dict):
+    rdoc = document["readout"]
+    if not isinstance(rdoc, dict):
         _fail("readout must be an object", "readout")
-    if readout.get("direct_projection") is True:
-        _check_keys(readout, "readout", required=("direct_projection",))
-        r_axis0 = None
-        r_obs = None
+    readout, a_l = None, (None if post is None else 0.0)
+    if rdoc.get("direct_projection") is True:
+        _check_keys(rdoc, "readout", required=("direct_projection",))
         if post_index is not None:
             _fail("eigenvalue_index postselection needs a strong readout observable",
                   "system.post_state.eigenvalue_index")
     else:
-        _check_keys(readout, "readout", required=("axis", "observable"))
-        raxis = _as_int(readout["axis"], "readout.axis")
+        _check_keys(rdoc, "readout", required=("axis", "observable"))
+        raxis = _as_int(rdoc["axis"], "readout.axis")
         if not 1 <= raxis <= pdims:
             _fail(f"axis must be in 1..{pdims}", "readout.axis")
-        r_axis0 = raxis - 1
-        r_obs_doc = readout["observable"]
-        r_obs = _parse_observable(r_obs_doc, dim, "readout.observable", allow_post_projector=True)
-        if r_obs_doc == "post_projector" and post is None:
-            _fail("post_projector readout needs explicit post_state amplitudes",
-                  "readout.observable")
+        r_obs = _parse_observable(rdoc["observable"], dim, "readout.observable",
+                                  allow_post_projector=True)
+        if r_obs is None:
+            if post is None:
+                _fail("post_projector readout needs explicit post_state amplitudes",
+                      "readout.observable")
+            r_obs, a_l = Observable(np.outer(post.amplitudes, post.amplitudes.conj())), 1.0
+        elif post is not None:
+            a_post = r_obs.matrix @ post.amplitudes
+            a_l = float(np.vdot(post.amplitudes, a_post).real)
+            drift = np.linalg.norm(a_post - a_l * post.amplitudes)
+            if drift > 1e-10:
+                _fail("post_state is not an eigenvector of the readout observable (residual "
+                      f"{drift:.2e}); use direct_projection for arbitrary postselection",
+                      "system.post_state.amplitudes")
+        readout = CouplingSpec(r_obs, raxis - 1, "q", 1.0)
 
     sweep = None
     if "sweep" in document:
         sdoc = document["sweep"]
-        if not isinstance(sdoc, list) or not sdoc:
-            _fail("sweep must be a nonempty list of multipliers", "sweep")
-        sweep = tuple(_as_number(v, f"sweep[{k}]") for k, v in enumerate(sdoc))
+        if not isinstance(sdoc, list):
+            _fail("sweep must be a list of multipliers", "sweep")
+        sweep = tuple(_check_sweep([_as_number(v, f"sweep[{k}]") for k, v in enumerate(sdoc)]))
 
     return ScenarioConfig(
         scenario_id=sid,
         pre=pre,
         post=post,
         post_eigenvalue_index=post_index,
+        post_eigenvalue=a_l,
         pointer_kind=kind,
         pointer_params=params,
         grid=grid,
         couplings=tuple(couplings),
         interaction=interaction,
-        readout_axis0=r_axis0,
-        readout_observable=r_obs,
+        readout=readout,
         sweep=sweep,
     )
 
@@ -358,28 +379,13 @@ def build_pointer(cfg: ScenarioConfig):
 
 
 def resolve_system(cfg: ScenarioConfig):
-    """Resolve (pre, post, readout observable, readout eigenvalue) for a scenario."""
-    pre, post = cfg.pre, cfg.post
-    if cfg.readout_axis0 is None:
-        return pre, post, None, 0.0
-    obs = cfg.readout_observable
-    if obs is None:
-        obs = Observable(np.outer(post.amplitudes, post.amplitudes.conj()))
-        return pre, post, obs, 1.0
-    if cfg.post_eigenvalue_index is not None:
-        vals, vecs = np.linalg.eigh(obs.matrix)
-        idx = cfg.post_eigenvalue_index
-        return pre, SystemState(vecs[:, idx]), obs, float(vals[idx])
-    a_post = obs.matrix @ post.amplitudes
-    a_l = float(np.vdot(post.amplitudes, a_post).real)
-    drift = np.linalg.norm(a_post - a_l * post.amplitudes)
-    if drift > 1e-10:
-        raise ConfigError(
-            "post_state is not an eigenvector of the readout observable "
-            f"(residual {drift:.2e}); use direct_projection for arbitrary postselection",
-            "system.post_state.amplitudes",
-        )
-    return pre, post, obs, a_l
+    """``(pre, post, readout eigenvalue of post)``; an eigenvalue_index post
+    state is the readout observable's eigenvector of that index."""
+    if cfg.post_eigenvalue_index is None:
+        return cfg.pre, cfg.post, cfg.post_eigenvalue
+    vals, vecs = np.linalg.eigh(cfg.readout.observable.matrix)
+    idx = cfg.post_eigenvalue_index
+    return cfg.pre, SystemState(vecs[:, idx]), float(vals[idx])
 
 
 def build_coupling_specs(cfg: ScenarioConfig, multiplier: float = 1.0) -> list[CouplingSpec]:
@@ -434,19 +440,16 @@ class ShiftReport:
 
 
 def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
-    """Exact pipeline only: couple, (optionally) read out, postselect.
-
-    Returns ``(final_pointer, probability)``.
-    """
-    pre, post, readout_obs, _a_l = resolve_system(cfg)
-    readout = None if cfg.readout_axis0 is None else (readout_obs, cfg.readout_axis0)
+    """Exact pipeline only: the scenario as :func:`evolve`'s steps (one per
+    coupling, or one group when simultaneous, then the readout), then
+    postselection.  Returns ``(final_pointer, probability)``."""
+    pre, post, _a_l = resolve_system(cfg)
+    specs = build_coupling_specs(cfg, strength_multiplier)
+    steps = [specs] if cfg.interaction == "simultaneous" else [[s] for s in specs]
+    if cfg.readout is not None:
+        steps.append([cfg.readout])
     # The built pointer goes straight to evolve, which drops it once joined.
-    return evolve(pre, build_pointer(cfg)[1], build_coupling_specs(cfg, strength_multiplier),
-                  post, simultaneous=cfg.interaction == "simultaneous", readout=readout)
-
-
-def _spectral_radius(observable: Observable) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(observable.matrix))))
+    return evolve(pre, build_pointer(cfg)[1], steps, post)
 
 
 def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
@@ -455,10 +458,10 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     resolves every nonzero kick.
 
     A q-coupling of strength lambda shifts an eigen-branch's momentum by
-    ``-lambda a_k``, a p-coupling its position, and the strong readout (a
-    unit q-coupling) its momentum by up to the readout's largest ``|a|`` (1
-    for ``post_projector``).  Summed per axis and space, these kicks ``K``
-    join the means in the coverage rule's offsets, ``|mean| + K``
+    ``-lambda a_k``, a p-coupling its position; the strong readout is one
+    more q-coupling, whose unit strength the multiplier leaves alone.  Summed
+    per axis and space, these kicks ``K`` join the means in the coverage
+    rule's offsets, ``|mean| + K``
     (:func:`~pointersim.pointer.coverage_gap`).  Past it, the grid wraps the
     branch around and the measured shift is wrong with no other sign.  The
     builder has already held the unkicked pointer to the rule
@@ -469,20 +472,17 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     kick below ``1e6 eps H`` would be measured as noise.
     """
     grid, params = cfg.grid, cfg.pointer_params
-    kicks = [(s.quadrature, s.axis, abs(multiplier * s.strength) * _spectral_radius(s.observable))
-             for s in cfg.couplings]
-    if cfg.readout_axis0 is not None:
-        obs = cfg.readout_observable
-        kicks.append(("q", cfg.readout_axis0, 1.0 if obs is None else _spectral_radius(obs)))
+    readout = [] if cfg.readout is None else [(cfg.readout, 1.0)]
     # Keyed by the coupled quadrature: a q-coupling kicks momentum.
     totals = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
-    for quadrature, axis, kick in kicks:
-        space = "momentum" if quadrature == "q" else "position"
-        floor = 1e6 * np.finfo(float).eps * grid.half_width(axis, space)
+    for s, m in [(s, multiplier) for s in cfg.couplings] + readout:
+        kick = abs(m * s.strength) * float(np.max(np.abs(np.linalg.eigvalsh(s.observable.matrix))))
+        space = "momentum" if s.quadrature == "q" else "position"
+        floor = 1e6 * np.finfo(float).eps * grid.half_width(s.axis, space)
         if 0.0 < kick < floor:
-            _fail(f"axis {axis + 1}: at strength multiplier {multiplier:g} a {space} kick of "
+            _fail(f"axis {s.axis + 1}: at strength multiplier {multiplier:g} a {space} kick of "
                   f"{kick:.6g} is below the resolution floor {floor:.6g} (1e6 eps H)", "couplings")
-        totals[quadrature][axis] += kick
+        totals[s.quadrature][s.axis] += kick
     gap = coverage_gap(grid, *_POINTER_KINDS[cfg.pointer_kind][0](params),
                        np.abs(params.get("mean_q", 0.0)) + totals["p"],
                        np.abs(params.get("mean_p", 0.0)) + totals["q"])
@@ -506,13 +506,14 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
         check_kick_budget(cfg, size)
     base = moments(phi)
     del phi  # full-grid; only its moments are needed from here on
-    pre, post, _readout_obs, a_l = resolve_system(cfg)
+    pre, post, a_l = resolve_system(cfg)
+    readout_axis = None if cfg.readout is None else cfg.readout.axis
     reports = []
     for m in multipliers:
         specs = build_coupling_specs(cfg, m)
         terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
                  for s in specs]
-        prediction = predict_general(base, terms, readout_axis=cfg.readout_axis0,
+        prediction = predict_general(base, terms, readout_axis=readout_axis,
                                      readout_eigenvalue=a_l)
         pointer_f, prob = simulate_pipeline(cfg, m)
         final = moments(pointer_f)
@@ -525,7 +526,7 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
             predicted_dq=prediction.delta_q, predicted_dp=prediction.delta_p,
             lambda1=lambda1, lambda2=lambda2,
             grid_points=grid.points_per_axis, grid_extent=grid.extent,
-            includes_readout_offset=cfg.readout_axis0 is not None,
+            includes_readout_offset=cfg.readout is not None,
             wall_time_seconds=time.perf_counter() - t0,
         ))
         t0 = time.perf_counter()
@@ -541,11 +542,7 @@ def run_sweep(cfg: ScenarioConfig, multipliers) -> tuple[list[ShiftReport], dict
     """Run the scenario at each strength multiplier and fit the log-log
     residual slope over the positive multipliers whose residual norm exceeds
     1e-13; the slope is None unless two distinct such multipliers remain."""
-    mults = [float(m) for m in multipliers]
-    if len(mults) < 3:
-        raise ConfigError("a sweep needs at least 3 multipliers", "sweep")
-    if not all(np.isfinite(mults)):
-        raise ConfigError(f"multipliers must be finite, got {mults}", "sweep")
+    mults = _check_sweep([float(m) for m in multipliers])
     reports = _shift_reports(cfg, mults)
     norms = [r.residual_norm() for r in reports]
     logs = [(np.log(m), np.log(n)) for m, n in zip(mults, norms) if m > 0 and n > 1e-13]

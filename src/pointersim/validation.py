@@ -205,12 +205,12 @@ def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     worst_name = ""
     all_ok = True
     for name, (cfg, report) in corpus.items():
-        pre, post, _obs, a_l = resolve_system(cfg)
+        pre, post, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
         # No binding holds the pointers, so each is freed once its means are taken.
         mean_q, mean_p = means(first_order_pointer(
             pre, post, specs, build_pointer(cfg)[1],
-            readout_axis=cfg.readout_axis0,
+            readout_axis=None if cfg.readout is None else cfg.readout.axis,
             readout_eigenvalue=a_l,
         ))
         dist = float(max(np.max(np.abs(report.final_mean_q - mean_q)),

@@ -1,6 +1,8 @@
 """Joint evolution: couplings, readout, postselection, first-order path."""
 
 import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +310,15 @@ def explicit_chain(pre, phi, specs, post, simultaneous=False, readout=None):
     return postselect(joint, post)
 
 
+def evolve_steps(specs, simultaneous=False, readout=None):
+    """explicit_chain's arguments as evolve's steps: one per spec or one
+    group, then the readout as a unit q coupling."""
+    steps = [specs] if simultaneous else [[spec] for spec in specs]
+    if readout is not None:
+        steps.append([CouplingSpec(readout[0], readout[1], "q", 1.0)])
+    return steps
+
+
 POST = SystemState([1, 1j])
 READOUT = (Observable(np.outer(POST.amplitudes, POST.amplitudes.conj())), 1)
 SEQUENTIAL_QP = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.2),
@@ -342,8 +353,7 @@ class TestEvolve:
         sigma = np.full((dims, dims), 0.3) + 0.7 * np.eye(dims)
         theta = np.full((dims, dims), 0.2) - 0.2 * np.eye(dims)
         phi = gaussian_pointer(Grid(points, (8.0,) * dims), sigma, theta=theta)
-        pointer, prob = evolve(pre, phi, specs, POST, simultaneous=simultaneous,
-                               readout=readout)
+        pointer, prob = evolve(pre, phi, evolve_steps(specs, simultaneous, readout), POST)
         ref, ref_prob = explicit_chain(pre, phi, specs, POST, simultaneous, readout)
         assert pointer.amplitudes.tobytes() == ref.amplitudes.tobytes()
         assert prob == ref_prob
@@ -351,8 +361,15 @@ class TestEvolve:
     def test_leaves_the_pointer_alone(self):
         phi = gauss2d(points=64)
         before = phi.amplitudes.tobytes()
-        evolve(plus(), phi, SEQUENTIAL_QP, POST, readout=READOUT)
+        evolve(plus(), phi, evolve_steps(SEQUENTIAL_QP, readout=READOUT), POST)
         assert phi.amplitudes.tobytes() == before
+
+    def test_readme_sketch_runs(self, capsys):
+        # The README's Python sketch calls evolve; it must keep up with it.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(compile(sketch, "README.md", "exec"), {})
+        assert capsys.readouterr().out.strip()
 
 
 class TestPostselect:
@@ -444,10 +461,10 @@ class TestFirstOrderPointer:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_bundled_pointer_matches_the_whole_array_sum_bit_for_bit(self, name):
         cfg = load_bundled(name)
-        pre, post, _obs, a_l = resolve_system(cfg)
+        pre, post, a_l = resolve_system(cfg)
         specs = build_coupling_specs(cfg)
         phi = build_pointer(cfg)[1]
-        args = (pre, post, specs, phi, cfg.readout_axis0, a_l)
+        args = (pre, post, specs, phi, None if cfg.readout is None else cfg.readout.axis, a_l)
         assert (first_order_pointer(*args).amplitudes.tobytes()
                 == whole_array_first_order_pointer(*args).amplitudes.tobytes())
 

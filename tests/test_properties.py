@@ -190,8 +190,8 @@ def test_exact_pipeline_conserves_probability(d, quadrature, strengths, simultan
     specs = [CouplingSpec(Observable(random_hermitian(rng, d)), axis, quadrature, lam)
              for axis, lam in enumerate(strengths)]
     basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    total = sum(evolve(pre, phi, specs, SystemState(basis[:, k]), simultaneous=simultaneous)[1]
-                for k in range(d))
+    steps = [specs] if simultaneous else [[spec] for spec in specs]
+    total = sum(evolve(pre, phi, steps, SystemState(basis[:, k]))[1] for k in range(d))
     assert abs(total - 1.0) <= 1e-12
 
 

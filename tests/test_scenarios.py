@@ -118,19 +118,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="dimension 2"):
             parse_config(doc)
 
-    def test_non_eigenvector_post_rejected_at_resolve(self):
+    def test_non_eigenvector_post_rejected_at_parse(self, monkeypatch):
+        # The document is rejected as it is read, before any pointer is built.
+        monkeypatch.setattr(scenarios, "build_pointer",
+                            lambda cfg: pytest.fail("built the pointer"))
         doc = minimal_document()
         doc["readout"] = {"axis": 2, "observable": "pauli_z"}
         doc["system"]["post_state"] = {"amplitudes": [[1, 0], [1, 0]]}
-        cfg = parse_config(doc)
-        with pytest.raises(ConfigError, match="eigenvector"):
-            run_scenario(cfg)
+        with pytest.raises(ConfigError, match="eigenvector") as info:
+            run_scenario(parse_config(doc))
+        assert info.value.path == "system.post_state.amplitudes"
 
     def test_eigenvector_post_resolves_to_its_eigenvalue(self):
         doc = minimal_document()
         doc["readout"] = {"axis": 2, "observable": "pauli_z"}
         doc["system"]["post_state"] = {"amplitudes": [[0, 0], [1, 0]]}
-        _pre, post, _obs, a_l = scenarios.resolve_system(parse_config(doc))
+        _pre, post, a_l = scenarios.resolve_system(parse_config(doc))
         np.testing.assert_array_equal(post.amplitudes, [0, 1])
         assert a_l == -1.0
 
@@ -138,7 +141,9 @@ class TestParsing:
         doc = minimal_document()
         doc["readout"] = {"axis": 2, "observable": "pauli_x"}
         doc["system"]["post_state"] = {"eigenvalue_index": 0}
-        _pre, post, obs, a_l = scenarios.resolve_system(parse_config(doc))
+        cfg = parse_config(doc)
+        _pre, post, a_l = scenarios.resolve_system(cfg)
+        obs = cfg.readout.observable
         # eigh sorts ascending: index 0 of pauli_x is -1 with |->.
         assert a_l == pytest.approx(-1.0, abs=1e-15)
         minus = np.array([1, -1]) / np.sqrt(2)
@@ -501,6 +506,17 @@ class TestCli:
         assert "config error: sweep: multipliers must be finite" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_short_document_sweep_exits_2_on_run(self, tmp_path, capsys):
+        # A document's sweep meets run_sweep's rule as soon as it is read.
+        doc = bundled_document("jozsa_baseline")
+        doc["sweep"] = [1.0, 0.5]
+        path = tmp_path / "short_sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert ("config error: sweep: a sweep needs at least 3 multipliers"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -528,10 +544,12 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
+    @pytest.mark.parametrize("out", ["file/out", ""], ids=["under_a_file", "empty"])
     @pytest.mark.parametrize("argv", [["validate"], ["run", "tiny.json"], ["run", "nope.json"]])
     def test_unwritable_out_exits_1_before_any_compute(self, tmp_path, capsys, monkeypatch,
-                                                       argv):
+                                                       argv, out):
         # --out is checked first, so a missing document exits 1 here, not 2.
+        # An empty --out names no directory, though its absolute path would.
         (tmp_path / "tiny.json").write_text(json.dumps(minimal_document()))
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(validation, "run_all",
@@ -539,7 +557,7 @@ class TestCli:
         monkeypatch.setattr(cli, "run_scenario",
                             lambda *args: pytest.fail("run computed the scenario"))
         argv = argv[:1] + [str(tmp_path / name) for name in argv[1:]]
-        assert main(argv + ["--out", str(tmp_path / "file" / "out")]) == 1
+        assert main(argv + ["--out", out and str(tmp_path / out)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
     def test_invalid_config_exits_2(self, tmp_path):
