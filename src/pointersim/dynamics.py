@@ -16,8 +16,7 @@ that :func:`make_joint` allocated, so the pipeline holds a single joint
 state; called directly, :func:`apply_couplings` and :func:`strong_readout`
 allocate their output and leave their input state alone.  The first-order
 path, which the closed-form shift predictions assume, is
-:func:`first_order_pointer`: it builds the postselected pointer from weak
-values as ``1 - i sum_k lambda_k (A_k)_w xi_k`` and renormalizes.
+:func:`first_order_pointer`.
 """
 
 from __future__ import annotations
@@ -35,16 +34,14 @@ from .errors import (
 from .pointer import (
     PointerWavefunction,
     _GridState,
-    _apply_momentum,
     _axis_transform,
-    _block_coordinates,
     _block_shape,
     _mass,
+    _multiply_factors,
     _normalized,
     _row_blocks,
-    displace_momentum,
 )
-from .quantum import Observable, SystemState, weak_value
+from .quantum import Observable, SystemState
 
 _POSTSELECT_FLOOR = 1e-12
 
@@ -211,42 +208,12 @@ def evolve(pre: SystemState, phi: PointerWavefunction, steps: list[list[Coupling
     return postselect(joint, post)
 
 
-def first_order_pointer(
-    pre: SystemState,
-    post: SystemState,
-    specs: list[CouplingSpec],
-    phi: PointerWavefunction,
-    readout_axis: int | None = None,
-    readout_eigenvalue: float = 0.0,
-) -> PointerWavefunction:
-    """Postselected pointer built directly from weak values.
-
-    Applies the readout-axis momentum shift (when a strong readout is part of
-    the pipeline), then ``1 - i sum_k lambda_k (A_k)_w xi_k``, then
-    renormalizes.  Independent cross-check path against
-    ``postselect(apply_couplings(...))``.
-
-    Every term's ``xi * amps`` is scaled by ``lambda_k (A_k)_w`` and added into
-    the sum one block of leading grid rows at a time.  A q-term forms each block
-    in a block buffer; a p-term needs whole-axis transforms, so its product is
-    formed whole, a third pointer-sized array, and read block by block.
-    """
-    values = [weak_value(s.observable, pre, post) for s in specs]
-    if readout_axis is not None and readout_eigenvalue != 0.0:
-        shifts = np.zeros(phi.grid.dims)
-        shifts[readout_axis] = -readout_eigenvalue
-        phi = displace_momentum(phi, shifts)
-    grid, amps = phi.grid, phi.amplitudes
-    delta = np.zeros_like(amps)
-    buf = np.empty(_block_shape(grid.shape), dtype=complex)
-    qs = _block_coordinates(grid, grid.positions)
-    for s, w in zip(specs, values):
-        if s.strength == 0.0:
-            continue
-        p_amps = _apply_momentum(amps, grid, s.axis) if s.quadrature == "p" else None
-        for blk in _row_blocks(grid.shape):
-            xi_amps = (np.multiply(qs(s.axis, blk), amps[blk], out=buf) if p_amps is None
-                       else p_amps[blk])
-            np.add(delta[blk], np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta[blk])
-        del p_amps
-    return _normalized(grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))
+def first_order_pointer(phi: PointerWavefunction, terms) -> PointerWavefunction:
+    """The cross-check of :func:`evolve` from the weak values of ``terms``
+    ``(axis, quadrature, lambda, w)``, as for :func:`~pointersim.shifts.predict_general`
+    (a strong readout is ``(axis, "q", 1.0, a_l)``): ``phi`` times
+    ``prod exp(-i lambda Re(w) xi)(1 + lambda Im(w) xi)``, renormalized.  To
+    first order that is ``1 - i sum lambda w xi``; for a real w it is exact."""
+    factors = [(axis, quadrature, -lam * np.real(w), lam * np.imag(w))
+               for axis, quadrature, lam, w in terms]
+    return _normalized(phi.grid, _multiply_factors(phi, factors))

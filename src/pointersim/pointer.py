@@ -30,7 +30,7 @@ from .errors import (
 
 _NORM_TOL = 1e-8
 # Grid cells per block of leading rows in the blockwise kernels (moments, the
-# mass sums and the coupling kernel): a block's intermediates (2**14
+# mass sums and the factor and coupling kernels): a block's intermediates (2**14
 # complex values are 256 KiB) stay in cache from one operation to the next.
 _BLOCK_CELLS = 2**14
 _MAX_CELLS = 2**21  # the larger of auto_grid's caps, 128**3
@@ -85,6 +85,10 @@ class Grid:
         """``extent`` in position, ``pi/dq`` in momentum."""
         return self.extent[axis] if space == "position" else np.pi / self.dq(axis)
 
+    def resolution_floor(self, axis: int, space: str) -> float:
+        """``1e6 eps H``, H the half-width: rounding moves a mean by a few ``eps H``."""
+        return 1e6 * np.finfo(float).eps * self.half_width(axis, space)
+
     def positions(self, axis: int) -> np.ndarray:
         n = self.points_per_axis[axis]
         return -self.extent[axis] + self.dq(axis) * np.arange(n)
@@ -129,15 +133,6 @@ def _axis_transform(arr: np.ndarray, grid: Grid, axis: int, forward: bool = True
     out = np.multiply(phase, arr, out=out)
     np.fft.ifft(out, axis=fft_axis, out=out)
     return np.multiply(grid.dp(axis) * n / np.sqrt(2.0 * np.pi), out, out=out)
-
-
-def _apply_momentum(arr: np.ndarray, grid: Grid, axis: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``p_axis`` applied to position-space amplitudes: transform, multiply,
-    transform back, all in ``out`` (which may be ``arr``; fresh when omitted)."""
-    p = grid.axis_array(axis, grid.momenta(axis))
-    out = _axis_transform(arr, grid, axis, out=out)
-    return _axis_transform(np.multiply(p, out, out=out), grid, axis, forward=False, out=out)
 
 
 def coverage_gap(grid: Grid, std_q, std_p, offset_q=None, offset_p=None):
@@ -387,34 +382,67 @@ def lg_mode(grid: Grid, l: int, sigma: float) -> PointerWavefunction:
     return _normalized(grid, amps)
 
 
+def _multiply_factors(phi: PointerWavefunction, terms) -> np.ndarray:
+    """``phi``'s amplitudes times ``prod exp(i k xi)(1 + g xi)`` over ``terms``
+    ``(axis, quadrature, k, g)``, finite k and g, in a fresh C-ordered array:
+    the q factors in position, then the p factors on the p terms' axes,
+    transformed in place and back.  Per row block, ``exp(1j * sum k xi)``
+    times each ``1 + g xi`` times the amplitudes is formed in the output's
+    rows, or in a block buffer when they are its source.  k = g = 0 is skipped."""
+    grid, block = phi.grid, _block_shape(phi.grid.shape)
+    for axis, _quadrature, k, g in terms:
+        if not 0 <= axis < grid.dims:
+            raise DimensionError(f"axis {axis} outside grid with {grid.dims} axes")
+        if not (math.isfinite(k) and math.isfinite(g)):
+            raise InvalidParams(f"axis {axis + 1}: a pointer factor needs finite k and g, "
+                                f"got k = {k}, g = {g}")
+
+    def factor_pass(live, samples, src, out):
+        coords = _block_coordinates(grid, samples)
+        phase, x = np.empty(block), np.empty(block)
+        buf = np.empty(block, dtype=complex) if src is out else None
+        for blk in _row_blocks(grid.shape):
+            phase.fill(0.0)
+            for axis, k, _g in live:
+                if k:
+                    np.add(phase, np.multiply(k, coords(axis, blk), out=x), out=phase)
+            factor = np.multiply(1j, phase, out=out[blk] if buf is None else buf)
+            np.exp(factor, out=factor)
+            for axis, _k, g in live:
+                if g:
+                    gain = np.add(1.0, np.multiply(g, coords(axis, blk), out=x), out=x)
+                    np.multiply(factor, gain, out=factor)
+            np.multiply(factor, src[blk], out=out[blk])
+
+    q, p = ([(axis, k, g) for axis, quadrature, k, g in terms if quadrature == want and (k or g)]
+            for want in ("q", "p"))
+    out, src = np.empty(grid.shape, dtype=complex), phi.amplitudes
+    if q or not p:
+        factor_pass(q, grid.positions, src, out)
+        src = out
+    p_axes = sorted({axis for axis, _k, _g in p})
+    for axis in p_axes:
+        src = _axis_transform(src, grid, axis, out=out)
+    if p:
+        factor_pass(p, grid.momenta, out, out)
+    for axis in p_axes:
+        _axis_transform(out, grid, axis, forward=False, out=out)
+    return out
+
+
 def displace_momentum(phi: PointerWavefunction, shifts) -> PointerWavefunction:
     """Translate the momentum distribution by ``shifts`` (one entry per axis).
 
     Realized as multiplication by ``exp(i sum_j shifts_j q_j)`` in position
-    space; exact on-grid when each shift is an integer multiple of dp.  The
-    position distribution is untouched.
-
-    One block of leading grid rows at a time, a real block buffer sums the
-    nonzero shifts' ``shifts_j q_j`` and the output's rows hold ``1j *
-    phase``, its exp and the product, so the call holds one pointer-sized
-    output beside its input.
+    space, a q term per axis of :func:`_multiply_factors`; exact on-grid when
+    each shift is an integer multiple of dp.  The position distribution is
+    untouched.  A non-finite shift raises InvalidParams.
     """
-    grid = phi.grid
     sh = np.asarray(shifts, dtype=float)
-    if sh.shape != (grid.dims,):
-        raise DimensionError(f"need {grid.dims} shifts, got shape {sh.shape}")
-    terms = _block_coordinates(grid, lambda j: sh[j] * grid.positions(j))
-    nonzero = np.flatnonzero(sh)
-    phase = np.empty(_block_shape(grid.shape))
-    out = np.empty(grid.shape, dtype=complex)
-    for blk in _row_blocks(grid.shape):
-        phase.fill(0.0)
-        for j in nonzero:
-            np.add(phase, terms(j, blk), out=phase)
-        factor = np.multiply(1j, phase, out=out[blk])
-        np.exp(factor, out=factor)
-        np.multiply(factor, phi.amplitudes[blk], out=factor)
-    return PointerWavefunction._adopt(grid, out)
+    if sh.shape != (phi.grid.dims,):
+        raise DimensionError(f"need {phi.grid.dims} shifts, got shape {sh.shape}")
+    terms = [(j, "q", shift, 0.0) for j, shift in enumerate(sh)]
+    return PointerWavefunction._adopt(phi.grid, _multiply_factors(phi, terms))
 
 
 def _second_moments(shape: tuple[int, ...], blocks, pairs, xs, ys) -> dict:
@@ -538,7 +566,10 @@ def moments(phi: PointerWavefunction) -> MomentSet:
     # Same axis: <q p> is complex with Im = 1/2; keep the symmetrized part.
     dvol = grid.cell_volume(("position",) * d)
     for j in range(d):
-        blocks = cells(psi_q, _apply_momentum(psi_q, grid, j, out=scratch), dvol)
+        p_psi = _axis_transform(psi_q, grid, j, out=scratch)
+        np.multiply(grid.axis_array(j, grid.momenta(j)), p_psi, out=p_psi)
+        p_psi = _axis_transform(p_psi, grid, j, forward=False, out=p_psi)
+        blocks = cells(psi_q, p_psi, dvol)
         raw = _second_moments(shape, blocks, [(j, j)], qs, [1.0] * d)[j, j]
         cov_qp[j, j] = raw - mean_q[j] * mean_p[j]
 

@@ -392,6 +392,16 @@ def build_coupling_specs(cfg: ScenarioConfig, multiplier: float = 1.0) -> list[C
     return [replace(spec, strength=spec.strength * multiplier) for spec in cfg.couplings]
 
 
+def first_order_terms(cfg: ScenarioConfig, specs: list[CouplingSpec], system) -> list[tuple]:
+    """``(axis, quadrature, strength, weak_value)`` of each of ``specs`` in
+    ``system`` (:func:`resolve_system`'s triple), then of the strong readout,
+    a unit q term whose weak value is its eigenvalue a_l, if there is one."""
+    pre, post, a_l = system
+    terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
+             for s in specs]
+    return terms + ([] if cfg.readout is None else [(cfg.readout.axis, "q", 1.0, a_l)])
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -454,8 +464,9 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
 
 def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     """Raise ConfigError unless every branch of the pointer stays on the grid
-    with the couplings at ``multiplier`` times their strengths, and the grid
-    resolves every nonzero kick.
+    with the couplings at ``multiplier`` times their strengths, and no
+    nonzero kick is below its space's
+    :meth:`~pointersim.pointer.Grid.resolution_floor`.
 
     A q-coupling of strength lambda shifts an eigen-branch's momentum by
     ``-lambda a_k``, a p-coupling its position; the strong readout is one
@@ -466,10 +477,6 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     branch around and the measured shift is wrong with no other sign.  The
     builder has already held the unkicked pointer to the rule
     (:func:`build_pointer`).
-
-    Rounding alone moves a grid mean by up to a few ``eps H``, H the kicked
-    space's half-width (:meth:`~pointersim.pointer.Grid.half_width`), so a
-    kick below ``1e6 eps H`` would be measured as noise.
     """
     grid, params = cfg.grid, cfg.pointer_params
     readout = [] if cfg.readout is None else [(cfg.readout, 1.0)]
@@ -478,7 +485,7 @@ def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
     for s, m in [(s, multiplier) for s in cfg.couplings] + readout:
         kick = abs(m * s.strength) * float(np.max(np.abs(np.linalg.eigvalsh(s.observable.matrix))))
         space = "momentum" if s.quadrature == "q" else "position"
-        floor = 1e6 * np.finfo(float).eps * grid.half_width(s.axis, space)
+        floor = grid.resolution_floor(s.axis, space)
         if 0.0 < kick < floor:
             _fail(f"axis {s.axis + 1}: at strength multiplier {multiplier:g} a {space} kick of "
                   f"{kick:.6g} is below the resolution floor {floor:.6g} (1e6 eps H)", "couplings")
@@ -506,15 +513,11 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
         check_kick_budget(cfg, size)
     base = moments(phi)
     del phi  # full-grid; only its moments are needed from here on
-    pre, post, a_l = resolve_system(cfg)
-    readout_axis = None if cfg.readout is None else cfg.readout.axis
+    system = resolve_system(cfg)
     reports = []
     for m in multipliers:
         specs = build_coupling_specs(cfg, m)
-        terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
-                 for s in specs]
-        prediction = predict_general(base, terms, readout_axis=readout_axis,
-                                     readout_eigenvalue=a_l)
+        prediction = predict_general(base, first_order_terms(cfg, specs, system))
         pointer_f, prob = simulate_pipeline(cfg, m)
         final = moments(pointer_f)
         del pointer_f  # full-grid; only its moments are needed from here on

@@ -9,7 +9,7 @@ evolution used everywhere in this package the calibration yields
 
 * ``ORIENTATION = +1``: every ``2 lambda Im(w) corr`` term enters with +.
 * ``RE_ORIENTATION = -1``: ``lambda Re(w)`` momentum terms enter with -, and
-  the strong-readout momentum offset is ``-a_l`` (same displacement family).
+  the strong-readout momentum offset is ``-a_l`` (a unit q term, w = a_l).
 
 A position coupling with the opposite quadrature roles (coupling to p,
 reading q) picks up the mirrored Re sign, which is why the vortex-mode
@@ -30,8 +30,8 @@ ORIENTATION, RE_ORIENTATION = 1, -1
 
 @dataclass(frozen=True)
 class ShiftPrediction:
-    """Per-axis predicted mean shifts; with a readout axis, ``delta_p`` there
-    carries the eigenvalue offset."""
+    """Per-axis predicted mean shifts; with a readout term, ``delta_p`` on its
+    axis carries the eigenvalue offset."""
 
     delta_q: np.ndarray
     delta_p: np.ndarray
@@ -42,15 +42,12 @@ class ShiftPrediction:
                 raise ValueError("prediction entries must be finite")
 
 
-def predict_general(
-    m: MomentSet,
-    couplings: list[tuple[int, str, float, complex]],
-    readout_axis: int | None = None,
-    readout_eigenvalue: float = 0.0,
-) -> ShiftPrediction:
+def predict_general(m: MomentSet, couplings: list[tuple]) -> ShiftPrediction:
     """First-order shifts for arbitrary weak couplings on a D-axis pointer.
 
     ``couplings`` entries are ``(axis, quadrature, strength, weak_value)``.
+    A strong readout is ``(axis, "q", 1.0, a_l)``, its weak value the real
+    eigenvalue a_l, so the Re law gives its offset ``RE_ORIENTATION * a_l``.
     A p-coupling follows the q-coupling law with q and p exchanged (``cov_qp``
     transposed) and the Re sign flipped.  Same-axis q-p cross terms are
     intentionally dropped: with no free pointer evolution those symmetrized
@@ -70,8 +67,6 @@ def predict_general(
         for mm in range(d):
             coupled[mm] += s * 2.0 * lam * b * cov[mm, axis]
             conjugate[mm] += re * lam * a if mm == axis else s * 2.0 * lam * b * cross[axis, mm]
-    if readout_axis is not None:
-        dp[readout_axis] += r * readout_eigenvalue
     return ShiftPrediction(delta_q=dq, delta_p=dp)
 
 

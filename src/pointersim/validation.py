@@ -26,6 +26,7 @@ from .scenarios import (
     build_coupling_specs,
     build_pointer,
     csv_text,
+    first_order_terms,
     json_text,
     load_bundled,
     report_json_text,
@@ -205,14 +206,9 @@ def criterion_9_oracle_crosscheck(corpus) -> CriterionResult:
     worst_name = ""
     all_ok = True
     for name, (cfg, report) in corpus.items():
-        pre, post, a_l = resolve_system(cfg)
-        specs = build_coupling_specs(cfg)
+        terms = first_order_terms(cfg, build_coupling_specs(cfg), resolve_system(cfg))
         # No binding holds the pointers, so each is freed once its means are taken.
-        mean_q, mean_p = means(first_order_pointer(
-            pre, post, specs, build_pointer(cfg)[1],
-            readout_axis=None if cfg.readout is None else cfg.readout.axis,
-            readout_eigenvalue=a_l,
-        ))
+        mean_q, mean_p = means(first_order_pointer(build_pointer(cfg)[1], terms))
         dist = float(max(np.max(np.abs(report.final_mean_q - mean_q)),
                          np.max(np.abs(report.final_mean_p - mean_p))))
         lam_tot = sum(abs(c.strength) for c in cfg.couplings)

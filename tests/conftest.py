@@ -16,7 +16,6 @@ from pointersim.pointer import (
     Grid,
     MomentSet,
     PointerWavefunction,
-    _apply_momentum,
     _axis_transform,
 )
 
@@ -81,8 +80,8 @@ def reference_moments(phi: PointerWavefunction) -> MomentSet:
             if j != m:
                 cov_qp[j, m] = float(np.sum((rho * qs[j]) * ps[m])) - mean_q[j] * mean_p[m]
     for j in range(d):
-        raw = complex(np.sum(np.multiply(np.conjugate(psi_q) * qs[j],
-                                         _apply_momentum(psi_q, grid, j))) * dvol_q)
+        p_psi = _axis_transform(ps[j] * _axis_transform(psi_q, grid, j), grid, j, forward=False)
+        raw = complex(np.sum(np.multiply(np.conjugate(psi_q) * qs[j], p_psi)) * dvol_q)
         cov_qp[j, j] = raw.real - mean_q[j] * mean_p[j]
     return MomentSet(mean_q=mean_q, mean_p=mean_p, cov_qq=cov_qq, cov_qp=cov_qp, cov_pp=cov_pp)
 

@@ -30,17 +30,17 @@ from pointersim import (
     displace_momentum,
 )
 from pointersim.dynamics import _contract
-from pointersim.pointer import _apply_momentum, _axis_transform, _normalized
+from pointersim.pointer import _axis_transform, _normalized
 from pointersim.quantum import weak_value
 from pointersim.scenarios import (
     build_coupling_specs,
     build_pointer,
     bundled_scenario_names,
+    first_order_terms,
     load_bundled,
     resolve_system,
 )
-from conftest import (random_hermitian, source_sites, whole_array_contract,
-                      whole_array_displace_momentum)
+from conftest import random_hermitian, source_sites, traced_peak, whole_array_contract
 
 
 def plus():
@@ -434,39 +434,56 @@ class TestStrongReadout:
             assert moments(pointer).mean_p[1] == pytest.approx(-eig, abs=1e-9)
 
 
-def whole_array_first_order_pointer(pre, post, specs, phi, readout_axis=None,
-                                    readout_eigenvalue=0.0):
-    """``first_order_pointer`` with each q-term's ``xi * amps`` formed as a
-    whole-grid array, scaled in place and added into the sum."""
+def whole_array_first_order_pointer(phi, terms):
+    """``first_order_pointer`` from whole-grid arrays, in its factor form:
+    per pass, the real phase sum of the ``k xi``, then ``exp(1j * phase)``,
+    times each ``1 + g xi``, times the amplitudes, factor first.  The q pass
+    runs in position unless only p terms are live; the p pass runs on the
+    momentum amplitudes of the p terms' axes, which then return to position."""
     grid = phi.grid
+    factors = [(axis, quadrature, -lam * np.real(w), lam * np.imag(w))
+               for axis, quadrature, lam, w in terms]
+    live = {quad: [(axis, k, g) for axis, quadrature, k, g in factors
+                   if quadrature == quad and (k or g)] for quad in ("q", "p")}
+
+    def multiply(amps, live_terms, samples):
+        xis = [(grid.axis_array(axis, samples(axis)), k, g) for axis, k, g in live_terms]
+        phase = np.zeros(grid.shape)
+        for xi, k, _g in xis:
+            if k:
+                np.add(phase, k * xi, out=phase)
+        factor = np.exp(1j * phase)
+        for xi, _k, g in xis:
+            if g:
+                factor = factor * (1.0 + g * xi)
+        return factor * amps
+
     amps = phi.amplitudes
-    if readout_axis is not None and readout_eigenvalue != 0.0:
-        shifts = np.zeros(grid.dims)
-        shifts[readout_axis] = -readout_eigenvalue
-        amps = whole_array_displace_momentum(phi, shifts)
-    delta = np.zeros_like(amps)
-    for s in specs:
-        if s.strength == 0.0:
-            continue
-        if s.quadrature == "q":
-            xi_amps = grid.axis_array(s.axis, grid.positions(s.axis)) * amps
-        else:
-            xi_amps = _apply_momentum(amps, grid, s.axis)
-        w = weak_value(s.observable, pre, post)
-        np.add(delta, np.multiply(s.strength * w, xi_amps, out=xi_amps), out=delta)
-    return _normalized(grid, np.subtract(amps, np.multiply(1j, delta, out=delta), out=delta))
+    if live["q"] or not live["p"]:
+        amps = multiply(amps, live["q"], grid.positions)
+    p_axes = sorted({axis for axis, _k, _g in live["p"]})
+    for axis in p_axes:
+        amps = _axis_transform(amps, grid, axis)
+    if p_axes:
+        amps = multiply(amps, live["p"], grid.momenta)
+    for axis in p_axes:
+        amps = _axis_transform(amps, grid, axis, forward=False)
+    return _normalized(grid, amps)
+
+
+def spec_terms(specs, pre, post):
+    return [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
+            for s in specs]
 
 
 class TestFirstOrderPointer:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_bundled_pointer_matches_the_whole_array_sum_bit_for_bit(self, name):
         cfg = load_bundled(name)
-        pre, post, a_l = resolve_system(cfg)
-        specs = build_coupling_specs(cfg)
+        terms = first_order_terms(cfg, build_coupling_specs(cfg), resolve_system(cfg))
         phi = build_pointer(cfg)[1]
-        args = (pre, post, specs, phi, None if cfg.readout is None else cfg.readout.axis, a_l)
-        assert (first_order_pointer(*args).amplitudes.tobytes()
-                == whole_array_first_order_pointer(*args).amplitudes.tobytes())
+        assert (first_order_pointer(phi, terms).amplitudes.tobytes()
+                == whole_array_first_order_pointer(phi, terms).amplitudes.tobytes())
 
     @pytest.mark.parametrize("shape", [(32,), (32, 32), (256, 256), (32, 32, 32),
                                        (64, 32, 32)])
@@ -476,27 +493,37 @@ class TestFirstOrderPointer:
         last = len(shape) - 1
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.03),
                  CouplingSpec(Observable(PAULI_X), last, "q", -0.05),
-                 CouplingSpec(Observable(PAULI_Y), last // 2, "p", 0.02)]
-        args = (plus(), SystemState([1, 0.3 - 0.8j]), specs, phi, last, 0.7)
-        assert (first_order_pointer(*args).amplitudes.tobytes()
-                == whole_array_first_order_pointer(*args).amplitudes.tobytes())
+                 CouplingSpec(Observable(PAULI_Y), last // 2, "p", 0.02),
+                 CouplingSpec(Observable(PAULI_X), last, "p", 0.04)]
+        terms = spec_terms(specs, plus(), SystemState([1, 0.3 - 0.8j])) + [(last, "q", 1.0, 0.7)]
+        assert (first_order_pointer(phi, terms).amplitudes.tobytes()
+                == whole_array_first_order_pointer(phi, terms).amplitudes.tobytes())
 
     def test_zero_strength_gives_readout_shift_only(self):
         phi = gauss2d()
-        specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", 0.0)]
-        out = first_order_pointer(plus(), SystemState([1, 1j]), specs, phi,
-                                  readout_axis=1, readout_eigenvalue=1.0)
+        out = first_order_pointer(phi, [(0, "q", 0.0, 1j), (1, "q", 1.0, 1.0)])
         ref = displace_momentum(phi, [0.0, -1.0])
         assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-12
 
     def test_real_weak_value_keeps_position_density(self):
-        # 1 - i lam w q with real w changes |phi|^2 only at O(lam^2).
+        # A real weak value makes the factor exp(-i lam w q), an exact phase.
         phi = gauss1d()
         lam = 0.05
         specs = [CouplingSpec(Observable(PAULI_Z), 0, "q", lam)]
-        out = first_order_pointer(plus(), SystemState([1, 0]), specs, phi)
+        out = first_order_pointer(phi, spec_terms(specs, plus(), SystemState([1, 0])))
         drift = np.max(np.abs(np.abs(out.amplitudes) ** 2 - np.abs(phi.amplitudes) ** 2))
-        assert drift <= 5 * lam**2
+        assert drift <= 1e-12
+
+    def test_p_term_traced_peak_stays_within_one_and_a_half_pointers(self):
+        # The p pass transforms the one output array in place and forms its
+        # factor in block buffers; a whole-grid p * phi beside a sum and the
+        # output would peak at 2.16 pointers.
+        g = Grid((64, 64, 64), (8.0, 8.0, 8.0))
+        phi = gaussian_pointer(g, np.eye(3))
+        terms = [(0, "q", 0.05, 1j), (1, "p", 0.05, 0.3 + 1j)]
+        out, peak = traced_peak(lambda: first_order_pointer(phi, terms))
+        assert peak <= 1.5 * phi.amplitudes.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
+        assert out.amplitudes.shape == g.shape
 
     def test_truncation_error_is_second_order(self):
         # Moment distance between first-order and exact paths scales as lam^2.
@@ -510,7 +537,7 @@ class TestFirstOrderPointer:
             spec = CouplingSpec(proj0, 0, "q", lam)
             joint = apply_couplings(make_joint(pre, phi), [spec])
             exact_ptr, _ = postselect(joint, post)
-            fo_ptr = first_order_pointer(pre, post, [spec], phi)
+            fo_ptr = first_order_pointer(phi, spec_terms([spec], pre, post))
             me, mf = moments(exact_ptr), moments(fo_ptr)
             distances.append(max(abs(me.mean_q[0] - mf.mean_q[0]),
                                  abs(me.mean_p[0] - mf.mean_p[0])))
@@ -522,11 +549,21 @@ class TestMixedRepresentationPipeline:
     def test_only_apply_couplings_transforms_the_joint_state(self):
         # Stored states stay in position: the one representation decision
         # is a p-coupling's, and evolve and postselect transform nothing.
-        names = ("_axis_transform", "_apply_momentum")
+        sites = source_sites(lambda node: node.id if isinstance(node, ast.Name)
+                             and node.id == "_axis_transform" else None)
+        assert {(scope, name) for module, scope, name in sites if module == "dynamics"} == {
+            ("apply_couplings", "_axis_transform")}
+
+    def test_displacement_and_first_order_pointer_share_one_block_loop(self):
+        # Both multiply the pointer through _multiply_factors; neither walks
+        # row blocks of its own.
+        names = ("_row_blocks", "_multiply_factors")
         sites = source_sites(
             lambda node: node.id if isinstance(node, ast.Name) and node.id in names else None)
-        assert {(scope, name) for module, scope, name in sites if module == "dynamics"} == {
-            ("apply_couplings", "_axis_transform"), ("first_order_pointer", "_apply_momentum")}
+        scopes = ("displace_momentum", "first_order_pointer")
+        assert {(scope, name) for _module, scope, name in sites if scope in scopes} == {
+            ("displace_momentum", "_multiply_factors"),
+            ("first_order_pointer", "_multiply_factors")}
 
     def test_momentum_coupling_then_strong_readout(self):
         # The p-coupling on axis 1 returns its state in position, so the

@@ -10,6 +10,7 @@ from pointersim import (
     Grid,
     GridCoverage,
     InvalidCovariance,
+    InvalidParams,
     NormalizationError,
     PointerWavefunction,
     TwoModeGaussianParams,
@@ -23,9 +24,9 @@ from pointersim import (
 )
 from pointersim.dynamics import JointState
 from pointersim.pointer import (
-    _apply_momentum,
     _axis_transform,
     _mass,
+    _multiply_factors,
     check_gaussian_params,
     gaussian_spreads,
     lg_spreads,
@@ -357,6 +358,14 @@ class TestDisplacement:
         assert m.cov_qp[0, 1] == pytest.approx(0.5, abs=1e-9)
         assert m.cov_qp[1, 0] == pytest.approx(-0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_shift_raises_invalid_params(self, bad):
+        # Raised before the grid is touched, so no overflow warning and no
+        # NaN norm precede it.
+        phi = gaussian_pointer(grid2(), np.eye(2))
+        with pytest.raises(InvalidParams, match="axis 1: .* needs finite k and g"):
+            displace_momentum(phi, [bad, 0.0])
+
     def test_traced_peak_stays_near_one_pointer(self):
         # The result is one pointer's bytes; the phase lives in a block
         # buffer.  A whole-grid real phase would add half a pointer (1.53),
@@ -512,12 +521,16 @@ class TestKernelsLeaveInputsAlone:
         for axis in range(g.dims):
             self.assert_untouched(before, arr, _axis_transform(arr, g, axis, forward))
 
-    def test_apply_momentum(self, rng):
+    def test_multiply_factors(self, rng):
+        # The p pass transforms its own output in place, never the input.
         g = Grid((32, 64), (5.0, 8.0))
-        arr = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-        before = arr.tobytes()
-        for axis in range(g.dims):
-            self.assert_untouched(before, arr, _apply_momentum(arr, g, axis))
+        amps = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+        phi = PointerWavefunction(g, amps / np.sqrt(np.sum(np.abs(amps) ** 2)
+                                                    * g.cell_volume(("position",) * g.dims)))
+        before = phi.amplitudes.tobytes()
+        for terms in ([(0, "q", 0.3, 0.1)], [(1, "p", 0.3, 0.1)],
+                      [(1, "q", 0.0, 0.2), (0, "p", -0.4, 0.0), (1, "p", 0.1, 0.1)]):
+            self.assert_untouched(before, phi.amplitudes, _multiply_factors(phi, terms))
 
     @pytest.mark.parametrize("leading", [(), (2,)], ids=["pointer", "joint"])
     def test_in_place_equals_fresh(self, rng, leading):
@@ -526,8 +539,7 @@ class TestKernelsLeaveInputsAlone:
         arr = rng.normal(size=leading + g.shape) + 1j * rng.normal(size=leading + g.shape)
         for axis in range(g.dims):
             for kernel in (lambda a, o: _axis_transform(a, g, axis, True, o),
-                           lambda a, o: _axis_transform(a, g, axis, False, o),
-                           lambda a, o: _apply_momentum(a, g, axis, o)):
+                           lambda a, o: _axis_transform(a, g, axis, False, o)):
                 work = arr.copy()
                 assert kernel(work, work) is work
                 assert work.tobytes() == kernel(arr, None).tobytes()

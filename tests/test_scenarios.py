@@ -844,6 +844,18 @@ class TestCli:
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    def test_entangle_strength_below_the_resolution_floor_exits_1(self, tmp_path, capsys):
+        # A 1e-20 kick is rounding noise on this grid: the momentum floor is
+        # 2.2e-8 and the position floor 8.9e-10.  The shifts of such a kick
+        # would give the product state det(C) = -4.9e5, read as entangled.
+        assert main(["entangle", "--alpha", "1", "--beta", "1", "--gamma", "0",
+                     "--strength", "1e-20", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: probe strength 1e-20 is below axis 1's resolution "
+                              "floor 2.23224e-08")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv, name", [
         (["entangle", "--alpha", "inf", "--beta", "0.25", "--gamma", "0.125"], "alpha"),
         (["entangle", "--alpha", "0.25", "--beta", "inf", "--gamma", "0.125"], "beta"),

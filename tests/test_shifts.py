@@ -42,16 +42,16 @@ def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
 
 
 def sequential_prediction(m, lambda1, lambda2, a1w, a2w, a3l):
-    """Weak position couplings on axes 1 and 2, strong readout on axis 3."""
-    return predict_general(m, [(0, "q", lambda1, a1w), (1, "q", lambda2, a2w)],
-                           readout_axis=2, readout_eigenvalue=a3l)
+    """Weak position couplings on axes 1 and 2, strong readout on axis 3 as
+    the unit q term whose weak value is its eigenvalue."""
+    return predict_general(m, [(0, "q", lambda1, a1w), (1, "q", lambda2, a2w),
+                               (2, "q", 1.0, a3l)])
 
 
 def single_prediction(m, lam, aw, a2l):
     """Weak position coupling on axis 1, readout on axis 2 (a2l = 0 for direct
     projection)."""
-    return predict_general(m, [(0, "q", lam, aw)],
-                           readout_axis=1, readout_eigenvalue=a2l)
+    return predict_general(m, [(0, "q", lam, aw), (1, "q", 1.0, a2l)])
 
 
 def calibrate_sign_convention(points: int = 128) -> tuple[int, int]:

@@ -153,8 +153,9 @@ def test_criterion_6_holds_one_64_cubed_pointer_while_measuring():
 
 
 def test_criterion_9_holds_two_64_cubed_pointers():
-    # The readout-shifted pointer and the first-order sum, formed block by
-    # block; the whole-grid xi * phi and displacement phase peaked at 3.03.
+    # The first-order pointer, readout included, is formed block by block in
+    # one output array (2.16); the whole-grid xi * phi and displacement
+    # phase peaked at 3.03.
     cfg = load_bundled("seq_corr_full")
     corpus = {"seq_corr_full": (cfg, run_scenario(cfg))}
     result, peak = traced_peak(lambda: validation.criterion_9_oracle_crosscheck(corpus))
