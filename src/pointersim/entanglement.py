@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams
-from .pointer import (Grid, PointerWavefunction, auto_grid, gaussian_pointer, gaussian_spreads,
-                      means, moments)
+from .pointer import (Grid, PointerWavefunction, _diagonal_moments, auto_grid, gaussian_pointer,
+                      gaussian_spreads, kick_gap, means, moments)
 from .quantum import PAULI_Z, Observable, SystemState, weak_value
 from .shifts import ORIENTATION
 
@@ -94,27 +94,28 @@ def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
     """Reconstruct C from four simulated weak-measurement experiments.
 
     The probe is the qubit ``_PROBE``: Z, prepared in |+> and postselected on
-    (|0> + i|1>)/sqrt(2), coupled to axis 1 at ``strength``, finite, nonzero
-    and not below axis 1's resolution floor (InvalidParams).  Coupling to q1
-    and reading the axis-2 shifts yields the first row; the second row
+    (|0> + i|1>)/sqrt(2), coupled to axis 1 at ``strength``, finite and
+    nonzero, whose kicks of ``|strength|`` to axis 1's momentum (q row) and
+    position (p row) must pass :func:`~pointersim.pointer.kick_gap` on
+    ``phi``'s measured means and spreads (else InvalidParams).  Coupling to
+    q1 and reading the axis-2 shifts yields the first row; the second row
     interchanges the quadrature roles (coupling to p1), reusing the
-    structurally identical first-order shift algebra.
-    Postselection is a direct projection onto the probe's post state, so no
-    readout offset needs subtracting.  Each measured shift is divided by its
-    first-order coefficient ``shifts.ORIENTATION * 2 * lambda * Im(w)``.
+    structurally identical first-order shift algebra.  Postselection is a
+    direct projection onto the probe's post state, so no readout offset
+    needs subtracting.  Each measured shift is divided by its first-order
+    coefficient ``shifts.ORIENTATION * 2 * lambda * Im(w)``.
     """
     if phi.grid.dims != 2:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")
     if not (np.isfinite(strength) and strength != 0.0):
         raise InvalidParams(f"probe strength must be finite and nonzero, got {strength}")
-    # Z kicks axis 1's momentum (q row) and position (p row) by |strength|.
-    floor = max(phi.grid.resolution_floor(0, space) for space in ("momentum", "position"))
-    if abs(strength) < floor:
-        raise InvalidParams(f"probe strength {strength:g} is below axis 1's resolution floor "
-                            f"{floor:.6g} (1e6 eps H, the larger of momentum and position)")
+    base_q, base_p, cov_qq, cov_pp = _diagonal_moments(phi, cov=True)[:4]
+    gap = kick_gap(phi.grid, np.sqrt(np.diag(cov_qq)), np.sqrt(np.diag(cov_pp)), base_q, base_p,
+                   [(0, quadrature, abs(strength)) for quadrature in ("q", "p")])
+    if gap:
+        raise InvalidParams(f"probe strength {strength:g}: {gap[2]}")
     observable, pre, post = _PROBE
     denom = ORIENTATION * 2.0 * strength * weak_value(observable, pre, post).imag
-    base_q, base_p = means(phi)
     rows = []
     for quadrature in ("q", "p"):
         spec = CouplingSpec(observable, axis=0, quadrature=quadrature, strength=strength)

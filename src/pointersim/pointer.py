@@ -86,7 +86,7 @@ class Grid:
         return self.extent[axis] if space == "position" else np.pi / self.dq(axis)
 
     def resolution_floor(self, axis: int, space: str) -> float:
-        """``1e6 eps H``, H the half-width: rounding moves a mean by a few ``eps H``."""
+        """``1e6 eps H``: rounding moves a mean by a few ``eps H`` (:func:`kick_gap`)."""
         return 1e6 * np.finfo(float).eps * self.half_width(axis, space)
 
     def positions(self, axis: int) -> np.ndarray:
@@ -151,6 +151,27 @@ def coverage_gap(grid: Grid, std_q, std_p, offset_q=None, offset_p=None):
                                   f"{off:.6g} holds fewer than 6 marginal standard deviations "
                                   f"({std[j]:.6g})")
     return None
+
+
+def kick_gap(grid: Grid, std_q, std_p, mean_q, mean_p, kicks):
+    """The one kick rule, of document couplings and the entanglement probe.
+    Each kick is ``(axis, quadrature, size)``: a q-coupling of strength lambda
+    shifts an eigen-branch's momentum by ``-lambda a_k``, a p-coupling its
+    position.  A nonzero kick below its space's :meth:`Grid.resolution_floor`
+    is lost to rounding and fails first.  Else the kicks, summed per axis and
+    space, join ``|mean|`` (per axis, or 0) in :func:`coverage_gap`'s offsets:
+    past them the grid wraps the branch around and the measured shift is
+    wrong with no other sign.  Returns None or ``(j, space, message)``."""
+    totals = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
+    for axis, quadrature, size in kicks:
+        space = "momentum" if quadrature == "q" else "position"
+        floor = grid.resolution_floor(axis, space)
+        if 0.0 < size < floor:
+            return axis, space, (f"axis {axis + 1}: a {space} kick of {size:.6g} is below the "
+                                 f"resolution floor {floor:.6g} (1e6 eps H)")
+        totals[quadrature][axis] += size
+    return coverage_gap(grid, std_q, std_p, np.abs(mean_q) + totals["p"],
+                        np.abs(mean_p) + totals["q"])
 
 
 class _GridState:

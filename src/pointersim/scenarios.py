@@ -30,9 +30,9 @@ from .pointer import (
     Grid,
     auto_grid,
     check_gaussian_params,
-    coverage_gap,
     gaussian_pointer,
     gaussian_spreads,
+    kick_gap,
     lg_mode,
     lg_spreads,
     moments,
@@ -463,41 +463,19 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
 
 
 def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
-    """Raise ConfigError unless every branch of the pointer stays on the grid
-    with the couplings at ``multiplier`` times their strengths, and no
-    nonzero kick is below its space's
-    :meth:`~pointersim.pointer.Grid.resolution_floor`.
-
-    A q-coupling of strength lambda shifts an eigen-branch's momentum by
-    ``-lambda a_k``, a p-coupling its position; the strong readout is one
-    more q-coupling, whose unit strength the multiplier leaves alone.  Summed
-    per axis and space, these kicks ``K`` join the means in the coverage
-    rule's offsets, ``|mean| + K``
-    (:func:`~pointersim.pointer.coverage_gap`).  Past it, the grid wraps the
-    branch around and the measured shift is wrong with no other sign.  The
-    builder has already held the unkicked pointer to the rule
-    (:func:`build_pointer`).
-    """
-    grid, params = cfg.grid, cfg.pointer_params
+    """Raise ConfigError at ``couplings`` unless the kicks of the couplings at
+    ``multiplier`` times their strengths and of the strong readout, a unit
+    q-coupling, pass :func:`~pointersim.pointer.kick_gap`.  The builder has
+    already held the unkicked pointer to the coverage rule."""
     readout = [] if cfg.readout is None else [(cfg.readout, 1.0)]
-    # Keyed by the coupled quadrature: a q-coupling kicks momentum.
-    totals = {"q": np.zeros(grid.dims), "p": np.zeros(grid.dims)}
-    for s, m in [(s, multiplier) for s in cfg.couplings] + readout:
-        kick = abs(m * s.strength) * float(np.max(np.abs(np.linalg.eigvalsh(s.observable.matrix))))
-        space = "momentum" if s.quadrature == "q" else "position"
-        floor = grid.resolution_floor(s.axis, space)
-        if 0.0 < kick < floor:
-            _fail(f"axis {s.axis + 1}: at strength multiplier {multiplier:g} a {space} kick of "
-                  f"{kick:.6g} is below the resolution floor {floor:.6g} (1e6 eps H)", "couplings")
-        totals[s.quadrature][s.axis] += kick
-    gap = coverage_gap(grid, *_POINTER_KINDS[cfg.pointer_kind][0](params),
-                       np.abs(params.get("mean_q", 0.0)) + totals["p"],
-                       np.abs(params.get("mean_p", 0.0)) + totals["q"])
+    kicks = [(s.axis, s.quadrature,
+              abs(m * s.strength) * float(np.max(np.abs(np.linalg.eigvalsh(s.observable.matrix)))))
+             for s, m in [(s, multiplier) for s in cfg.couplings] + readout]
+    params = cfg.pointer_params
+    gap = kick_gap(cfg.grid, *_POINTER_KINDS[cfg.pointer_kind][0](params),
+                   params.get("mean_q", 0.0), params.get("mean_p", 0.0), kicks)
     if gap:
-        j, space, message = gap
-        _fail(f"{message}; at strength multiplier {multiplier:g} the offset includes a {space} "
-              f"kick of up to {totals['q' if space == 'momentum' else 'p'][j]:.6g}, and the "
-              "periodic grid would wrap the pointer around", "couplings")
+        _fail(f"{gap[2]}, at strength multiplier {multiplier:g}", "couplings")
 
 
 def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftReport]:

@@ -1,6 +1,7 @@
 """Shared helpers: an O(N^2) dense-DFT oracle independent of the FFT code path,
 whole-array references for the blockwise moments, momentum displacement and
-system contractions, the parity split of a sweep's residual, a traced-peak
+system contractions, the parity split of a sweep's residual and its fitted
+slope, a traced-peak
 probe, a call counter and a finder of source sites."""
 
 import ast
@@ -124,6 +125,11 @@ def parity_residuals(cfg) -> list[tuple[float, float]]:
              float(np.linalg.norm((r[i] + r[i + n]) / 2))) for i in range(n)]
 
 
+def fitted_slope(norms) -> float:
+    """Log-log slope of ``norms`` over :data:`PARITY_MULTIPLIERS`."""
+    return float(np.polyfit(np.log(PARITY_MULTIPLIERS), np.log(norms), 1)[0])
+
+
 def traced_peak(fn):
     """``(fn(), peak)``: the peak bytes ``tracemalloc`` traces while ``fn()``
     runs.  What was allocated before the call does not count."""
@@ -136,15 +142,15 @@ def traced_peak(fn):
 
 
 def count_calls(monkeypatch, module, *names) -> dict:
-    """Wrap each one-argument function ``module.<name>`` so that it counts its
-    calls; returns ``{name: calls so far}``."""
+    """Wrap each function ``module.<name>`` so that it counts its calls;
+    returns ``{name: calls so far}``."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(module, name)
 
-        def counting(arg, name=name, original=original):
-            counts[name] += 1
-            return original(arg)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
     return counts
 
@@ -192,6 +198,7 @@ def random_state_vector(rng, d: int) -> np.ndarray:
 __all__ = [
     "count_calls",
     "dense_axis_transform",
+    "fitted_slope",
     "oracle_mixed_moment",
     "random_hermitian",
     "random_state_vector",

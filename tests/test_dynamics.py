@@ -12,6 +12,7 @@ from pointersim import (
     PAULI_Y,
     PAULI_Z,
     CouplingSpec,
+    DimensionError,
     Grid,
     JointState,
     NormalizationError,
@@ -261,6 +262,20 @@ class TestApplyCouplings:
         out = apply_couplings(joint, specs)
         assert np.max(np.abs(out.amplitudes - batched_eigh_couplings(joint, specs))) <= 1e-12
 
+    @pytest.mark.parametrize("observable, axis, fragment", [
+        (np.eye(3), 0, "observable dim 3 != system dim 2"),
+        (PAULI_Z, 1, "axis 1 outside grid with 1 axes"),
+    ], ids=["observable-dimension", "axis"])
+    def test_rejects_a_spec_that_does_not_fit_the_state(self, observable, axis, fragment):
+        joint = make_joint(plus(), gauss1d(points=32))
+        with pytest.raises(DimensionError, match=fragment):
+            apply_couplings(joint, [CouplingSpec(Observable(observable), axis, "q", 0.1)])
+
+    @pytest.mark.parametrize("strength", [np.nan, np.inf])
+    def test_spec_rejects_a_non_finite_strength(self, strength):
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            CouplingSpec(Observable(PAULI_Z), 0, "q", strength)
+
     def test_mixed_quadratures_rejected(self):
         joint = make_joint(plus(), gauss2d())
         with pytest.raises(RepresentationError):
@@ -378,6 +393,11 @@ class TestPostselect:
         with pytest.raises(PostselectionFailed):
             postselect(joint, SystemState([0, 1]))
 
+    def test_target_of_another_dimension_fails(self):
+        joint = make_joint(plus(), gauss1d(points=32))
+        with pytest.raises(DimensionError, match="target dim 3 != system dim 2"):
+            postselect(joint, SystemState([1, 0, 0]))
+
     def test_probability_without_coupling(self):
         joint = make_joint(plus(), gauss1d())
         _, prob = postselect(joint, SystemState([1, 0]))
@@ -477,6 +497,16 @@ def spec_terms(specs, pre, post):
 
 
 class TestFirstOrderPointer:
+    def test_rejects_a_term_off_the_grid(self):
+        with pytest.raises(DimensionError, match="axis 1 outside grid with 1 axes"):
+            first_order_pointer(gauss1d(points=32), [(1, "q", 0.1, 1j)])
+
+    def test_rejects_a_factor_whose_norm_overflows(self):
+        # 1 + g q reaches 8e300 at the grid's edge: finite, but its square is not.
+        with np.errstate(over="ignore"), pytest.raises(NormalizationError,
+                                                       match="zero or non-finite norm"):
+            first_order_pointer(gauss1d(points=32), [(0, "q", 1.0, 1e300j)])
+
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_bundled_pointer_matches_the_whole_array_sum_bit_for_bit(self, name):
         cfg = load_bundled(name)

@@ -39,6 +39,11 @@ class TestProbeStrength:
         with pytest.raises(InvalidParams, match="finite and nonzero"):
             c_matrix_from_shifts(reference_pointer(), strength)
 
+    def test_needs_two_axes(self):
+        phi = gaussian_pointer(Grid((64,), (8.0,)), np.array([[1.0]]))
+        with pytest.raises(DimensionError, match="needs a 2-axis pointer"):
+            c_matrix_from_shifts(phi, 0.05)
+
     def test_accepts_negative_strength(self):
         c = c_matrix_from_shifts(reference_pointer(), -0.05)
         assert isinstance(c, CMatrix)
@@ -102,6 +107,12 @@ class TestCMatrixDirect:
 
 
 class TestIsEntangled:
+    @pytest.mark.parametrize("entries", [np.zeros((2, 3)), [[0.0, np.nan], [0.0, 0.0]]],
+                             ids=["shape", "nan"])
+    def test_c_matrix_must_be_a_finite_two_by_two(self, entries):
+        with pytest.raises(DimensionError, match="finite 2x2 real matrix"):
+            CMatrix(entries)
+
     def test_zero_matrix(self):
         assert not is_entangled(CMatrix(entries=np.zeros((2, 2))))
 
@@ -141,11 +152,12 @@ class TestReconstruction:
         assert is_entangled(direct) == is_entangled(recon) == (gamma != 0.0)
 
     def test_probe_c_matrices_takes_means_where_it_reads_only_means(self, monkeypatch):
-        # The direct C needs the covariances; the base state and the two
-        # probed states are read for their mean shifts only.
-        counts = count_calls(monkeypatch, entanglement, "moments", "means")
+        # The direct C needs the covariances; the base state is read for its
+        # means and diagonal spreads (the kick rule), the two probed states
+        # for their mean shifts only.
+        counts = count_calls(monkeypatch, entanglement, "moments", "means", "_diagonal_moments")
         entanglement.probe_c_matrices(TwoModeGaussianParams(0.25, 0.25, 0.125), 0.05)
-        assert counts == {"moments": 1, "means": 3}
+        assert counts == {"moments": 1, "means": 2, "_diagonal_moments": 1}
 
     def test_error_decays_at_least_linearly(self):
         phi = reference_pointer()

@@ -29,6 +29,7 @@ from pointersim.pointer import (
     _multiply_factors,
     check_gaussian_params,
     gaussian_spreads,
+    kick_gap,
     lg_spreads,
 )
 from conftest import (
@@ -61,6 +62,10 @@ class TestGrid:
         with pytest.raises(DimensionError, match="exceed the limit of 2097152"):
             Grid(points, (8.0,) * len(points))
         assert Grid((128, 128, 128), (8.0,) * 3).shape == (128, 128, 128)
+
+    def test_rejects_extents_of_another_length(self):
+        with pytest.raises(DimensionError, match="points_per_axis and extent lengths differ"):
+            Grid((32, 32), (8.0,))
 
     def test_rejects_four_axes(self):
         with pytest.raises(DimensionError):
@@ -95,6 +100,15 @@ def momentum_half_width_label(node):
             and isinstance(node.right, ast.Call) and isinstance(node.right.func, ast.Attribute)
             and node.right.func.attr == "dq"):
         return "pi/dq"
+    return None
+
+
+def kick_rule_label(node):
+    """The name of a call to ``resolution_floor`` or ``kick_gap``."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("resolution_floor", "kick_gap"):
+            return name
     return None
 
 
@@ -204,6 +218,15 @@ class TestGaussianPointer:
         with pytest.raises(InvalidCovariance, match="sigma is empty"):
             check_gaussian_params(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"sigma": np.eye(3)}, r"sigma shape \(3, 3\) does not match grid dims 2"),
+        ({"sigma": np.eye(2), "mean_q": np.zeros(3)}, "mean_q/mean_p must be length-D"),
+        ({"sigma": np.eye(2), "mean_p": np.zeros(1)}, "mean_q/mean_p must be length-D"),
+    ], ids=["sigma", "mean-q", "mean-p"])
+    def test_rejects_parameters_of_another_dimension(self, kwargs, fragment):
+        with pytest.raises(DimensionError, match=fragment):
+            gaussian_pointer(grid2(32), **kwargs)
+
     def test_rejects_insufficient_extent(self):
         with pytest.raises(GridCoverage):
             gaussian_pointer(Grid((64, 64), (4.0, 4.0)), np.eye(2))
@@ -285,6 +308,42 @@ class TestCoverage:
         # half-widths from Grid.half_width, the one place that forms pi/dq.
         assert source_sites(momentum_half_width_label) == {("pointer", "half_width", "pi/dq")}
 
+    def test_one_kick_rule(self):
+        # Document couplings and the entanglement probe both ask kick_gap,
+        # the one reader of the resolution floor.
+        assert source_sites(kick_rule_label) == {
+            ("pointer", "kick_gap", "resolution_floor"),
+            ("scenarios", "check_kick_budget", "kick_gap"),
+            ("entanglement", "c_matrix_from_shifts", "kick_gap")}
+
+    # grid2(128): extent 8 less 6 sd_q = 6 leaves a position offset of 2;
+    # pi/dq = 25.13 less 6 sd_p = 3 leaves a momentum offset of 22.13.  The
+    # resolution floors are 1.78e-9 in position and 5.58e-9 in momentum.
+    @pytest.mark.parametrize("mean_q, mean_p, kicks, expected", [
+        (0.0, 0.0, [], None),
+        (0.0, 0.0, [(0, "q", 0.0), (1, "p", 0.0)], None),
+        (0.0, 0.0, [(1, "q", 1e-9)],
+         (1, "momentum", "axis 2: a momentum kick of 1e-09 is below the resolution floor "
+                         "5.58059e-09 (1e6 eps H)")),
+        (0.0, 0.0, [(0, "q", 40.0), (0, "p", 1e-12)],
+         (0, "position", "axis 1: a position kick of 1e-12 is below the resolution floor ")),
+        (0.0, 0.0, [(0, "q", 11.0)], None),
+        (0.0, 0.0, [(0, "q", 11.0), (0, "q", 11.5)],
+         (0, "momentum", "axis 1: momentum half-width 25.1327 less offset 22.5 holds fewer ")),
+        (0.0, [0.0, -20.0], [(1, "q", 3.0)], (1, "momentum", "less offset 23 holds")),
+        (0.0, 0.0, [(1, "p", 2.5)], (1, "position", "axis 2: position half-width 8 less offset "
+                                                    "2.5 holds fewer ")),
+        ([1.5, 0.0], 0.0, [(0, "p", 1.0)], (0, "position", "less offset 2.5 holds")),
+    ], ids=["no-kicks", "zero-kicks", "below-the-floor", "floor-before-coverage",
+            "within-the-grid", "kicks-add-up", "mean-and-kick-add-up", "p-kick-moves-position",
+            "position-mean-and-kick"])
+    def test_kick_gap(self, mean_q, mean_p, kicks, expected):
+        gap = kick_gap(grid2(128), [1.0, 1.0], [0.5, 0.5], mean_q, mean_p, kicks)
+        if expected is None:
+            assert gap is None
+        else:
+            assert gap[:2] == expected[:2] and expected[2] in gap[2]
+
     def test_auto_grid_keeps_the_default_when_momentum_is_covered(self):
         assert auto_grid([1.0, 1.0], [0.5, 0.5], None, None) == grid2(256)
         assert auto_grid([1.0] * 3, [0.5] * 3, None, None) == Grid((64,) * 3, (8.0,) * 3)
@@ -357,6 +416,10 @@ class TestDisplacement:
         m = moments(out)
         assert m.cov_qp[0, 1] == pytest.approx(0.5, abs=1e-9)
         assert m.cov_qp[1, 0] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_shift_count_must_match_the_axes(self):
+        with pytest.raises(DimensionError, match=r"need 2 shifts, got shape \(3,\)"):
+            displace_momentum(gaussian_pointer(grid2(32), np.eye(2)), [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_shift_raises_invalid_params(self, bad):

@@ -3,9 +3,10 @@ correlated Gaussian reproduce its covariance parameters, the blockwise
 single-observable coupling equals the full-array rotation bit for bit, the
 blockwise moments match the whole-array reference within rounding, the exact
 pipeline conserves probability over a complete postselection basis, an
-on-grid momentum displacement leaves every covariance block alone, and the
+on-grid momentum displacement leaves every covariance block alone, the
 residual of a direct-projection scenario falls at least as the coupling
-strength squared.
+strength squared, and, split by parity, an off-centre pointer's residual
+falls as its odd and even orders.
 
 ``derandomize=True`` makes hypothesis draw the same examples on every run,
 so these tests are as deterministic as the rest of the suite.
@@ -28,8 +29,8 @@ from pointersim.pointer import (
 )
 from pointersim.quantum import Observable, SystemState
 from pointersim.scenarios import parse_config, run_sweep
-from conftest import (random_hermitian, random_state_vector, reference_moments,
-                      whole_array_contract)
+from conftest import (fitted_slope, parity_residuals, random_hermitian, random_state_vector,
+                      reference_moments, whole_array_contract)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -231,3 +232,16 @@ def test_residual_against_first_order_falls_at_least_as_lambda_squared(doc):
     # lambda^3 term can pull the slope over this short window below 2.
     _reports, summary = run_sweep(parse_config(doc), (0.04, 0.02, 0.01))
     assert summary["slope"] is not None and summary["slope"] >= 1.8
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(doc=direct_projection_documents(), mean_q=st.tuples(*[st.floats(-0.75, 0.75)] * 2))
+def test_off_centre_residual_parts_fall_at_their_own_orders(doc, mean_q):
+    # Split by parity, the off-centre pointer's residual separates: the odd
+    # part falls as lambda^3, the even part (zero for a centred pointer) as
+    # lambda^2, so neither can pull the other's fitted order down.
+    doc["pointer"]["mean_q"] = list(mean_q)
+    doc["couplings"][0]["strength"] = 0.04
+    odd, even = zip(*parity_residuals(parse_config(doc)))
+    assert fitted_slope(odd) >= 2.7
+    assert fitted_slope(even) >= 1.7 or max(even) <= 1e-13

@@ -57,6 +57,11 @@ class TestSystemState:
         v = scale * random_state_vector(rng, 4)
         assert np.array_equal(SystemState(v).amplitudes, v / np.linalg.norm(v))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(InvalidState, match="non-finite entries"):
+            SystemState([1.0, bad])
+
     def test_dimension_one_rejected(self):
         with pytest.raises(InvalidState):
             SystemState([1.0])

@@ -63,6 +63,24 @@ def bundled_document(name):
                        / f"{name}.json").read_text(encoding="utf-8"))
 
 
+DELETE = object()
+
+
+def edited_document(template, keys, value):
+    """The bundled document ``template`` with the entry at the path ``keys``
+    set to ``value``, or removed for :data:`DELETE`."""
+    doc = bundled_document(template)
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
 class TestParsing:
     def test_bundled_corpus_loads(self):
         names = bundled_scenario_names()
@@ -244,6 +262,51 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"unknown keys \['mode'\]"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("template, keys, value, path, fragment", [
+        ("jozsa_baseline", ("system",), [], "system", "expected an object, got list"),
+        ("jozsa_baseline", ("system", "dimension"), DELETE, "system",
+         r"missing keys \['dimension'\]"),
+        ("jozsa_baseline", ("couplings", 0, "observable"), "pauli_w",
+         "couplings[0].observable", "unknown observable name 'pauli_w'"),
+        ("jozsa_baseline", ("scenario_id",), "a b", "scenario_id",
+         "nonempty alphanumeric"),
+        ("jozsa_baseline", ("system", "dimension"), 17, "system.dimension",
+         r"dimension must be in 2\.\.16"),
+        ("jozsa_baseline", ("system", "post_state"), {}, "system.post_state",
+         "exactly one of"),
+        ("seq_corr_full", ("system", "post_state", "eigenvalue_index"), 2,
+         "system.post_state.eigenvalue_index", r"must be in 0\.\.1"),
+        ("jozsa_baseline", ("system", "post_state"), {"vector": [[1, 0], [0, 1]]},
+         "system.post_state", "needs 'amplitudes' or 'eigenvalue_index'"),
+        ("jozsa_baseline", ("pointer", "kind"), DELETE, "pointer", "pointer needs a 'kind'"),
+        ("jozsa_baseline", ("pointer", "sigma"), np.eye(4).tolist(), "pointer.sigma",
+         "support 1-3 axes"),
+        ("jozsa_baseline", ("pointer", "grid", "points_per_axis"), [256],
+         "pointer.grid.points_per_axis", "must list 2 entries"),
+        ("jozsa_baseline", ("couplings",), {}, "couplings", "couplings must be a list"),
+        ("jozsa_baseline", ("interaction",), "parallel", "interaction",
+         "'sequential' or 'simultaneous'"),
+        ("jozsa_baseline", ("readout",), [], "readout", "readout must be an object"),
+        ("jozsa_baseline", ("readout", "axis"), 3, "readout.axis", r"axis must be in 1\.\.2"),
+        ("seq_corr_full", ("readout", "observable"), "post_projector", "readout.observable",
+         "needs explicit post_state amplitudes"),
+        ("jozsa_baseline", ("sweep",), 2, "sweep", "sweep must be a list of multipliers"),
+    ], ids=["system-not-an-object", "dimension-missing", "observable-name-unknown",
+            "scenario-id-with-a-space", "dimension-too-large", "post-state-empty",
+            "eigenvalue-index-too-large", "post-state-unknown-key", "pointer-without-kind",
+            "gaussian-four-axes", "points-per-axis-too-short", "couplings-not-a-list",
+            "interaction-unknown", "readout-not-an-object", "readout-axis-too-large",
+            "post-projector-without-amplitudes", "sweep-not-a-list"])
+    def test_document_rule_raises_at_its_path(self, template, keys, value, path, fragment):
+        with pytest.raises(ConfigError, match=fragment) as info:
+            parse_config(edited_document(template, keys, value))
+        assert info.value.path == path
+
+    def test_unknown_bundled_name(self):
+        with pytest.raises(ConfigError, match="no bundled scenario named 'no_such'") as info:
+            load_bundled("no_such")
+        assert info.value.path == ""
+
 
 class TestRunScenario:
     def test_deterministic_outputs(self):
@@ -331,8 +394,8 @@ class TestKickBudget:
         cfg = replace(cfg, couplings=(),
                       grid=Grid(points, cfg.grid.extent[:2] + (extent,)))
         scenarios.build_pointer(cfg)  # the builder's coverage rule holds
-        with pytest.raises(ConfigError, match="axis 3: momentum half-width .* "
-                           "includes a momentum kick of up to 1,") as info:
+        with pytest.raises(ConfigError, match="axis 3: momentum half-width .* less offset 1 "
+                           "holds .*, at strength multiplier 1$") as info:
             scenarios.check_kick_budget(cfg, 1.0)
         assert info.value.path == "couplings"
 
@@ -345,15 +408,18 @@ class TestKickBudget:
         path = tmp_path / "tiny_sigma.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-        assert ("config error: couplings: axis 1: at strength multiplier 1 a momentum kick of "
-                "0.05 is below the resolution floor") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: couplings: axis 1: a momentum kick of 0.05 is below "
+                              "the resolution floor ")
+        assert err.endswith(", at strength multiplier 1\n")
 
     def test_sweep_checks_resolution_at_its_smallest_nonzero_multiplier(self):
         # jozsa_baseline's momentum floor is 1e6 eps pi/dq = 1.1e-8; its
         # 0.05 kick falls below it at 1e-7, and a zero multiplier kicks nothing.
         cfg = load_bundled("jozsa_baseline")
         run_sweep(cfg, [1.0, 0.5, 0.0])
-        with pytest.raises(ConfigError, match="multiplier 1e-07 a momentum kick of 5e-09") as info:
+        with pytest.raises(ConfigError, match="a momentum kick of 5e-09 is below the resolution "
+                           "floor .*, at strength multiplier 1e-07$") as info:
             run_sweep(cfg, [1.0, 0.5, 0.0, -1e-7])
         assert info.value.path == "couplings"
 
@@ -390,7 +456,8 @@ class TestPointerKinds:
         doc = bundled_document("two_mode_entangle")
         del doc["pointer"]["grid"]
         doc["pointer"].update(alpha=1e-20, beta=2e-20, gamma=5e-21)
-        with pytest.raises(ConfigError, match="momentum kick of up to 0.05") as info:
+        with pytest.raises(ConfigError, match="momentum half-width .* less offset 0.05 holds") \
+                as info:
             run_scenario(parse_config(doc))
         assert info.value.path == "couplings"
         doc["couplings"][0]["strength"] = 1e-12
@@ -660,14 +727,8 @@ class TestCli:
             "points-huge-integer"])
     def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, keys,
                                                  value, path):
-        doc = bundled_document(template)
-        *parents, last = keys
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
         doc_path = tmp_path / "bad.json"
-        doc_path.write_text(json.dumps(doc))
+        doc_path.write_text(json.dumps(edited_document(template, keys, value)))
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
@@ -767,8 +828,8 @@ class TestCli:
         assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: couplings: axis 1: {space} half-width ")
-        assert (f"at strength multiplier 1 the offset includes a {space} kick of up to "
-                f"{strength:g},") in err
+        assert f" less offset {strength:g} holds " in err
+        assert err.endswith(", at strength multiplier 1\n")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -781,7 +842,8 @@ class TestCli:
                      "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: couplings: axis 1: momentum half-width ")
-        assert "at strength multiplier 400 the offset includes a momentum kick of up to 16," in err
+        assert " less offset 16 holds " in err
+        assert err.endswith(", at strength multiplier 400\n")
         assert err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
@@ -844,6 +906,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    def test_entangle_strength_past_the_grid_exits_1(self, tmp_path, capsys):
+        # The probe kicks axis 1's position by |strength| too, far past its
+        # half-width of 4: unchecked, the shifts gave an all-zero C and exit 0.
+        assert main(["entangle", "--alpha", "1", "--beta", "1", "--gamma", "0",
+                     "--strength", "1e300", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: probe strength 1e+300: axis 1: position half-width 4 less offset "
+                       "1e+300 holds fewer than 6 marginal standard deviations (0.5)\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_output_file_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        # --out is a writable directory, but the output's name is taken by one.
+        (tmp_path / "entangle_a0.25_b0.25_g0.125.json").mkdir()
+        assert main(["entangle", "--alpha", "0.25", "--beta", "0.25", "--gamma", "0.125",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: [Errno 21] Is a directory: ")
+        assert err.count("\n") == 1
+
     def test_entangle_strength_below_the_resolution_floor_exits_1(self, tmp_path, capsys):
         # A 1e-20 kick is rounding noise on this grid: the momentum floor is
         # 2.2e-8 and the position floor 8.9e-10.  The shifts of such a kick
@@ -851,8 +932,8 @@ class TestCli:
         assert main(["entangle", "--alpha", "1", "--beta", "1", "--gamma", "0",
                      "--strength", "1e-20", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: probe strength 1e-20 is below axis 1's resolution "
-                              "floor 2.23224e-08")
+        assert err.startswith("error: probe strength 1e-20: axis 1: a momentum kick of 1e-20 is "
+                              "below the resolution floor 2.23224e-08")
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 

@@ -12,6 +12,7 @@ from pointersim import (
     PAULI_Z,
     RE_ORIENTATION,
     CouplingSpec,
+    DimensionError,
     Grid,
     MomentSet,
     Observable,
@@ -27,7 +28,7 @@ from pointersim import (
 )
 from pointersim.scenarios import load_bundled, resolve_system, run_scenario
 from pointersim.shifts import lg_check
-from conftest import PARITY_MULTIPLIERS, parity_residuals
+from conftest import fitted_slope, parity_residuals
 from test_golden import SWEPT
 
 
@@ -128,6 +129,14 @@ class TestPredictSequential:
 
 
 class TestPredictSingle:
+    @pytest.mark.parametrize("term, error, fragment", [
+        ((2, "q", 0.05, 1j), DimensionError, r"coupling axis 2 outside 0\.\.1"),
+        ((0, "p", 0.05, complex(np.nan, 0.0)), ValueError, "prediction entries must be finite"),
+    ], ids=["axis", "non-finite-weak-value"])
+    def test_rejects_a_term_it_cannot_predict(self, term, error, fragment):
+        with pytest.raises(error, match=fragment):
+            predict_general(moment_set(2), [term])
+
     def test_zero_correlation_kills_readout_axis_shift(self):
         pred = single_prediction(moment_set(2), 0.05, 2.0 + 3.0j, 1.0)
         assert pred.delta_q[1] == pytest.approx(0.0, abs=1e-15)
@@ -184,6 +193,10 @@ class TestLgCompatibility:
         ext = 8.0 * np.sqrt(1.0 + l)
         m = moments(lg_mode(Grid((256, 256), (ext, ext)), l, 1.0))
         assert lg_compatibility(m, l) <= 1e-3
+
+    def test_needs_two_axes(self):
+        with pytest.raises(DimensionError, match="needs 2-axis moments"):
+            lg_compatibility(moment_set(3), 1)
 
     def test_nonzero_for_wrong_l(self):
         m = moments(lg_mode(Grid((256, 256), (12.0, 12.0)), 1, 1.0))
@@ -273,10 +286,6 @@ def test_flipped_convention_fails_against_simulation():
     wrong = single_prediction(m, cfg.couplings[0].strength, w.conjugate(), 1.0)
     lam = cfg.couplings[0].strength
     assert abs(report.shift_q[0] - wrong.delta_q[0]) > 20 * (3 * lam**2)
-
-
-def fitted_slope(norms) -> float:
-    return float(np.polyfit(np.log(PARITY_MULTIPLIERS), np.log(norms), 1)[0])
 
 
 @pytest.mark.parametrize("name", [name for name in SWEPT if name != "zero_coupling"])
