@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -395,11 +394,12 @@ def build_coupling_specs(cfg: ScenarioConfig, multiplier: float = 1.0) -> list[C
 def first_order_terms(cfg: ScenarioConfig, specs: list[CouplingSpec], system) -> list[tuple]:
     """``(axis, quadrature, strength, weak_value)`` of each of ``specs`` in
     ``system`` (:func:`resolve_system`'s triple), then of the strong readout,
-    a unit q term whose weak value is its eigenvalue a_l, if there is one."""
+    whose weak value is its eigenvalue a_l, if there is one."""
     pre, post, a_l = system
     terms = [(s.axis, s.quadrature, s.strength, weak_value(s.observable, pre, post))
              for s in specs]
-    return terms + ([] if cfg.readout is None else [(cfg.readout.axis, "q", 1.0, a_l)])
+    r = cfg.readout
+    return terms + ([] if r is None else [(r.axis, r.quadrature, r.strength, a_l)])
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +407,11 @@ def first_order_terms(cfg: ScenarioConfig, specs: list[CouplingSpec], system) ->
 
 @dataclass
 class ShiftReport:
-    """Initial/final pointer means and predictions for one run; shifts and
-    residuals derive from them.
+    """One run of ``cfg``: postselection probability, initial/final pointer
+    means and predictions, from which shifts and residuals derive.  Its id,
+    grid and readout flag are ``cfg``'s, and it holds no wall-clock time."""
 
-    ``wall_time_seconds`` is diagnostic only and never serialized: the CSV and
-    JSON outputs are bit-exact deterministic by contract.
-    """
-
-    scenario_id: str
+    cfg: ScenarioConfig
     probability: float
     initial_mean_q: np.ndarray
     initial_mean_p: np.ndarray
@@ -424,10 +421,6 @@ class ShiftReport:
     predicted_dp: np.ndarray
     lambda1: float
     lambda2: float
-    grid_points: tuple[int, ...]
-    grid_extent: tuple[float, ...]
-    includes_readout_offset: bool
-    wall_time_seconds: float
 
     @property
     def shift_q(self) -> np.ndarray:
@@ -483,9 +476,8 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
     pointer (then :func:`check_kick_budget` at the largest ``|multiplier|``,
     which bounds wraparound, and at the smallest nonzero one, which bounds
     resolution), its initial moments and the system are built once for all
-    of them, so the first report's ``wall_time_seconds`` includes that build."""
-    t0 = time.perf_counter()
-    grid, phi = build_pointer(cfg)
+    of them."""
+    phi = build_pointer(cfg)[1]
     sizes = [abs(m) for m in multipliers]
     for size in (max(sizes), min((s for s in sizes if s), default=0.0)):
         check_kick_budget(cfg, size)
@@ -501,16 +493,12 @@ def _shift_reports(cfg: ScenarioConfig, multipliers: list[float]) -> list[ShiftR
         del pointer_f  # full-grid; only its moments are needed from here on
         lambda1, lambda2 = ([s.strength for s in specs] + [0.0, 0.0])[:2]
         reports.append(ShiftReport(
-            scenario_id=cfg.scenario_id, probability=prob,
+            cfg=cfg, probability=prob,
             initial_mean_q=base.mean_q, initial_mean_p=base.mean_p,
             final_mean_q=final.mean_q, final_mean_p=final.mean_p,
             predicted_dq=prediction.delta_q, predicted_dp=prediction.delta_p,
             lambda1=lambda1, lambda2=lambda2,
-            grid_points=grid.points_per_axis, grid_extent=grid.extent,
-            includes_readout_offset=cfg.readout is not None,
-            wall_time_seconds=time.perf_counter() - t0,
         ))
-        t0 = time.perf_counter()
     return reports
 
 
@@ -569,7 +557,7 @@ def _axis_rows(report: ShiftReport):
 def report_csv_rows(report: ShiftReport) -> list[dict]:
     return [
         {
-            "scenario_id": report.scenario_id,
+            "scenario_id": report.cfg.scenario_id,
             "axis": str(axis + 1),
             "quadrature": quad,
             "initial_mean": _g17(values["initial"]),
@@ -605,16 +593,16 @@ def report_json_obj(report: ShiftReport) -> dict:
         axes[axis][quad] = values
     return {
         "schema_version": SCHEMA_VERSION,
-        "scenario_id": report.scenario_id,
+        "scenario_id": report.cfg.scenario_id,
         "probability": float(report.probability),
         "convention": {"orientation": ORIENTATION, "re_orientation": RE_ORIENTATION},
         "grid": {
-            "points_per_axis": list(report.grid_points),
-            "extent": [float(v) for v in report.grid_extent],
+            "points_per_axis": list(report.cfg.grid.points_per_axis),
+            "extent": list(report.cfg.grid.extent),
         },
         "lambda1": float(report.lambda1),
         "lambda2": float(report.lambda2),
-        "includes_readout_offset": report.includes_readout_offset,
+        "includes_readout_offset": report.cfg.readout is not None,
         "axes": axes,
     }
 

@@ -1,8 +1,10 @@
 """Scenario config validation, orchestration, serialization, CLI."""
 
 import ast
+import itertools
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -525,6 +527,16 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out2)]) == 0
         for name in ("tiny.csv", "tiny.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_run_prints_its_probability_and_its_own_wall_time(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # The clock ticks 2 s per read: _cmd_run reads it around run_scenario.
+        ticks = itertools.count(step=2.0)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        path = Path(scenarios.__file__).parent / "scenarios" / "jozsa_baseline.json"
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"scenario jozsa_baseline: prob=\d\.\d{6} wall=2\.000s", first)
 
     def test_sweep_command(self, tmp_path):
         cfg_path = tmp_path / "tiny.json"

@@ -5,10 +5,13 @@ serialized summaries.
 
 The stubs stand in for the real criteria so that only the scheduling is
 under test; the real criteria's verdicts are covered by
-``test_acceptance.py``.  The last tests run criteria 6 and 9 alone, for
-their memory peak and for which moment passes they call.
+``test_acceptance.py``.  The last tests run criteria 3, 6 and 9 alone:
+criterion 3 for the corpus seconds its budget counts, 6 and 9 for their
+memory peak and for which moment passes they call.  The clock test keeps
+every wall-clock read in the suite and the CLI.
 """
 
+import ast
 import itertools
 from types import SimpleNamespace
 
@@ -18,7 +21,7 @@ from pointersim import validation
 from pointersim.cli import main
 from pointersim.scenarios import load_bundled, run_scenario
 from pointersim.validation import CriterionResult
-from conftest import count_calls, traced_peak
+from conftest import count_calls, source_sites, traced_peak
 
 
 @pytest.fixture
@@ -141,6 +144,26 @@ def test_the_suite_pass_clocks_each_criterion(monkeypatch):
     assert not result.within_budget and not result.ok
 
 
+def test_only_the_suite_and_the_cli_read_the_clock():
+    # A report holds no time: the corpus times each run, the suite pass each
+    # criterion call, and ``pointersim run`` its one scenario.
+    sites = source_sites(lambda node: "time" if (
+        isinstance(node, ast.Name) and node.id == "time"
+        or isinstance(node, ast.ImportFrom) and node.module == "time") else None)
+    assert sites == {("validation", "_suite_pass", "time"),
+                     ("validation", "_bundled_corpus", "time"),
+                     ("cli", "_cmd_run", "time")}
+
+
+def test_criterion_3_budget_counts_its_corpus_run():
+    # Its own work takes well under a second; the 61 s its corpus run took
+    # is what blows the 60 s budget, and the numbers still pass.
+    cfg = load_bundled("seq_corr_full")
+    result = validation.criterion_3_sequential_shifts({"seq_corr_full": (run_scenario(cfg), 61.0)})
+    assert result.passed and not result.within_budget
+    assert result.elapsed_s == 61.0
+
+
 def test_criterion_6_holds_one_64_cubed_pointer_while_measuring():
     # The displaced state replaces the undisplaced one before its moments are
     # taken, so the 64^3 pass peaks at the state, the moments scratch and
@@ -157,7 +180,7 @@ def test_criterion_9_holds_two_64_cubed_pointers():
     # one output array (2.16); the whole-grid xi * phi and displacement
     # phase peaked at 3.03.
     cfg = load_bundled("seq_corr_full")
-    corpus = {"seq_corr_full": (cfg, run_scenario(cfg))}
+    corpus = {"seq_corr_full": (run_scenario(cfg), 0.0)}
     result, peak = traced_peak(lambda: validation.criterion_9_oracle_crosscheck(corpus))
     assert result.passed
     assert peak <= 2.5 * 64**3 * 16, f"traced peak {peak / 2**20:.2f} MiB"
@@ -166,7 +189,7 @@ def test_criterion_9_holds_two_64_cubed_pointers():
 def test_criterion_9_takes_only_means(monkeypatch):
     # It compares mean vectors, so it needs no covariance pass.
     cfg = load_bundled("zero_coupling")
-    corpus = {"zero_coupling": (cfg, run_scenario(cfg))}
+    corpus = {"zero_coupling": (run_scenario(cfg), 0.0)}
     counts = count_calls(monkeypatch, validation, "moments", "means")
     assert validation.criterion_9_oracle_crosscheck(corpus).passed
     assert counts == {"moments": 0, "means": 1}
