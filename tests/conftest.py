@@ -2,7 +2,8 @@
 whole-array references for the blockwise moments, momentum displacement and
 system contractions, the parity split of a sweep's residual and its fitted
 slope, a traced-peak
-probe, a call counter and a finder of source sites."""
+probe, a call counter, a finder of source sites and the session's one
+acceptance-suite pass."""
 
 import ast
 import tracemalloc
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from pointersim.scenarios import run_sweep
+from pointersim.validation import run_all
 from pointersim.pointer import (
     Grid,
     MomentSet,
@@ -179,6 +181,13 @@ def source_sites(label) -> set[tuple[str, str, str]]:
     for path in sorted(Path(pointersim.__file__).parent.glob("*.py")):
         Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
     return sites
+
+
+@pytest.fixture(scope="session")
+def suite_results():
+    """One ``validation.run_all()`` per session: the acceptance tests check
+    its criteria, and the byte contract hashes its summaries."""
+    return run_all()
 
 
 @pytest.fixture

@@ -2,18 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion (the same lines ``pointersim validate`` prints).  The ten tests
-share one ``run_all()``, as ``pointersim validate`` runs it: criterion 10
-there compares that suite pass with a second, independent one.
+share one ``run_all()`` (``conftest.suite_results``), as ``pointersim
+validate`` runs it: criterion 10 there compares that suite pass with a
+second, independent one.
 """
-
-import pytest
-
-from pointersim.validation import run_all
-
-
-@pytest.fixture(scope="module")
-def suite_results():
-    return run_all()
 
 
 def _check(results, number):

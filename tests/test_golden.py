@@ -15,6 +15,7 @@ Criterion 10 compares two runs of the same code, so it cannot catch a change
 that moves the results; this can.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -53,6 +54,21 @@ GOLDEN_NAMES = (bundled_scenario_names()
                 + [f"moments_{name}" for name in bundled_scenario_names()]
                 + [f"sweep_{name}" for name in SWEPT] + list(COMMANDS))
 MOMENT_BLOCKS = ("mean_q", "mean_p", "cov_qq", "cov_qp", "cov_pp")
+
+
+@functools.cache
+def bundled_run(name: str):
+    """``run_scenario`` of bundled scenario ``name``, once per session: its
+    golden file and the byte contract (``test_output_digest``) read the same
+    report."""
+    return run_scenario(load_bundled(name))
+
+
+@functools.cache
+def bundled_sweep(name: str):
+    """``run_sweep`` of bundled scenario ``name`` at ``SWEEP_MULTIPLIERS``,
+    once per session, as :func:`bundled_run`."""
+    return run_sweep(load_bundled(name), SWEEP_MULTIPLIERS)
 
 
 def moments_json_text(name: str) -> str:
@@ -116,11 +132,10 @@ def golden_text(golden: str, tmp_path: Path) -> str:
         (written,) = tmp_path.glob("*.json")
         return written.read_text(encoding="utf-8")
     if golden.startswith("sweep_"):
-        cfg = load_bundled(golden.removeprefix("sweep_"))
-        return sweep_json_text(*run_sweep(cfg, SWEEP_MULTIPLIERS))
+        return sweep_json_text(*bundled_sweep(golden.removeprefix("sweep_")))
     if golden.startswith("moments_"):
         return moments_json_text(golden.removeprefix("moments_"))
-    return report_json_text(run_scenario(load_bundled(golden)))
+    return report_json_text(bundled_run(golden))
 
 
 def load_golden(golden: str):
