@@ -55,7 +55,6 @@ from .shifts import (
     ShiftPrediction,
     lg_compatibility,
     predict_general,
-    predict_lg,
 )
 from .entanglement import (
     CMatrix,

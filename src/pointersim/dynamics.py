@@ -167,13 +167,11 @@ def apply_couplings(state: JointState, specs: list[CouplingSpec],
     return JointState._adopt(grid, out)
 
 
-def strong_readout(state: JointState, observable: Observable, axis: int,
-                   out: np.ndarray | None = None) -> JointState:
+def strong_readout(state: JointState, observable: Observable, axis: int) -> JointState:
     """Unit-strength exact position coupling, the projective readout as one
-    :func:`apply_couplings` step; ``out`` as for that.  :func:`evolve` takes
-    the readout as a step of its own, so this is the readout spelled out."""
-    spec = CouplingSpec(observable=observable, axis=axis, quadrature="q", strength=1.0)
-    return apply_couplings(state, [spec], out)
+    :func:`apply_couplings` step into a new state.  :func:`evolve` takes the
+    readout as a step of its own, so this is the readout spelled out."""
+    return apply_couplings(state, [CouplingSpec(observable, axis, "q", 1.0)])
 
 
 def postselect(state: JointState, target: SystemState) -> tuple[PointerWavefunction, float]:

@@ -11,9 +11,11 @@ evolution used everywhere in this package the calibration yields
 * ``RE_ORIENTATION = -1``: ``lambda Re(w)`` momentum terms enter with -, and
   the strong-readout momentum offset is ``-a_l`` (a unit q term, w = a_l).
 
-A position coupling with the opposite quadrature roles (coupling to p,
-reading q) picks up the mirrored Re sign, which is why the vortex-mode
-relations below carry no explicit convention factor.
+A p-coupling picks up the mirrored Re sign, so on the vortex mode (A_w on
+p_x, B_w on p_y, strength g) :func:`predict_general` of the mode's moments is
+the paper's relation with no explicit convention factor:
+``dx = g [Re A_w + l Im B_w]``, ``dy = g [Re B_w - l Im A_w]``, and
+``dp = 2 g Im(.) (1 + |l|) / (4 sigma^2)`` on each axis.
 """
 
 from __future__ import annotations
@@ -67,26 +69,6 @@ def predict_general(m: MomentSet, couplings: list[tuple]) -> ShiftPrediction:
         for mm in range(d):
             coupled[mm] += s * 2.0 * lam * b * cov[mm, axis]
             conjugate[mm] += re * lam * a if mm == axis else s * 2.0 * lam * b * cross[axis, mm]
-    return ShiftPrediction(delta_q=dq, delta_p=dp)
-
-
-def predict_lg(l: int, g: float, aw: complex, bw: complex, sigma: float = 1.0) -> ShiftPrediction:
-    """Shifts for the vortex-mode probe: one pulse coupling A to p_x and B to p_y.
-
-    The position shifts use the mode's built-in cross correlations
-    corr(x, p_y) = +l/2 and corr(y, p_x) = -l/2::
-
-        dx = g [Re(A)_w + l Im(B)_w]
-        dy = g [Re(B)_w - l Im(A)_w]
-
-    The momentum shifts use the mode's momentum variance (1+|l|)/(4 sigma^2).
-    """
-    vp = (1.0 + abs(l)) / (4.0 * sigma**2)
-    dq = np.array([
-        g * (np.real(aw) + l * np.imag(bw)),
-        g * (np.real(bw) - l * np.imag(aw)),
-    ])
-    dp = np.array([2.0 * g * np.imag(aw) * vp, 2.0 * g * np.imag(bw) * vp])
     return ShiftPrediction(delta_q=dq, delta_p=dp)
 
 

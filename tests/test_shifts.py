@@ -23,13 +23,12 @@ from pointersim import (
     lg_mode,
     moments,
     predict_general,
-    predict_lg,
     weak_value,
 )
 from pointersim.scenarios import load_bundled, resolve_system, run_scenario
 from pointersim.shifts import lg_check
 from conftest import fitted_slope, parity_residuals
-from test_golden import SWEPT
+from test_golden import SWEPT, bundled_run
 
 
 def moment_set(d, cov_qq=None, cov_qp=None, cov_pp=None):
@@ -158,33 +157,26 @@ class TestPredictSingle:
         assert pred.delta_p[1] == pytest.approx(RE_ORIENTATION * 1.0 + ORIENTATION * 2 * 0.05 * 0.3)
 
 
-class TestPredictLg:
-    def test_l0_reduces_to_real_parts(self):
-        pred = predict_lg(0, 0.1, 0.3 + 0.4j, -0.2 + 0.1j)
-        assert pred.delta_q[0] == pytest.approx(0.1 * 0.3)
-        assert pred.delta_q[1] == pytest.approx(0.1 * -0.2)
-
-    def test_imaginary_a_moves_y(self):
-        pred = predict_lg(1, 0.1, 1j, 0.0)
-        assert pred.delta_q[0] == pytest.approx(0.0, abs=1e-15)
-        assert pred.delta_q[1] == pytest.approx(-0.1)
-
-    def test_imaginary_b_moves_x(self):
-        pred = predict_lg(1, 0.1, 0.0, 1j)
-        assert pred.delta_q[0] == pytest.approx(0.1)
-        assert pred.delta_q[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_engine_on_lg_probe(self):
-        # The vortex relation is the general engine evaluated on the mode's
-        # built-in moments: both predictions agree on the bundled probe.
+class TestVortexRelation:
+    def test_engine_gives_the_vortex_relation_on_lg_probe(self):
+        # predict_general on the mode's measured moments is the paper's vortex
+        # relation: dx = g[Re A_w + l Im B_w], dy = g[Re B_w - l Im A_w], and
+        # dp = 2g Im(.) (1 + |l|) / (4 sigma^2) on each axis.
         cfg = load_bundled("lg_probe")
+        g = cfg.couplings[0].strength
+        assert [(c.axis, c.quadrature, c.strength) for c in cfg.couplings] == [(0, "p", g),
+                                                                              (1, "p", g)]
         pre, post, _a_l = resolve_system(cfg)
         a, b = (weak_value(c.observable, pre, post) for c in cfg.couplings)
-        pred = predict_lg(cfg.pointer_params["l"], cfg.couplings[0].strength, a, b,
-                          cfg.pointer_params["sigma"])
-        report = run_scenario(cfg)
-        np.testing.assert_allclose(pred.delta_q, report.predicted_dq, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pred.delta_p, report.predicted_dp, rtol=0, atol=1e-12)
+        l, sigma = cfg.pointer_params["l"], cfg.pointer_params["sigma"]
+        vp = (1.0 + abs(l)) / (4.0 * sigma**2)
+        report = bundled_run("lg_probe")
+        np.testing.assert_allclose(report.predicted_dq, [g * (a.real + l * b.imag),
+                                                         g * (b.real - l * a.imag)],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.predicted_dp, [2.0 * g * a.imag * vp,
+                                                         2.0 * g * b.imag * vp],
+                                   rtol=0, atol=1e-12)
 
 
 class TestLgCompatibility:
