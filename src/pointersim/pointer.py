@@ -27,6 +27,7 @@ from .errors import (
     InvalidParams,
     NormalizationError,
 )
+from .quantum import is_hermitian
 
 _NORM_TOL = 1e-8
 # Grid cells per block of leading rows in the blockwise kernels (moments, the
@@ -290,22 +291,24 @@ class MomentSet:
 
 def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
     """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
-    (to 1e-12 of its largest entry) and positive definite, and ``theta`` (if
-    given) is a finite symmetric matrix of the same shape.  NaN fails no ``>``
-    test, so finiteness is checked first."""
+    (:func:`~pointersim.quantum.is_hermitian`) and positive definite, ``theta``
+    (if given) is a finite symmetric matrix of the same shape, and the momentum
+    spreads are finite.  NaN fails no ``>`` test, so finiteness is checked first."""
     if not sigma.size:
         raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
         raise InvalidCovariance("sigma and theta must be finite")
-    if np.max(np.abs(sigma - sigma.T)) > 1e-12 * np.max(np.abs(sigma)):
+    if not is_hermitian(sigma):
         raise InvalidCovariance("sigma is not symmetric")
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise InvalidCovariance("sigma is not positive definite") from None
-    if theta is not None and (theta.shape != sigma.shape
-                              or np.max(np.abs(theta - theta.T)) > 1e-12 * np.max(np.abs(theta))):
+    if theta is not None and (theta.shape != sigma.shape or not is_hermitian(theta)):
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(gaussian_spreads(sigma, theta)[1])):
+            raise InvalidCovariance("sigma^-1 / 4 + theta sigma theta overflows")
 
 
 def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,14 @@ class SystemState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def is_hermitian(mat: np.ndarray) -> bool:
+    """Whether ``max |mat - mat^H| <= HERMITICITY_TOL * max |mat|`` (for a real
+    ``mat``: whether it is symmetric), on ``mat`` divided by its largest real
+    or imaginary part first, so that no difference or modulus overflows."""
+    m = mat / (max(np.max(np.abs(mat.real)), np.max(np.abs(mat.imag))) or 1.0)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * np.max(np.abs(m)))
+
+
 class Observable:
     """Hermitian matrix on the system space."""
 
@@ -69,7 +77,7 @@ class Observable:
             raise InvalidObservable(f"expected a nonempty square matrix, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise InvalidObservable("matrix contains non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * np.max(np.abs(mat)):
+        if not is_hermitian(mat):
             raise InvalidObservable("matrix is not Hermitian within 1e-12 of its largest entry")
         self.matrix = _frozen(mat)
 

@@ -214,6 +214,16 @@ class TestGaussianPointer:
             with pytest.raises(InvalidCovariance, match="finite"):
                 check_gaussian_params(sigma, theta)
 
+    @pytest.mark.parametrize("sigma, theta", [
+        (np.eye(2), np.full((2, 2), 1e308)),
+        (np.array([[1e-320]]), None),
+        (np.array([[1.0, 1e308], [-1e308, 1.0]]), None),
+    ], ids=["theta-sigma-theta", "inverse-sigma", "asymmetric-huge"])
+    def test_rejects_an_overflowing_covariance_without_a_warning(self, sigma, theta):
+        # Tier-1 turns a RuntimeWarning into an error, so none escapes here.
+        with pytest.raises(InvalidCovariance, match="overflows|not symmetric"):
+            check_gaussian_params(sigma, theta)
+
     def test_rejects_empty_sigma(self):
         with pytest.raises(InvalidCovariance, match="sigma is empty"):
             check_gaussian_params(np.zeros((0, 0)))

@@ -87,6 +87,13 @@ class TestObservable:
         with pytest.raises(InvalidObservable, match="non-finite"):
             Observable(np.array([[bad, 0], [0, 1]]))
 
+    def test_entries_near_the_float_limit_are_checked_without_overflow(self):
+        # The residual and the moduli of 1e308 entries overflowed before the check.
+        big = 1e308
+        Observable(np.array([[big, big * (1 + 1j)], [big * (1 - 1j), -big]]))
+        with pytest.raises(InvalidObservable, match="not Hermitian"):
+            Observable(np.array([[big * (1 + 1j), big], [-big, big]]))
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidObservable, match="nonempty square matrix"):
             Observable(np.zeros((0, 0)))

@@ -720,6 +720,12 @@ class TestCli:
         ("lg_probe", ("pointer", "l"), 10**400, "pointer.l"),
         ("lg_probe", ("pointer", "grid", "points_per_axis"), [2**2000, 256],
          "pointer.grid.points_per_axis[0]"),
+        # Entries near the float limit: no overflow warning before the rule.
+        ("theta_qp_gaussian", ("pointer", "theta"), [[1e308, 1e308], [1e308, 1e308]],
+         "pointer.theta"),
+        ("theta_qp_gaussian", ("couplings", 0, "observable"),
+         [[[1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308], [1e308, 1e308]]],
+         "couplings[0].observable"),
     ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
             "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
             "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
@@ -736,7 +742,7 @@ class TestCli:
             "extent-wrong-length", "extent-boolean",
             "kind-unknown-string", "kind-list", "kind-object",
             "strength-huge-integer", "sigma-huge-integer", "vortex-l-huge-integer",
-            "points-huge-integer"])
+            "points-huge-integer", "theta-spread-overflows", "observable-huge-not-hermitian"])
     def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, keys,
                                                  value, path):
         doc_path = tmp_path / "bad.json"
