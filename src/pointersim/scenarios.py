@@ -323,9 +323,12 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
                       "readout.observable")
             r_obs, a_l = Observable(np.outer(post.amplitudes, post.amplitudes.conj())), 1.0
         elif post is not None:
-            a_post = r_obs.matrix @ post.amplitudes
-            a_l = float(np.vdot(post.amplitudes, a_post).real)
-            drift = np.linalg.norm(a_post - a_l * post.amplitudes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a_post = r_obs.matrix @ post.amplitudes
+                a_l = float(np.vdot(post.amplitudes, a_post).real)
+                drift = np.linalg.norm(a_post - a_l * post.amplitudes)
+            if not np.isfinite(a_l):
+                _fail("the readout eigenvalue of post_state overflows", "readout.observable")
             if drift > 1e-10:
                 _fail("post_state is not an eigenvector of the readout observable (residual "
                       f"{drift:.2e}); use direct_projection for arbitrary postselection",

@@ -763,6 +763,19 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_readout_eigenvalue_exits_2_without_a_warning(self, tmp_path, capsys):
+        # A finite Hermitian readout whose product with the post state overflows.
+        doc = bundled_document("theta_qp_gaussian")
+        doc["system"] = {"dimension": 4, "pre_state": [[1, 0]] * 4,
+                         "post_state": {"amplitudes": [[1, 0]] * 4}}
+        doc["couplings"][0]["observable"] = "proj0"
+        doc["readout"]["observable"] = [[[1e308, 0]] * 4] * 4
+        doc_path = tmp_path / "bad.json"
+        doc_path.write_text(json.dumps(doc))
+        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: readout.observable: the readout "
+                                           "eigenvalue of post_state overflows\n")
+
     def test_overflowing_state_norm_runs_as_the_bundled_state(self, tmp_path):
         # The norm of a pre_state scaled by 1e200 overflows a float.  Scaled by
         # its largest part first, it normalizes to the bundled state's bits.
