@@ -54,7 +54,8 @@ def locations(node, path=()) -> list[tuple]:
     """The path (keys and indices) of every value below ``node``."""
     children = (node.items() if isinstance(node, dict)
                 else enumerate(node) if isinstance(node, list) else ())
-    return [loc for key, child in children for loc in [path + (key,)] + locations(child, path + (key,))]
+    return [loc for key, child in children
+            for loc in [path + (key,)] + locations(child, path + (key,))]
 
 
 def at(doc, path):
