@@ -19,6 +19,7 @@ from .errors import (
     PointersimError,
     PostselectionFailed,
     RepresentationError,
+    WeakValueOverflow,
 )
 from .quantum import (
     PAULI_X,

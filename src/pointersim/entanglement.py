@@ -95,9 +95,10 @@ def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
 
     The probe is the qubit ``_PROBE``: Z, prepared in |+> and postselected on
     (|0> + i|1>)/sqrt(2), coupled to axis 1 at ``strength``, finite and
-    nonzero, whose kicks of ``|strength|`` to axis 1's momentum (q row) and
-    position (p row) must pass :func:`~pointersim.pointer.kick_gap` on
-    ``phi``'s measured means and spreads (else InvalidParams).  Coupling to
+    nonzero, whose kicks of ``|strength|`` times Z's ``spectral_radius`` (1)
+    to axis 1's momentum (q row) and position (p row) must pass
+    :func:`~pointersim.pointer.kick_gap` on ``phi``'s measured means and
+    spreads (else InvalidParams).  Coupling to
     q1 and reading the axis-2 shifts yields the first row; the second row
     interchanges the quadrature roles (coupling to p1), reusing the
     structurally identical first-order shift algebra.  Postselection is a
@@ -109,12 +110,13 @@ def c_matrix_from_shifts(phi: PointerWavefunction, strength: float) -> CMatrix:
         raise DimensionError("the reconstruction protocol needs a 2-axis pointer")
     if not (np.isfinite(strength) and strength != 0.0):
         raise InvalidParams(f"probe strength must be finite and nonzero, got {strength}")
+    observable, pre, post = _PROBE
     base_q, base_p, cov_qq, cov_pp = _diagonal_moments(phi, cov=True)[:4]
+    kick = abs(strength) * observable.spectral_radius
     gap = kick_gap(phi.grid, np.sqrt(np.diag(cov_qq)), np.sqrt(np.diag(cov_pp)), base_q, base_p,
-                   [(0, quadrature, abs(strength)) for quadrature in ("q", "p")])
+                   [(0, quadrature, kick) for quadrature in ("q", "p")])
     if gap:
         raise InvalidParams(f"probe strength {strength:g}: {gap[2]}")
-    observable, pre, post = _PROBE
     denom = ORIENTATION * 2.0 * strength * weak_value(observable, pre, post).imag
     rows = []
     for quadrature in ("q", "p"):

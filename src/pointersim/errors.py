@@ -10,7 +10,7 @@ class InvalidState(PointersimError):
 
 
 class InvalidObservable(PointersimError):
-    """Matrix is not Hermitian within tolerance."""
+    """Matrix is not Hermitian within tolerance, or its spectrum overflows."""
 
 
 class DimensionError(PointersimError):
@@ -28,6 +28,10 @@ class NearOrthogonalPostselection(PointersimError):
         super().__init__(
             f"|<post|pre>| = {self.overlap:.3e} is below the overlap floor"
         )
+
+
+class WeakValueOverflow(PointersimError):
+    """<post|A|pre> / <post|pre> is not a finite complex float."""
 
 
 class NormalizationError(PointersimError):

@@ -289,11 +289,12 @@ class MomentSet:
     cov_pp: np.ndarray
 
 
-def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> None:
+def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) -> tuple:
     """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
     (:func:`~pointersim.quantum.is_hermitian`) and positive definite, ``theta``
     (if given) is a finite symmetric matrix of the same shape, and the momentum
-    spreads are finite.  NaN fails no ``>`` test, so finiteness is checked first."""
+    spreads are finite; return the spreads, :func:`gaussian_spreads` of both.
+    NaN fails no ``>`` test, so finiteness is checked first."""
     if not sigma.size:
         raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
@@ -307,8 +308,10 @@ def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) ->
     if theta is not None and (theta.shape != sigma.shape or not is_hermitian(theta)):
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(gaussian_spreads(sigma, theta)[1])):
-            raise InvalidCovariance("sigma^-1 / 4 + theta sigma theta overflows")
+        spreads = gaussian_spreads(sigma, theta)
+    if not np.all(np.isfinite(spreads[1])):
+        raise InvalidCovariance("sigma^-1 / 4 + theta sigma theta overflows")
+    return spreads
 
 
 def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:
@@ -368,8 +371,7 @@ def gaussian_pointer(
     th = np.zeros((d, d)) if theta is None else np.asarray(theta, dtype=float)
     if mu.shape != (d,) or p0.shape != (d,):
         raise DimensionError("mean_q/mean_p must be length-D vectors")
-    check_gaussian_params(sig, th)
-    gap = coverage_gap(grid, *gaussian_spreads(sig, th), mu, p0)
+    gap = coverage_gap(grid, *check_gaussian_params(sig, th), mu, p0)
     if gap:
         raise GridCoverage(gap[2])
     sig_inv = np.linalg.inv(sig)

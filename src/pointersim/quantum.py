@@ -14,6 +14,7 @@ from .errors import (
     InvalidObservable,
     InvalidState,
     NearOrthogonalPostselection,
+    WeakValueOverflow,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -69,7 +70,8 @@ def is_hermitian(mat: np.ndarray) -> bool:
 
 
 class Observable:
-    """Hermitian matrix on the system space."""
+    """Hermitian matrix on the system space.  ``spectral_radius``, its largest ``|eigenvalue|``
+    from one ``eigvalsh``, is the scale the kick and eigenvector rules read; it must be finite."""
 
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
@@ -80,6 +82,9 @@ class Observable:
         if not is_hermitian(mat):
             raise InvalidObservable("matrix is not Hermitian within 1e-12 of its largest entry")
         self.matrix = _frozen(mat)
+        self.spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+        if not np.isfinite(self.spectral_radius):
+            raise InvalidObservable("eigenvalues overflow a float")
 
     @property
     def dim(self) -> int:
@@ -89,7 +94,7 @@ class Observable:
 def weak_value(observable: Observable, pre: SystemState, post: SystemState) -> complex:
     """<post|A|pre> / <post|pre>.
 
-    Raises NearOrthogonalPostselection when |<post|pre>| <= OVERLAP_FLOOR.
+    Raises NearOrthogonalPostselection if |<post|pre>| <= OVERLAP_FLOOR, WeakValueOverflow if inf.
     """
     if observable.dim != pre.dim or pre.dim != post.dim:
         raise DimensionError(
@@ -98,5 +103,7 @@ def weak_value(observable: Observable, pre: SystemState, post: SystemState) -> c
     ovl = post.overlap(pre)
     if abs(ovl) <= OVERLAP_FLOOR:
         raise NearOrthogonalPostselection(abs(ovl))
-    num = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes))
-    return num / ovl
+    wv = complex(np.vdot(post.amplitudes, observable.matrix @ pre.amplitudes)) / ovl
+    if not np.isfinite(wv):
+        raise WeakValueOverflow(f"weak value {wv} of |<post|pre>| = {abs(ovl):.3e} is not finite")
+    return wv

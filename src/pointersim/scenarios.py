@@ -323,16 +323,13 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
                       "readout.observable")
             r_obs, a_l = Observable(np.outer(post.amplitudes, post.amplitudes.conj())), 1.0
         elif post is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                a_post = r_obs.matrix @ post.amplitudes
-                a_l = float(np.vdot(post.amplitudes, a_post).real)
-                drift = np.linalg.norm(a_post - a_l * post.amplitudes)
-            if not np.isfinite(a_l):
-                _fail("the readout eigenvalue of post_state overflows", "readout.observable")
+            a_post = r_obs.matrix @ post.amplitudes
+            a_l = float(np.vdot(post.amplitudes, a_post).real)
+            drift = np.linalg.norm((a_post - a_l * post.amplitudes) / (r_obs.spectral_radius or 1))
             if drift > 1e-10:
                 _fail("post_state is not an eigenvector of the readout observable (residual "
-                      f"{drift:.2e}); use direct_projection for arbitrary postselection",
-                      "system.post_state.amplitudes")
+                      f"{drift:.2e} of its spectral radius); use direct_projection for "
+                      "arbitrary postselection", "system.post_state.amplitudes")
         readout = CouplingSpec(r_obs, raxis - 1, "q", 1.0)
 
     sweep = None
@@ -459,13 +456,12 @@ def simulate_pipeline(cfg: ScenarioConfig, strength_multiplier: float = 1.0):
 
 
 def check_kick_budget(cfg: ScenarioConfig, multiplier: float) -> None:
-    """Raise ConfigError at ``couplings`` unless the kicks of the couplings at
-    ``multiplier`` times their strengths and of the strong readout, a unit
-    q-coupling, pass :func:`~pointersim.pointer.kick_gap`.  The builder has
-    already held the unkicked pointer to the coverage rule."""
+    """Raise ConfigError at ``couplings`` unless the kicks ``|strength| *
+    spectral_radius`` of the couplings at ``multiplier`` times their strengths
+    and of the strong readout, a unit q-coupling, pass :func:`~pointersim.pointer.kick_gap`.
+    The builder has already held the unkicked pointer to the coverage rule."""
     readout = [] if cfg.readout is None else [(cfg.readout, 1.0)]
-    kicks = [(s.axis, s.quadrature,
-              abs(m * s.strength) * float(np.max(np.abs(np.linalg.eigvalsh(s.observable.matrix)))))
+    kicks = [(s.axis, s.quadrature, abs(m * s.strength) * s.observable.spectral_radius)
              for s, m in [(s, multiplier) for s in cfg.couplings] + readout]
     params = cfg.pointer_params
     gap = kick_gap(cfg.grid, *_POINTER_KINDS[cfg.pointer_kind][0](params),

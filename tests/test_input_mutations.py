@@ -7,9 +7,11 @@ generated documents (``perfbench/generate.py``, imported as it is and only
 read).  Each mutant carries one or two mutations: a key or list entry
 deleted, a list entry duplicated, or a value set to one of :data:`HOSTILE`.
 ``derandomize=True`` makes hypothesis draw the same mutants on every run.
-The two ``@example`` documents are overflows found by such a fuzz: a theta
-whose ``theta sigma theta`` overflows, and an observable whose Hermiticity
-check overflowed before it could say "not Hermitian".
+The first two ``@example`` documents are overflows found by such a fuzz: a
+theta whose ``theta sigma theta`` overflows, and an observable whose
+Hermiticity check overflowed before it could say "not Hermitian".  The other
+two are finite Hermitian observables whose spectrum overflows: an
+``eigenvalue_index`` readout, and a coupling at strength 0, which kicks nothing.
 """
 
 import copy
@@ -107,12 +109,28 @@ def names_a_location(doc: dict, path: str) -> bool:
 
 
 THETA_QP = CORPUS[bundled_scenario_names().index("theta_qp_gaussian")]
+JOZSA = CORPUS[bundled_scenario_names().index("jozsa_baseline")]
+BIG_PAIRS = [[[BIG, 0], [BIG, 0]], [[BIG, 0], [BIG, 0]]]
+
+
+def four_level_big_readout() -> dict:
+    """``theta_qp_gaussian`` on a 4-level system, postselected on an
+    eigenvector of a readout that has every entry 1e308."""
+    doc = copy.deepcopy(THETA_QP)
+    doc["system"] = {"dimension": 4, "pre_state": [[1, 0]] * 4,
+                     "post_state": {"eigenvalue_index": 0}}
+    doc["couplings"][0]["observable"] = "proj0"
+    doc["readout"]["observable"] = [[[BIG, 0]] * 4] * 4
+    return doc
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(doc=mutants())
 @example(doc=mutated(THETA_QP, ("pointer", "theta"), [[BIG, BIG], [BIG, BIG]]))
 @example(doc=mutated(THETA_QP, ("couplings", 0, "observable"), HOSTILE[-1]))
+@example(doc=four_level_big_readout())
+@example(doc=mutated(JOZSA, ("couplings", 0),
+                     {"observable": BIG_PAIRS, "axis": 1, "quadrature": "q", "strength": 0}))
 def test_a_mutated_document_parses_or_fails_at_a_location(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

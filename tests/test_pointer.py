@@ -224,6 +224,19 @@ class TestGaussianPointer:
         with pytest.raises(InvalidCovariance, match="overflows|not symmetric"):
             check_gaussian_params(sigma, theta)
 
+    def test_the_build_computes_the_spreads_once(self, monkeypatch):
+        # The overflow rule's spreads are the ones the coverage rule reads.
+        calls = []
+        monkeypatch.setattr("pointersim.pointer.gaussian_spreads",
+                            lambda *a: calls.append(a) or gaussian_spreads(*a))
+        sigma, theta = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.3], [0.3, 0.0]])
+        spreads = check_gaussian_params(sigma, theta)
+        assert len(calls) == 1
+        for got, want in zip(spreads, gaussian_spreads(sigma, theta)):
+            np.testing.assert_array_equal(got, want)
+        gaussian_pointer(grid2(256), sigma, theta=theta)
+        assert len(calls) == 2
+
     def test_rejects_empty_sigma(self):
         with pytest.raises(InvalidCovariance, match="sigma is empty"):
             check_gaussian_params(np.zeros((0, 0)))

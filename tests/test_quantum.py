@@ -13,7 +13,9 @@ from pointersim import (
     InvalidState,
     NearOrthogonalPostselection,
     Observable,
+    PointersimError,
     SystemState,
+    WeakValueOverflow,
     weak_value,
 )
 from conftest import random_hermitian, random_state_vector
@@ -98,6 +100,22 @@ class TestObservable:
         with pytest.raises(InvalidObservable, match="nonempty square matrix"):
             Observable(np.zeros((0, 0)))
 
+    def test_spectral_radius_is_the_largest_eigenvalue_modulus(self, rng):
+        assert Observable(PAULI_Z).spectral_radius == 1.0
+        assert Observable(np.zeros((3, 3))).spectral_radius == 0.0
+        mat = random_hermitian(rng, 4)
+        assert Observable(mat).spectral_radius == pytest.approx(
+            np.max(np.abs(np.linalg.eigvals(mat))), rel=1e-13)
+
+    @pytest.mark.parametrize("matrix", [np.full((2, 2), 1e308), np.full((4, 4), 1e308)],
+                             ids=["2x2", "4x4"])
+    def test_overflowing_spectrum_rejected_without_a_warning(self, matrix):
+        # Finite and Hermitian, but the largest eigenvalue (d * 1e308) is inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidObservable, match="eigenvalues overflow a float"):
+                Observable(matrix)
+
 
 class TestWeakValue:
     def test_pauli_z_gives_i(self):
@@ -122,6 +140,13 @@ class TestWeakValue:
         with pytest.raises(NearOrthogonalPostselection) as err:
             weak_value(Observable(PAULI_Z), pre, post)
         assert err.value.overlap == pytest.approx(0.0, abs=1e-15)
+
+    def test_overflowing_weak_value_rejected(self):
+        # |<post|pre>| is 1e-7, above the overlap floor, and <post|A|pre> 1e305.
+        pre, post = SystemState([1, 1e-7]), SystemState([0, 1])
+        with pytest.raises(WeakValueOverflow, match="is not finite"):
+            weak_value(Observable(1e305 * PAULI_X), pre, post)
+        assert issubclass(WeakValueOverflow, PointersimError)
 
     def test_dimension_mismatch(self):
         s = SystemState([1, 0, 0])

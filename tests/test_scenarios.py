@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from pointersim import (
+    PAULI_Y,
     ConfigError,
     Grid,
+    Observable,
     TwoModeGaussianParams,
     auto_grid,
     scenarios,
@@ -37,6 +39,7 @@ from pointersim.scenarios import (
 from conftest import source_sites, traced_peak
 
 NAN, INF = float("nan"), float("inf")
+BIG_OBSERVABLE = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
 
 
 def minimal_document():
@@ -148,6 +151,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eigenvector") as info:
             run_scenario(parse_config(doc))
         assert info.value.path == "system.post_state.amplitudes"
+
+    def test_eigenvector_rule_is_relative_to_the_spectral_radius(self):
+        # 1e8 (|v><v| - |w><w|) has the eigenvector v, with a rounding residual
+        # of 1.5e-8: below 1e-10 times its spectral radius 1e8, not below 1e-10.
+        v, w = np.array([0.6, 0.8]), np.array([0.8, -0.6])
+        doc = minimal_document()
+        doc["readout"] = {"axis": 2, "observable": [[[float(x), 0] for x in row] for row in
+                                                    1e8 * (np.outer(v, v) - np.outer(w, w))]}
+        doc["system"]["post_state"] = {"amplitudes": [[0.6, 0], [0.8, 0]]}
+        assert parse_config(doc).post_eigenvalue == pytest.approx(1e8, rel=1e-15)
+        # |0> is no eigenvector of 1e-11 X, however small the residual 1e-11 is.
+        doc["readout"]["observable"] = [[[0, 0], [1e-11, 0]], [[1e-11, 0], [0, 0]]]
+        doc["system"]["post_state"] = {"amplitudes": [[1, 0], [0, 0]]}
+        with pytest.raises(ConfigError, match="not an eigenvector") as info:
+            parse_config(doc)
+        assert info.value.path == "system.post_state.amplitudes"
+        # Under diag(1e300, -1e300) the residual's squares overflow a float; in
+        # units of the spectral radius it is 0.96, with no overflow warning.
+        doc["readout"]["observable"] = [[[1e300, 0], [0, 0]], [[0, 0], [-1e300, 0]]]
+        doc["system"]["post_state"] = {"amplitudes": [[0.6, 0], [0.8, 0]]}
+        with pytest.raises(ConfigError, match=r"\(residual 9\.60e-01 of its spectral radius\)"):
+            parse_config(doc)
 
     def test_eigenvector_post_resolves_to_its_eigenvalue(self):
         doc = minimal_document()
@@ -400,6 +425,21 @@ class TestKickBudget:
                            "holds .*, at strength multiplier 1$") as info:
             scenarios.check_kick_budget(cfg, 1.0)
         assert info.value.path == "couplings"
+
+    def test_one_spectrum_per_observable(self, monkeypatch):
+        # Each observable's spectrum is computed once, when it is built; a run
+        # and the kick budget read its spectral_radius.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        cfg = load_bundled("seq_corr_full")
+        assert len(calls) == 3  # two couplings and the readout
+        calls.clear()
+        run_scenario(cfg)
+        scenarios.check_kick_budget(cfg, 1.0)
+        assert calls == []
+        Observable(PAULI_Y)
+        assert len(calls) == 1
 
     def test_kick_below_the_resolution_floor_exits_2(self, tmp_path, capsys):
         # sigma 1e-305 on the derived 256^2 grid puts pi/dq at 1.6e154: the
@@ -726,6 +766,14 @@ class TestCli:
         ("theta_qp_gaussian", ("couplings", 0, "observable"),
          [[[1e308, 1e308], [1e308, -1e308]], [[1e308, 1e308], [1e308, 1e308]]],
          "couplings[0].observable"),
+        # Finite Hermitian observables whose largest eigenvalue (2e308) overflows:
+        # an eigenvalue_index readout, a coupling, and a coupling at strength 0.
+        ("seq_corr_full", ("readout", "observable"), BIG_OBSERVABLE, "readout.observable"),
+        ("jozsa_baseline", ("couplings", 0, "observable"), BIG_OBSERVABLE,
+         "couplings[0].observable"),
+        ("jozsa_baseline", ("couplings", 0),
+         {"observable": BIG_OBSERVABLE, "axis": 1, "quadrature": "q", "strength": 0},
+         "couplings[0].observable"),
     ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
             "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
             "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
@@ -742,7 +790,9 @@ class TestCli:
             "extent-wrong-length", "extent-boolean",
             "kind-unknown-string", "kind-list", "kind-object",
             "strength-huge-integer", "sigma-huge-integer", "vortex-l-huge-integer",
-            "points-huge-integer", "theta-spread-overflows", "observable-huge-not-hermitian"])
+            "points-huge-integer", "theta-spread-overflows", "observable-huge-not-hermitian",
+            "eigenvalue-index-readout-spectrum-overflows", "coupling-spectrum-overflows",
+            "zero-strength-coupling-spectrum-overflows"])
     def test_document_rule_exits_2_with_its_path(self, tmp_path, capsys, template, keys,
                                                  value, path):
         doc_path = tmp_path / "bad.json"
@@ -764,17 +814,36 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_readout_eigenvalue_exits_2_without_a_warning(self, tmp_path, capsys):
-        # A finite Hermitian readout whose product with the post state overflows.
+        # A finite Hermitian readout whose largest eigenvalue (4e308) overflows,
+        # with an explicit post state and with an eigenvalue_index one.
         doc = bundled_document("theta_qp_gaussian")
-        doc["system"] = {"dimension": 4, "pre_state": [[1, 0]] * 4,
-                         "post_state": {"amplitudes": [[1, 0]] * 4}}
         doc["couplings"][0]["observable"] = "proj0"
         doc["readout"]["observable"] = [[[1e308, 0]] * 4] * 4
+        for post_state in ({"amplitudes": [[1, 0]] * 4}, {"eigenvalue_index": 0}):
+            doc["system"] = {"dimension": 4, "pre_state": [[1, 0]] * 4, "post_state": post_state}
+            doc_path = tmp_path / "bad.json"
+            doc_path.write_text(json.dumps(doc))
+            assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == ("config error: readout.observable: eigenvalues "
+                                               "overflow a float\n")
+
+    def test_overflowing_weak_value_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # |<post|pre>| is 1e-7, above the overlap floor, and the coupling 1e305 X
+        # (at strength 0, so no kick) has a weak value of 1e312.
+        doc = bundled_document("jozsa_baseline")
+        doc["system"]["pre_state"] = [[1, 0], [1e-7, 0]]
+        doc["system"]["post_state"] = {"amplitudes": [[0, 0], [1, 0]]}
+        doc["readout"] = {"direct_projection": True}
+        doc["couplings"] = [{"observable": [[[0, 0], [1e305, 0]], [[1e305, 0], [0, 0]]],
+                             "axis": 1, "quadrature": "q", "strength": 0}]
         doc_path = tmp_path / "bad.json"
         doc_path.write_text(json.dumps(doc))
-        assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("config error: readout.observable: the readout "
-                                           "eigenvalue of post_state overflows\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(doc_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weak value (inf") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_state_norm_runs_as_the_bundled_state(self, tmp_path):
         # The norm of a pre_state scaled by 1e200 overflows a float.  Scaled by
