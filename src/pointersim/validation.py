@@ -4,20 +4,29 @@ Each criterion returns a :class:`CriterionResult`.  A suite pass runs and
 times every bundled scenario once (the corpus) and passes it to criteria
 1-9, of which 3, 4, 5 and 9 read its reports.  ``run_all`` executes all ten:
 the determinism criterion serializes the pass and byte-compares it with one
-full rerun that builds its own corpus.  ``passed`` and every serialized value
-are deterministic; criteria 1, 2, 3 and 7 also carry a wall-clock budget,
-timed by the suite pass (criterion 3's with its corpus run) and never
-serialized, which fails ``pointersim validate`` when blown.
+full rerun that builds its own corpus.  The rerun runs in a fresh interpreter,
+started before and running alongside the suite's own pass: on one CPU that
+costs one interpreter start, and its memory is not in this process's RSS.
+It catches bytes that differ between two processes with their own hash seeds
+and caches; repeats within one long-lived process are the committed output
+digests' concern.  ``passed`` and every serialized value are deterministic;
+criteria 1, 2, 3 and 7 also carry a wall-clock budget, timed by the suite
+pass (criterion 3's with its corpus run) and never serialized, which fails
+``pointersim validate`` when blown.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .entanglement import TwoModeGaussianParams, probe_c_matrices
+from .errors import PointersimError
 from .fouriercorr import appendix_a_check
 from .pointer import Grid, displace_momentum, gaussian_pointer, lg_mode, means, moments
 from .scenarios import (
@@ -257,13 +266,44 @@ def _deterministic_pass_bytes(results, corpus) -> bytes:
     return b"".join(parts)
 
 
-def criterion_10_determinism(suite_pass) -> CriterionResult:
-    """Two back-to-back full passes serialize to byte-identical reports.  The
-    first pass is ``suite_pass``, ``(results, corpus)`` as ``run_all`` just
-    ran them; the second builds its own corpus."""
+_RERUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+          "from pointersim.validation import _deterministic_pass_bytes, _suite_pass; "
+          "sys.stdout.buffer.write(_deterministic_pass_bytes(*_suite_pass()))")
+
+
+def _rerun_bytes(meanwhile):
+    """``(meanwhile(), rerun)``: ``rerun`` is the bytes of criterion 10's
+    rerun, ``_deterministic_pass_bytes(*_suite_pass())`` in a fresh
+    interpreter that imports this checkout's ``pointersim``, and
+    ``meanwhile()`` runs here while the rerun runs.  The child is always
+    waited for: it is killed when ``meanwhile`` raises, and a child that
+    fails raises :class:`PointersimError` with its last stderr line."""
+    with subprocess.Popen([sys.executable, "-c", _RERUN, str(Path(__file__).parent.parent)],
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        try:
+            result = meanwhile()
+        except BaseException:
+            child.kill()
+            raise
+        rerun, err = child.communicate()
+    if child.returncode != 0:
+        last = (err.decode(errors="replace").strip().splitlines() or ["no stderr"])[-1]
+        raise PointersimError(f"criterion 10's rerun exited {child.returncode}: {last}")
+    return result, rerun
+
+
+def criterion_10_determinism(suite_pass, rerun: bytes | None = None) -> CriterionResult:
+    """Two full passes serialize to byte-identical reports.  The first pass
+    is ``suite_pass``, ``(results, corpus)`` as ``run_all`` just ran them;
+    the second, ``rerun``, is the bytes of the rerun that ``run_all`` ran
+    alongside it in a fresh interpreter (None: run that rerun now).  Two
+    processes with their own hash seeds must agree; repeats within one
+    process are left to the committed output digests."""
     first = _deterministic_pass_bytes(*suite_pass)
-    second = _deterministic_pass_bytes(*_suite_pass())
-    identical = first == second
+    if rerun is None:
+        _nothing, rerun = _rerun_bytes(lambda: None)
+    identical = first == rerun
     return CriterionResult(10, "determinism", identical, 0.0 if identical else 1.0, 0.0,
                            f"{len(first)} bytes compared across two passes")
 
@@ -282,8 +322,8 @@ _CRITERIA_1_9 = (
 
 
 def run_all() -> list[CriterionResult]:
-    results, corpus = _suite_pass()
-    return results + [criterion_10_determinism((results, corpus))]
+    suite_pass, rerun = _rerun_bytes(_suite_pass)
+    return suite_pass[0] + [criterion_10_determinism(suite_pass, rerun)]
 
 
 def summary_json_text(results: list[CriterionResult]) -> str:

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion (the same lines ``pointersim validate`` prints).  The ten tests
 share one ``run_all()`` (``conftest.suite_results``), as ``pointersim
 validate`` runs it: criterion 10 there compares that suite pass with a
-second, independent one.
+second, independent one, run in a fresh interpreter alongside it.  That
+catches bytes that differ between two processes; the committed output
+digests (``test_output_digest.py``), hashed inside this long-lived process,
+catch bytes that drift between repeats within one.
 """
 
 

@@ -1,18 +1,24 @@
 """How ``run_all`` schedules the suite: two passes, each simulating the
-bundled corpus once and handing it to criteria 1-9; and how a blown
-wall-clock budget fails ``pointersim validate`` without entering the
-serialized summaries.
+bundled corpus once and handing it to criteria 1-9; how a blown wall-clock
+budget fails ``pointersim validate`` without entering the serialized
+summaries; and how criterion 10's rerun runs in a fresh interpreter.
 
 The stubs stand in for the real criteria so that only the scheduling is
-under test; the real criteria's verdicts are covered by
-``test_acceptance.py``.  The last tests run criteria 3, 6 and 9 alone:
-criterion 3 for the corpus seconds its budget counts, 6 and 9 for their
-memory peak and for which moment passes they call.  The clock test keeps
-every wall-clock read in the suite and the CLI.
+under test, and their rerun runs in process, through the one function that
+otherwise starts the fresh interpreter; the real criteria's verdicts are
+covered by ``test_acceptance.py``.  The rerun tests start the real child: a
+failed one, one behind a decoy ``pointersim`` and one whose parent pass
+raises.  The last tests run criteria 3, 6 and 9 alone: criterion 3 for the
+corpus seconds its budget counts, 6 and 9 for their memory peak and for
+which moment passes they call.  The clock test keeps every wall-clock read
+in the suite and the CLI, and the process test every process start in the
+rerun.
 """
 
 import ast
 import itertools
+import signal
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +32,8 @@ from conftest import count_calls, source_sites, traced_peak
 
 @pytest.fixture
 def stub_suite(monkeypatch):
-    """Nine counting stubs for criteria 1-9 and a one-scenario corpus.
+    """Nine counting stubs for criteria 1-9 and a one-scenario corpus, with
+    criterion 10's rerun made in process after the pass it is compared with.
 
     Records the per-criterion call counts (``calls``), the corpora built in
     order (``built``) and, per criterion call, ``(number, corpus)`` with the
@@ -59,6 +66,8 @@ def stub_suite(monkeypatch):
     monkeypatch.setattr(validation, "_CRITERIA_1_9", tuple(stub(n) for n in range(1, 10)))
     monkeypatch.setattr(validation, "bundled_scenario_names", lambda: ["zero_coupling"])
     monkeypatch.setattr(validation, "_bundled_corpus", counting_corpus)
+    monkeypatch.setattr(validation, "_rerun_bytes", lambda meanwhile: (
+        meanwhile(), validation._deterministic_pass_bytes(*validation._suite_pass())))
     return SimpleNamespace(calls=calls, unstable=unstable, slow=slow, built=built,
                            received=received)
 
@@ -153,6 +162,81 @@ def test_only_the_suite_and_the_cli_read_the_clock():
     assert sites == {("validation", "_suite_pass", "time"),
                      ("validation", "_bundled_corpus", "time"),
                      ("cli", "_cmd_run", "time")}
+
+
+def test_a_failed_rerun_is_one_error_line_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    # A numpy that cannot be imported, first on PYTHONPATH, breaks only the
+    # fresh interpreter of the rerun: this one imported numpy long ago.
+    decoy = tmp_path / "path" / "numpy"
+    decoy.mkdir(parents=True)
+    (decoy / "__init__.py").write_text('raise ImportError("decoy numpy")\n')
+    monkeypatch.setenv("PYTHONPATH", str(decoy.parent))
+    monkeypatch.setattr(validation, "_suite_pass", lambda: ([], {}))
+    out = tmp_path / "out"
+    assert main(["validate", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: criterion 10's rerun exited 1: ImportError: decoy numpy\n"
+    assert not out.exists()
+
+
+def test_the_rerun_imports_this_checkout_past_a_decoy_on_pythonpath(monkeypatch, tmp_path):
+    decoy = tmp_path / "pointersim"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text('raise ImportError("decoy pointersim")\n')
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    own, rerun = validation._rerun_bytes(validation._suite_pass)
+    assert rerun == validation._deterministic_pass_bytes(*own)
+
+
+def test_a_raising_suite_pass_propagates_after_the_rerun_is_waited_for(monkeypatch):
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    failure = RuntimeError("the suite's own pass failed")
+
+    def failing_pass():
+        raise failure
+
+    monkeypatch.setattr(validation.subprocess, "Popen", Recorded)
+    monkeypatch.setattr(validation, "_suite_pass", failing_pass)
+    with pytest.raises(RuntimeError) as raised:
+        validation.run_all()
+    assert raised.value is failure
+    # Waited for and killed, not left to run to its end.
+    assert len(started) == 1 and started[0].returncode == -signal.SIGKILL
+
+
+PROCESS_MODULES = ("subprocess", "multiprocessing", "concurrent")
+OS_PROCESS_STARTS = tuple(f"os.{name}" for name in ("fork", "system", "popen", "posix_spawn",
+                                                     "spawn", "exec"))
+
+
+def _process_start(node):
+    """The module or ``os`` function through which ``node`` can start a process."""
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+        names = [f"os.{node.attr}"]
+    else:
+        return None
+    starts = [n for n in names
+              if n.split(".")[0] in PROCESS_MODULES or n.startswith(OS_PROCESS_STARTS)]
+    return starts[0] if starts else None
+
+
+def test_only_the_rerun_starts_a_process():
+    # Criterion 10's rerun is the package's one child process.
+    assert source_sites(_process_start) == {("validation", "<module>", "subprocess"),
+                                            ("validation", "_rerun_bytes", "subprocess")}
 
 
 def test_criterion_3_budget_counts_its_corpus_run():
