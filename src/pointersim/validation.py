@@ -5,14 +5,15 @@ times every bundled scenario once (the corpus) and passes it to criteria
 1-9, of which 3, 4, 5 and 9 read its reports.  ``run_all`` executes all ten:
 the determinism criterion serializes the pass and byte-compares it with one
 full rerun that builds its own corpus.  The rerun runs in a fresh interpreter,
-started before and running alongside the suite's own pass: on one CPU that
-costs one interpreter start, and its memory is not in this process's RSS.
-It catches bytes that differ between two processes with their own hash seeds
-and caches; repeats within one long-lived process are the committed output
-digests' concern.  ``passed`` and every serialized value are deterministic;
-criteria 1, 2, 3 and 7 also carry a wall-clock budget, timed by the suite
-pass (criterion 3's with its corpus run) and never serialized, which fails
-``pointersim validate`` when blown.
+started before and running alongside the suite's own pass: on one CPU the
+two take turns and the child adds an interpreter start, and its memory is
+not in this process's RSS.  It catches bytes that differ between two
+processes with their own hash seeds and caches; repeats within one
+long-lived process are the committed output digests' concern.  ``passed``
+and every serialized value are deterministic; criteria 1, 2, 3 and 7 also
+carry a wall-clock budget, timed by the suite pass (criterion 3's with its
+corpus run) and never serialized, which fails ``pointersim validate`` when
+blown.
 """
 
 from __future__ import annotations
