@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -172,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="run the full verification suite")
     p.set_defaults(func=_cmd_validate)
+    # "-" then a digit or ".digit" is a number, not an option: --gamma -1e-3.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

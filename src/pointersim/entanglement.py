@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import CouplingSpec, evolve
 from .errors import DimensionError, InvalidParams
-from .pointer import (Grid, PointerWavefunction, _diagonal_moments, auto_grid, gaussian_pointer,
-                      gaussian_spreads, kick_gap, means, moments)
+from .pointer import (Grid, PointerWavefunction, _diagonal_moments, auto_grid,
+                      check_gaussian_params, gaussian_pointer, kick_gap, means, moments)
 from .quantum import PAULI_Z, Observable, SystemState, weak_value
 from .shifts import ORIENTATION
 
@@ -43,7 +43,7 @@ class TwoModeGaussianParams:
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParams("alpha and beta must be positive")
-        if self.alpha * self.beta <= self.gamma**2:
+        if not abs(self.gamma) / self.alpha**0.5 / self.beta**0.5 < 1:  # cannot overflow
             raise InvalidParams("need alpha*beta > gamma^2 for a normalizable state")
 
     def position_covariance(self) -> np.ndarray:
@@ -131,7 +131,7 @@ def probe_c_matrices(params: TwoModeGaussianParams, strength: float) -> tuple[CM
     its default grid (:func:`~pointersim.pointer.auto_grid`), the second from
     the fixed Z probe between |+> and (|0> + i|1>)/sqrt(2) of
     :func:`c_matrix_from_shifts` at ``strength``."""
-    std_q, std_p = gaussian_spreads(params.position_covariance())
+    std_q, std_p = check_gaussian_params(params.position_covariance())
     phi = two_mode_gaussian(auto_grid(std_q, std_p, None, None), params)
     return c_matrix_direct(phi), c_matrix_from_shifts(phi, strength)
 

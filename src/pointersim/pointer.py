@@ -293,8 +293,9 @@ def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) ->
     """Raise InvalidCovariance unless ``sigma`` is nonempty, finite, symmetric
     (:func:`~pointersim.quantum.is_hermitian`) and positive definite, ``theta``
     (if given) is a finite symmetric matrix of the same shape, and the momentum
-    spreads are finite; return the spreads, :func:`gaussian_spreads` of both.
-    NaN fails no ``>`` test, so finiteness is checked first."""
+    spreads are finite; return the spreads of :func:`gaussian_pointer`, roots of
+    the diagonals of ``sigma`` and ``sigma^-1 / 4 + theta sigma theta``, which
+    nothing else computes.  NaN fails no ``>`` test, so finiteness comes first."""
     if not sigma.size:
         raise InvalidCovariance("sigma is empty")
     if not all(np.all(np.isfinite(m)) for m in (sigma, theta) if m is not None):
@@ -307,19 +308,12 @@ def check_gaussian_params(sigma: np.ndarray, theta: np.ndarray | None = None) ->
         raise InvalidCovariance("sigma is not positive definite") from None
     if theta is not None and (theta.shape != sigma.shape or not is_hermitian(theta)):
         raise InvalidCovariance("theta must be a symmetric DxD matrix")
+    th = np.zeros_like(sigma) if theta is None else theta
     with np.errstate(over="ignore", invalid="ignore"):
-        spreads = gaussian_spreads(sigma, theta)
-    if not np.all(np.isfinite(spreads[1])):
+        std_p = np.sqrt(np.diag(0.25 * np.linalg.inv(sigma) + th @ sigma @ th))
+    if not np.all(np.isfinite(std_p)):
         raise InvalidCovariance("sigma^-1 / 4 + theta sigma theta overflows")
-    return spreads
-
-
-def gaussian_spreads(sigma, theta=None) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal position and momentum standard deviations of :func:`gaussian_pointer`:
-    roots of the diagonals of ``sigma`` and of ``sigma^-1 / 4 + theta sigma theta``."""
-    sig = np.asarray(sigma, dtype=float)
-    th = np.zeros_like(sig) if theta is None else np.asarray(theta, dtype=float)
-    return np.sqrt(np.diag(sig)), np.sqrt(np.diag(0.25 * np.linalg.inv(sig) + th @ sig @ th))
+    return np.sqrt(np.diag(sigma)), std_p
 
 
 def check_width(name: str, width: float) -> None:

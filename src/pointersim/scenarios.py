@@ -30,7 +30,6 @@ from .pointer import (
     auto_grid,
     check_gaussian_params,
     gaussian_pointer,
-    gaussian_spreads,
     kick_gap,
     lg_mode,
     lg_spreads,
@@ -54,15 +53,15 @@ MAX_ID_BYTES = 244
 _NAMED_OBSERVABLES = ("pauli_x", "pauli_y", "pauli_z", "proj0")
 # Document pointer kind -> (closed-form per-axis marginal (std_q, std_p) of the
 # parsed parameters, the pointer built from them on a grid).  A two_mode_gaussian
-# document is parsed to the Gaussian of its position covariance.  Builders are
-# called by name, so perfbench's tracer, which rebinds names, counts each build.
+# document, parsed to the Gaussian of its position covariance, shares gaussian's
+# entry.  Builders are called by name, so perfbench's tracer, which rebinds
+# names, counts each build.
 _POINTER_KINDS = {
-    "gaussian": (lambda p: gaussian_spreads(p["sigma"], p.get("theta")),
+    "gaussian": (lambda p: check_gaussian_params(p["sigma"], p.get("theta")),
                  lambda grid, p: gaussian_pointer(grid, **p)),
     "lg": (lambda p: lg_spreads(p["l"], p["sigma"]), lambda grid, p: lg_mode(grid, **p)),
-    "two_mode_gaussian": (lambda p: gaussian_spreads(p["sigma"]),
-                          lambda grid, p: gaussian_pointer(grid, **p)),
 }
+_POINTER_KINDS["two_mode_gaussian"] = _POINTER_KINDS["gaussian"]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,8 @@ def parse_config(document: dict, source: str = "<document>") -> ScenarioConfig:
             params["sigma"] = TwoModeGaussianParams(*(
                 _as_number(pointer[key], f"pointer.{key}") for key in ("alpha", "beta", "gamma")
             )).position_covariance()
-    # Of the spreads, only lg_spreads rejects a parameter: the vortex width.
+            check_gaussian_params(params["sigma"])
+    # Of the spreads, only lg_spreads rejects a parameter here: the vortex width.
     with _at("pointer.sigma"):
         std_q, std_p = _POINTER_KINDS[kind][0](params)
     pdims = len(std_q)

@@ -294,16 +294,14 @@ def _rerun_bytes(meanwhile):
     return result, rerun
 
 
-def criterion_10_determinism(suite_pass, rerun: bytes | None = None) -> CriterionResult:
+def criterion_10_determinism(suite_pass, rerun: bytes) -> CriterionResult:
     """Two full passes serialize to byte-identical reports.  The first pass
     is ``suite_pass``, ``(results, corpus)`` as ``run_all`` just ran them;
     the second, ``rerun``, is the bytes of the rerun that ``run_all`` ran
-    alongside it in a fresh interpreter (None: run that rerun now).  Two
-    processes with their own hash seeds must agree; repeats within one
-    process are left to the committed output digests."""
+    alongside it in a fresh interpreter.  Two processes with their own hash
+    seeds must agree; repeats within one process are left to the committed
+    output digests."""
     first = _deterministic_pass_bytes(*suite_pass)
-    if rerun is None:
-        _nothing, rerun = _rerun_bytes(lambda: None)
     identical = first == rerun
     return CriterionResult(10, "determinism", identical, 0.0 if identical else 1.0, 0.0,
                            f"{len(first)} bytes compared across two passes")

@@ -1,5 +1,8 @@
 """C-matrix certification: direct moments vs the shift-reconstruction protocol."""
 
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,8 @@ from pointersim import (
     two_mode_gaussian,
 )
 from pointersim import entanglement
-from pointersim.pointer import gaussian_spreads
+from pointersim.cli import main
+from pointersim.pointer import check_gaussian_params
 from conftest import count_calls
 
 
@@ -29,7 +33,7 @@ def reference_params():
 
 def reference_pointer(params=None):
     params = params or reference_params()
-    grid = auto_grid(*gaussian_spreads(params.position_covariance()), None, None)
+    grid = auto_grid(*check_gaussian_params(params.position_covariance()), None, None)
     return two_mode_gaussian(grid, params)
 
 
@@ -56,6 +60,24 @@ class TestTwoModeGaussian:
             TwoModeGaussianParams(0.25, 0.25, 0.25)
         with pytest.raises(InvalidParams):
             TwoModeGaussianParams(-1.0, 0.25, 0.0)
+        # gamma**2 overflowed the check of alpha*beta > gamma^2.
+        with pytest.raises(InvalidParams, match=r"need alpha\*beta > gamma\^2"):
+            TwoModeGaussianParams(1.0, 1.0, 1e300)
+
+    @pytest.mark.parametrize("alpha, gamma, line", [
+        ("1", "1e300", "error: need alpha*beta > gamma^2 for a normalizable state\n"),
+        # The position covariance has an infinite entry; the probe read its
+        # spreads without the Gaussian rule, and a RuntimeWarning escaped.
+        ("1e-320", "0", "error: sigma and theta must be finite\n"),
+    ], ids=["gamma-1e300", "alpha-1e-320"])
+    def test_entangle_rejects_extreme_params_in_one_line(self, tmp_path, capsys, alpha, gamma,
+                                                          line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["entangle", "--alpha", alpha, "--beta", "1", "--gamma", gamma,
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == line
+        assert os.listdir(tmp_path) == []
 
     def test_uncorrelated_is_product(self):
         params = TwoModeGaussianParams(0.25, 0.25, 0.0)

@@ -28,7 +28,6 @@ from pointersim.pointer import (
     _mass,
     _multiply_factors,
     check_gaussian_params,
-    gaussian_spreads,
     kick_gap,
     lg_spreads,
 )
@@ -225,17 +224,18 @@ class TestGaussianPointer:
             check_gaussian_params(sigma, theta)
 
     def test_the_build_computes_the_spreads_once(self, monkeypatch):
-        # The overflow rule's spreads are the ones the coverage rule reads.
+        # The rule's spreads are the ones the coverage rule reads: one call
+        # per build both checks the parameters and gives the spreads.
         calls = []
-        monkeypatch.setattr("pointersim.pointer.gaussian_spreads",
-                            lambda *a: calls.append(a) or gaussian_spreads(*a))
+        monkeypatch.setattr("pointersim.pointer.check_gaussian_params",
+                            lambda *a: calls.append(a) or check_gaussian_params(*a))
         sigma, theta = np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.3], [0.3, 0.0]])
-        spreads = check_gaussian_params(sigma, theta)
-        assert len(calls) == 1
-        for got, want in zip(spreads, gaussian_spreads(sigma, theta)):
-            np.testing.assert_array_equal(got, want)
+        std_q, std_p = check_gaussian_params(sigma, theta)
+        np.testing.assert_array_equal(std_q, np.sqrt(np.diag(sigma)))
+        np.testing.assert_array_equal(
+            std_p, np.sqrt(np.diag(0.25 * np.linalg.inv(sigma) + theta @ sigma @ theta)))
         gaussian_pointer(grid2(256), sigma, theta=theta)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_rejects_empty_sigma(self):
         with pytest.raises(InvalidCovariance, match="sigma is empty"):
@@ -303,7 +303,7 @@ class TestCoverage:
         m = moments(gaussian_pointer(grid2(256), sigma, theta=theta))
         expected_pp = 0.25 * np.linalg.inv(sigma) + theta @ sigma @ theta
         np.testing.assert_allclose(m.cov_pp, expected_pp, rtol=0, atol=1e-9)
-        std_q, std_p = gaussian_spreads(sigma, theta)
+        std_q, std_p = check_gaussian_params(sigma, theta)
         np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
         np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
 
@@ -321,7 +321,7 @@ class TestCoverage:
         params = TwoModeGaussianParams(0.25, 0.3, 0.125)
         m = moments(two_mode_gaussian(grid2(256, 10.0), params))
         np.testing.assert_allclose(m.cov_pp, [[0.25, 0.125], [0.125, 0.3]], rtol=0, atol=1e-9)
-        std_q, std_p = gaussian_spreads(params.position_covariance())
+        std_q, std_p = check_gaussian_params(params.position_covariance())
         np.testing.assert_allclose(std_q**2, np.diag(m.cov_qq), rtol=0, atol=1e-9)
         np.testing.assert_allclose(std_p**2, np.diag(m.cov_pp), rtol=0, atol=1e-9)
 
@@ -378,7 +378,7 @@ class TestCoverage:
         assert auto_grid([1.0] * 3, [3.04, 0.5, 0.5], None, None).shape == (128,) * 3
 
     def test_auto_grid_stops_at_the_cap_and_the_builder_rejects(self):
-        std_q, std_p = gaussian_spreads(np.eye(2), np.diag([40.0, 0.0]))
+        std_q, std_p = check_gaussian_params(np.eye(2), np.diag([40.0, 0.0]))
         grid = auto_grid(std_q, std_p, None, None)
         assert grid.shape == (1024, 1024)
         with pytest.raises(GridCoverage, match="axis 1: momentum"):

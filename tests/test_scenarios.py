@@ -24,7 +24,7 @@ from pointersim import (
 )
 from pointersim import cli, validation
 from pointersim.cli import main
-from pointersim.pointer import gaussian_spreads
+from pointersim.pointer import check_gaussian_params
 from pointersim.scenarios import (
     build_pointer,
     bundled_scenario_names,
@@ -40,6 +40,11 @@ from conftest import source_sites, traced_peak
 
 NAN, INF = float("nan"), float("inf")
 BIG_OBSERVABLE = [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]
+# A two-mode pointer whose position covariance, 1/4 of the inverse of diag(1e-320,
+# 0.25), has an infinite entry.
+TWO_MODE_SUBNORMAL_ALPHA = {"kind": "two_mode_gaussian", "alpha": 1e-320, "beta": 0.25,
+                            "gamma": 0.0, "grid": {"points_per_axis": [256, 256],
+                                                   "extent": [10.0, 10.0]}}
 
 
 def minimal_document():
@@ -469,13 +474,17 @@ class TestKickBudget:
 class TestPointerKinds:
     def test_the_table_is_the_only_dispatch_on_the_kind(self):
         # The spreads and builders of the pointer kinds appear in scenarios
-        # only at module level, in _POINTER_KINDS; two_mode_gaussian not at all.
-        names = ("gaussian_spreads", "lg_spreads", "gaussian_pointer", "lg_mode",
+        # only at module level, in _POINTER_KINDS; two_mode_gaussian not at all,
+        # as its documents share the gaussian entry.  The Gaussian rule, which
+        # gives the spreads, is also called in parse_config on each covariance.
+        names = ("check_gaussian_params", "lg_spreads", "gaussian_pointer", "lg_mode",
                  "two_mode_gaussian")
         sites = source_sites(
             lambda node: node.id if isinstance(node, ast.Name) and node.id in names else None)
         assert {(scope, name) for module, scope, name in sites if module == "scenarios"} == {
-            ("<module>", name) for name in names[:4]}
+            ("<module>", name) for name in names[:4]} | {("parse_config", names[0])}
+        kinds = scenarios._POINTER_KINDS
+        assert kinds["two_mode_gaussian"] is kinds["gaussian"]
 
     @pytest.mark.parametrize("alpha, beta, gamma", [
         (0.25, 0.25, 0.1), (0.25, 0.25, -0.1), (0.25, 0.25, 0.0), (0.25, 0.25, 0.125),
@@ -486,7 +495,7 @@ class TestPointerKinds:
         doc["pointer"].update(alpha=alpha, beta=beta, gamma=gamma)
         grid, phi = build_pointer(parse_config(doc))
         params = TwoModeGaussianParams(alpha, beta, gamma)
-        assert grid == auto_grid(*gaussian_spreads(params.position_covariance()), None, None)
+        assert grid == auto_grid(*check_gaussian_params(params.position_covariance()), None, None)
         assert np.array_equal(phi.amplitudes, two_mode_gaussian(grid, params).amplitudes)
 
     def test_two_mode_document_at_tiny_widths(self):
@@ -697,6 +706,13 @@ class TestCli:
     @pytest.mark.parametrize("template, keys, value, path", [
         ("two_mode_entangle", ("pointer", "gamma"), 0.5, "pointer"),
         ("two_mode_entangle", ("pointer", "alpha"), -0.25, "pointer"),
+        # gamma**2 overflowed the normalizability check: an OverflowError.
+        ("two_mode_entangle", ("pointer", "gamma"), 1e300, "pointer"),
+        # A position covariance with an infinite entry: a RuntimeWarning, then
+        # an error at pointer.grid, before the Gaussian rule checked it.
+        ("two_mode_entangle", ("pointer",), TWO_MODE_SUBNORMAL_ALPHA, "pointer"),
+        ("two_mode_entangle", ("pointer",),
+         {k: v for k, v in TWO_MODE_SUBNORMAL_ALPHA.items() if k != "grid"}, "pointer"),
         ("jozsa_baseline", ("system", "pre_state"), [[0, 0], [0, 0]], "system.pre_state"),
         ("jozsa_baseline", ("system", "post_state"), {"amplitudes": [[0, 0], [0, 0]]},
          "system.post_state.amplitudes"),
@@ -774,7 +790,8 @@ class TestCli:
         ("jozsa_baseline", ("couplings", 0),
          {"observable": BIG_OBSERVABLE, "axis": 1, "quadrature": "q", "strength": 0},
          "couplings[0].observable"),
-    ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "zero-pre-state",
+    ], ids=["two-mode-not-normalizable", "two-mode-negative-alpha", "two-mode-gamma-1e300",
+            "two-mode-alpha-1e-320", "two-mode-alpha-1e-320-derived-grid", "zero-pre-state",
             "zero-post-state", "gaussian-grid-too-small", "two-mode-grid-too-small",
             "vortex-l40-grid-too-small", "chirp-10-aliases-in-momentum",
             "chirp-12-aliases-in-momentum",
@@ -996,6 +1013,21 @@ class TestCli:
         obj = json.loads((tmp_path / files[0]).read_text())
         assert obj["entangled_direct"] and obj["entangled_from_shifts"]
         assert obj["det_direct"] == pytest.approx(-1.0 / 12.0, abs=1e-6)
+
+    def test_negative_numbers_in_exponent_notation_are_values(self, tmp_path):
+        # argparse's own pattern, -digits or -digits.digits, read these as options.
+        assert main(["entangle", "--alpha", "1", "--beta", "1", "--gamma", "-1e-3",
+                     "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / "entangle_a1_b1_g-0.001.json").read_text())
+        assert obj["gamma"] == -1e-3
+        scenario = str(Path(scenarios.__file__).parent / "scenarios" / "jozsa_baseline.json")
+        assert main(["sweep", scenario, "--multipliers", "1", "-5e-1", "0.25",
+                     "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / "jozsa_baseline_sweep.json").read_text())
+        assert obj["summary"]["multipliers"] == [1.0, -0.5, 0.25]
+        args = cli.build_parser().parse_args(["appendix-a", "--sigma1", "1", "--sigma2", "1",
+                                              "--c12", "-.5E+0"])
+        assert args.c12 == -0.5
 
     @pytest.mark.parametrize("strength", ["0", "nan", "inf"])
     def test_entangle_unusable_strength_exits_1(self, tmp_path, capsys, strength):

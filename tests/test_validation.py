@@ -110,14 +110,6 @@ def test_run_criterion_dispatches_to_its_criterion(stub_suite, number):
     assert got_number == number and got_corpus is corpus
 
 
-def test_criterion_10_alone_makes_two_fresh_passes(stub_suite):
-    """Criterion 10 handed one pass builds exactly one more of its own."""
-    assert validation.criterion_10_determinism(validation._suite_pass()).passed
-    assert stub_suite.calls == [2] * 9
-    assert len(stub_suite.built) == 2
-    assert stub_suite.built[0] is not stub_suite.built[1]
-
-
 def test_blown_budget_fails_validate_but_leaves_the_summary_bytes(stub_suite, tmp_path):
     def summaries(results):
         return validation.summary_json_text(results), validation.summary_csv_text(results)
